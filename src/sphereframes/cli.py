@@ -87,6 +87,10 @@ class RunConfig:
         }
         return doc
 
+    def worker_threads(self) -> int | None:
+        """Threads for the transform: the requested count, else every core."""
+        return self.threads if self.threads is not None else os.cpu_count()
+
 
 def _parse_floats(text: str) -> tuple:
     return tuple(float(x) for x in text.replace(",", " ").split())
@@ -135,7 +139,7 @@ def load_config(args) -> RunConfig:
     )
     cfg.seed = int(args.seed if args.seed is not None else run.get("seed", 0))
     threads = args.threads if args.threads is not None else run.get("threads")
-    cfg.threads = int(threads) if threads not in (None, "") else os.cpu_count()
+    cfg.threads = int(threads) if threads not in (None, "") else None
     cfg.out = args.out if args.out is not None else run.get("out", ".")
 
     preset = args.preset if args.preset is not None else prof_sec.get("preset")
@@ -246,7 +250,7 @@ def cmd_transform(cfg: RunConfig) -> int:
     rotations = rotation_grid.build_rotation_grid(cfg.n, cfg.delta, cfg.max_elements)
     sphere = build_sphere_grid(cfg.n, cfg.band_limit)
     table = transform.wavelet_analysis(
-        cfg.n, cfg.profile, field, scales, rotations, sphere, cfg.threads
+        cfg.n, cfg.profile, field, scales, rotations, sphere, cfg.worker_threads()
     )
     _write(cfg, "transform.csv", _config_comment(cfg) + "\n" + table.to_csv())
     beta = wavelet_spectra.build_beta_table(cfg.n, cfg.profile, cfg.band_limit)
@@ -276,7 +280,7 @@ def cmd_certify(cfg: RunConfig) -> int:
         cfg.tolerance,
         cfg.margin,
         cfg.max_elements,
-        cfg.threads,
+        cfg.worker_threads(),
     )
     _write(
         cfg,

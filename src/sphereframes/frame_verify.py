@@ -26,17 +26,16 @@ import numpy as np
 from .harmonics import build_sphere_grid
 from .rotation_grid import build_rotation_grid
 from .scale_grid import ScaleGrid, discrete_beta, epsilon_report, scale_grid_for_profile
-from .special_functions import gegenbauer_all
 from .transform import energy_identity_oracle, random_bandlimited, transform_energies
 from .wavelet_spectra import (
     SpectralProfile,
     _eval_uv_poly,
     _theta_derivative_tableau,
+    _zonal_derivative_series,
     build_beta_table,
     profile_order,
     spectral_cutoff,
     wavelet_bounds,
-    zonal_hat_all,
 )
 
 __all__ = [
@@ -351,7 +350,6 @@ def _sup_norms(
     over that pair; the gradient uses the exact derivative of the expansion,
     projected onto the tangent plane.
     """
-    lam = (n - 1) / 2
     d = profile.d
     L = min(spectral_cutoff(profile, rho, n), max_degree)
     theta = np.linspace(0.0, math.pi, dense)
@@ -359,16 +357,8 @@ def _sup_norms(
     y1 = np.repeat(np.cos(theta), phi.size)
     y2 = np.outer(np.sin(theta), np.cos(phi)).ravel()
 
-    hat = zonal_hat_all(profile, rho, n, L)
-
     def series(k: int) -> np.ndarray:
-        if L < k:
-            return np.zeros_like(y1)
-        fac = 2.0**k
-        for i in range(k):
-            fac *= lam + i
-        stack = gegenbauer_all(lam + k, L - k, y1)
-        return np.tensordot(hat[k:] * fac, stack, axes=(0, 0))
+        return _zonal_derivative_series(profile, rho, n, L, k, y1)
 
     scale = rho ** (profile.tilde_exponent * d)
     if d == 0:

@@ -19,9 +19,9 @@ import numpy as np
 from .harmonics import dim_harmonic
 from .wavelet_spectra import (
     SpectralProfile,
+    _response_norm,
     _scale_log_range,
     beta_numeric,
-    degree_response_norms,
 )
 
 __all__ = [
@@ -118,7 +118,7 @@ def _degree_energies(n: int, profile: SpectralProfile, l: int, scales: np.ndarra
         if l >= 1:
             raise ValueError(f"q({l}) <= 0 inside the requested range")
         return np.zeros_like(np.asarray(scales, dtype=float))
-    R = degree_response_norms(n, profile.d, l)[l]
+    R = _response_norm(n, profile.d, l)
     scales = np.asarray(scales, dtype=float)
     s = scales**profile.a * q**profile.b
     hat = profile.amplitude * s**profile.c * np.exp(-s) * (l + lam) / lam

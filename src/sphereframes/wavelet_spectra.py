@@ -6,7 +6,10 @@ and for d >= 1 the directional member is the d-th derivative in the rotation
 angle about a tangent axis at the pole, scaled by rho^(a d / (gamma b)) with
 gamma the degree of q. The admissibility function
     beta(l) = (1/N(n,l)) sum_kappa int |a_l^kappa(Psi_rho)|^2 drho/rho
-is computed both by quadrature and in closed form.
+is exact: the scale integral is a Gamma function and the directional response
+is a power of the coupling matrix T_l built from ``ladder_beta``, so
+    beta(l) = amp^2 Gamma(2c') / (a 4^c') q(l)^(-2d/gamma) ||T_l^d e_0||^2,
+    c' = c + d / (gamma b).
 """
 
 from __future__ import annotations
@@ -19,20 +22,17 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import brentq
-from scipy.special import roots_legendre
 
 from .harmonics import (
     HarmonicCoefficients,
-    HarmonicIndex,
     SphereGrid,
     analyze,
     angles_to_vector,
     build_sphere_grid,
     dim_harmonic,
     fourier_from_gegenbauer_factor,
-    harmonic_normalization,
 )
-from .special_functions import gegenbauer_all, surface_area, zonal_gauss_rule
+from .special_functions import gegenbauer_all
 
 __all__ = [
     "SpectralProfile",
@@ -49,15 +49,10 @@ __all__ = [
     "directional_coeffs",
     "ladder_beta",
     "beta_numeric",
-    "beta_closed_form",
-    "extract_P2d",
-    "fit_P2d",
     "wavelet_bounds",
     "beta_tail_indicator",
     "build_beta_table",
-    "degree_energy_at_scale",
     "degree_response_norms",
-    "build_scale_quadrature",
     "profile_order",
 ]
 
@@ -349,96 +344,27 @@ def ladder_beta(lam: float, l: int, iota: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-degree response and the scale integral
+# per-degree response and the admissibility function
 
-_response_cache: dict = {}
+
+def _response_norm(n: int, d: int, l: int) -> float:
+    """sum_kappa |a_l^kappa(D^d[C_l kernel])|^2 = ||T_l^d e_0||^2 / (A_l^0)^2, with
+    T_l the antisymmetric tridiagonal coupling matrix of degree l.
+
+    The d-th rotation derivative moves order 0 along the ladder through orders
+    <= min(d, l), so the leading block of T_l suffices.
+    """
+    lam = (n - 1) / 2
+    links = [ladder_beta(lam, l, i) for i in range(min(d, l))]
+    T = np.diag(links, -1) - np.diag(links, 1)
+    v = np.linalg.matrix_power(T, d)[:, 0]
+    return float(v @ v) / fourier_from_gegenbauer_factor(n, l) ** 2
 
 
 def degree_response_norms(n: int, d: int, L: int) -> np.ndarray:
     """R[l] = sum_kappa |a_l^kappa(D^d[C_l kernel])|^2 for l <= L, D the rotation
     derivative about the default tangent axis (admissibility is axis-independent)."""
-    L_req = L
-    for (n2, d2, L2), cached in _response_cache.items():
-        if n2 == n and d2 == d and L2 >= L:
-            return cached[: L + 1]
-    L = max(L, 32)  # batch small requests so repeated degrees share one grid pass
-    key = (n, d, L)
-    lam = (n - 1) / 2
-    out = np.zeros(L + 1)
-    if d == 0:
-        for l in range(L + 1):
-            out[l] = 1.0 / fourier_from_gegenbauer_factor(n, l) ** 2
-        _response_cache[key] = out
-        return out[: L_req + 1]
-
-    tables = _theta_derivative_tableau(d)
-    if n == 2:
-        t1, w1 = zonal_gauss_rule(0.5, L + 1)
-        m_phi = 2 * L + 1
-        phi = 2.0 * math.pi * np.arange(m_phi) / m_phi
-        wphi = 2.0 * math.pi / m_phi
-        sin1 = np.sqrt(1.0 - t1 * t1)
-        Y1 = t1[:, None] * np.ones_like(phi)[None, :]
-        Y2 = sin1[:, None] * np.cos(phi)[None, :]
-        wgt = w1[:, None] * np.full_like(phi, wphi)[None, :]
-    else:
-        # the wavelet and the surviving harmonics depend only on (theta_1, theta_2);
-        # remaining angles integrate to their total weight
-        t1, w1 = zonal_gauss_rule((n - 1) / 2, L + 1)
-        t2, w2 = zonal_gauss_rule((n - 2) / 2, L + 1)
-        rest = surface_area(n) / (np.sum(w1) * np.sum(w2))
-        sin1 = np.sqrt(1.0 - t1 * t1)
-        Y1 = t1[:, None] * np.ones_like(t2)[None, :]
-        Y2 = sin1[:, None] * t2[None, :]
-        wgt = (w1[:, None] * w2[None, :]) * rest
-
-    # stacks of Gegenbauer derivatives of the kernel, per chain-rule order k
-    deriv_stacks = []
-    for k in range(1, d + 1):
-        factor = 2.0**k
-        for i in range(k):
-            factor *= lam + i
-        stack = np.zeros((L + 1,) + Y1.shape)
-        if L >= k:
-            stack[k:] = factor * gegenbauer_all(lam + k, L - k, Y1)
-        deriv_stacks.append(stack)
-    poly_vals = [_eval_uv_poly(tables[k - 1], Y1, Y2) for k in range(1, d + 1)]
-
-    sigma = surface_area(n)
-    for l in range(L + 1):
-        g = np.zeros_like(Y1)
-        for k in range(1, d + 1):
-            g += poly_vals[k - 1] * deriv_stacks[k - 1][l]
-        acc = 0.0
-        for j in range(d % 2, min(d, l) + 1, 2):
-            if n == 2:
-                # index is the signed azimuthal order; +-j are distinct harmonics
-                for signed in [0] if j == 0 else [-j, j]:
-                    idx = HarmonicIndex(l, (signed,))
-                    A = harmonic_normalization(n, idx)
-                    mats = gegenbauer_all(0.5 + j, l - j, t1)[l - j] * sin1**j
-                    basis = A * mats[:, None] * np.exp(1j * signed * phi)[None, :]
-                    a = np.sum(np.conj(basis) * g * wgt) / sigma
-                    acc += abs(a) ** 2
-            else:
-                # one real harmonic per j: later indices all vanish
-                idx = HarmonicIndex(l, (j,) + (0,) * (n - 2))
-                A = harmonic_normalization(n, idx)
-                f1 = gegenbauer_all(lam + j, l - j, t1)[l - j] * sin1**j
-                f2 = gegenbauer_all((n - 2) / 2, j, t2)[j]
-                basis = A * f1[:, None] * f2[None, :]
-                a = np.sum(basis * g * wgt) / sigma
-                acc += abs(a) ** 2
-        out[l] = acc
-    _response_cache[key] = out
-    return out[: L_req + 1]
-
-
-def degree_energy_at_scale(n: int, profile: SpectralProfile, l: int, rho: float) -> float:
-    """sum_kappa |a_l^kappa(Psi_rho)|^2 at one scale, via the per-degree response."""
-    R = degree_response_norms(n, profile.d, l)[l]
-    hat = zonal_hat(profile, rho, l, n)
-    return rho ** (2.0 * profile.tilde_exponent * profile.d) * hat * hat * R
+    return np.array([_response_norm(n, d, l) for l in range(L + 1)])
 
 
 def _envelope_log_range(cprime: float, tol: float = 1e-18) -> tuple[float, float]:
@@ -456,25 +382,12 @@ def _envelope_log_range(cprime: float, tol: float = 1e-18) -> tuple[float, float
     return lo, hi
 
 
-def _composite_gauss_log(lo: float, hi: float, panels: int, order: int):
-    """Composite Gauss-Legendre nodes/weights on [log lo, log hi]."""
-    x, w = roots_legendre(order)
-    edges = np.linspace(math.log(lo), math.log(hi), panels + 1)
-    nodes, weights = [], []
-    for i in range(panels):
-        mid = 0.5 * (edges[i] + edges[i + 1])
-        half = 0.5 * (edges[i + 1] - edges[i])
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def _scale_log_range(
     profile: SpectralProfile, l: int, tol: float = 1e-18
 ) -> tuple[float, float]:
     """log-rho interval outside which the degree-l scale integrand is negligible."""
     if l < 1:
-        raise ValueError("scale quadrature is defined for degrees l >= 1")
+        raise ValueError("scale range is defined for degrees l >= 1")
     cprime = profile.c + profile.d / (profile.gamma * profile.b)
     s_lo, s_hi = _envelope_log_range(cprime, tol)
     q = float(profile.q_eval(l))
@@ -483,111 +396,34 @@ def _scale_log_range(
     return u_lo, u_hi
 
 
-def build_scale_quadrature(
-    profile: SpectralProfile,
-    l: int,
-    panels: int | None = None,
-    order: int = 16,
-    log_stretch: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log-rho nodes/weights covering the scale integrand of degree l >= 1."""
-    u_lo, u_hi = _scale_log_range(profile, l)
-    if panels is None:
-        panels = max(8, math.ceil(u_hi - u_lo))
-    # integrate in the stretched variable u~ = log_stretch * log rho
-    x, w = roots_legendre(order)
-    edges = np.linspace(log_stretch * u_lo, log_stretch * u_hi, panels + 1)
-    nodes, weights = [], []
-    for i in range(panels):
-        mid = 0.5 * (edges[i] + edges[i + 1])
-        half = 0.5 * (edges[i + 1] - edges[i])
-        nodes.append((mid + half * x) / log_stretch)
-        weights.append(half * w / log_stretch)
-    return np.exp(np.concatenate(nodes)), np.concatenate(weights)
+def beta_numeric(n: int, profile: SpectralProfile, l: int) -> float:
+    """Admissibility beta(l) = (1/N(n,l)) int E_l(rho) drho/rho, in closed form.
 
-
-def beta_numeric(
-    n: int,
-    profile: SpectralProfile,
-    l: int,
-    scale_quadrature: tuple[np.ndarray, np.ndarray] | None = None,
-    rtol: float = 1e-9,
-    log_stretch: float = 1.0,
-) -> float:
-    """Admissibility beta(l) by composite quadrature of the scale integral."""
+    The degree-l energy E_l(rho) = rho^(2ed) hat_rho(l)^2 R(l) is a multiple of
+    s^(2c') e^(-2s) in s = rho^a q(l)^b, with c' = c + d/(gamma b), and that
+    shape integrates over log rho to Gamma(2c') / (a 4^c').  Reading the
+    multiple at s = 1 gives beta(l) = e^2 Gamma(2c') / (a 4^c') E_l(rho_1) / N,
+    which equals amp^2 Gamma(2c') / (a 4^c') q(l)^(-2d/gamma) ||T_l^d e_0||^2.
+    Reading E_l through ``zonal_hat`` keeps the amplitude and the (l + lam)/lam
+    normalization of the spectrum defined in one place.
+    """
     if l < 0:
         raise ValueError(f"degree must be >= 0, got {l}")
-    if l == 0:
-        if profile.d >= 1 or profile.q_eval(0) == 0.0:
-            return 0.0
-    profile.validate_positive(max(l, 1))
-
-    def integral(rhos: np.ndarray, wts: np.ndarray) -> float:
-        vals = np.array(
-            [degree_energy_at_scale(n, profile, l, float(r)) for r in rhos]
-        )
-        return float(np.dot(vals, wts)) / dim_harmonic(n, l)
-
-    if scale_quadrature is not None:
-        return integral(*scale_quadrature)
-    u_lo, u_hi = _scale_log_range(profile, l)
-    panels = max(8, math.ceil(u_hi - u_lo))
-    rhos, wts = build_scale_quadrature(profile, l, panels=panels, log_stretch=log_stretch)
-    coarse = integral(rhos, wts)
-    rhos2, wts2 = build_scale_quadrature(
-        profile, l, panels=2 * panels, log_stretch=log_stretch
-    )
-    fine = integral(rhos2, wts2)
-    if abs(fine - coarse) > rtol * max(abs(fine), 1e-300):
-        raise RuntimeError(
-            f"scale quadrature did not converge at degree {l}: "
-            f"{coarse!r} vs {fine!r}"
-        )
-    return fine
-
-
-def beta_closed_form(n: int, profile: SpectralProfile, l: int, p2d: float) -> float:
-    """beta(l) from the closed form, given the extracted polynomial value P_2d(l)."""
-    if l == 0 and profile.d >= 1:
+    if l <= profile_order(profile):
         return 0.0
-    gb = profile.gamma * profile.b
-    expo = profile.d / gb + profile.c
+    profile.validate_positive(max(l, 1))
     q = float(profile.q_eval(l))
-    qpow = 1.0 if profile.d == 0 else q ** (2.0 * profile.d / profile.gamma)
-    return p2d * math.gamma(2.0 * profile.c + 2.0 * profile.d / gb) / (4.0**expo * gb * qpow)
-
-
-def extract_P2d(n: int, profile: SpectralProfile, L: int, rtol: float = 1e-6) -> np.ndarray:
-    """Values P_2d(l) for l = 0..L by inverting the closed form against quadrature.
-
-    Certifies that a degree-2d polynomial fit reproduces the values to rtol.
-    """
-    if L < 2 * profile.d + 1:
-        raise ValueError(f"need L >= {2 * profile.d + 1} to certify a degree-{2 * profile.d} fit")
-    vals = np.zeros(L + 1)
-    for l in range(1, L + 1):
-        beta = beta_numeric(n, profile, l)
-        vals[l] = beta / beta_closed_form(n, profile, l, 1.0)
-    _, residual = fit_P2d(vals, profile.d)
-    if residual > rtol:
-        raise RuntimeError(
-            f"extracted values deviate from a degree-{2 * profile.d} polynomial "
-            f"by {residual:.3e} relative"
-        )
-    return vals
-
-
-def fit_P2d(values: np.ndarray, d: int):
-    """Least-squares degree-2d polynomial through the extracted values at l = 1..L.
-
-    Returns (fit polynomial, max relative residual over l >= 1).
-    """
-    L = len(values) - 1
-    ls = np.arange(1, L + 1, dtype=float)
-    poly = np.polynomial.Polynomial.fit(ls, values[1:], deg=2 * d)
-    pred = poly(ls)
-    residual = float(np.max(np.abs(pred - values[1:]) / np.abs(values[1:])))
-    return poly, residual
+    rho = q ** (-profile.b / profile.a)  # the scale with s = 1
+    hat = zonal_hat(profile, rho, l, n)
+    energy = (
+        rho ** (2.0 * profile.tilde_exponent * profile.d)
+        * hat
+        * hat
+        * _response_norm(n, profile.d, l)
+    )
+    cprime = profile.c + profile.d / (profile.gamma * profile.b)
+    shape = math.e**2 * math.gamma(2.0 * cprime) / (profile.a * 4.0**cprime)
+    return shape * energy / dim_harmonic(n, l)
 
 
 def profile_order(profile: SpectralProfile) -> int:
@@ -632,25 +468,15 @@ class BetaTable:
         return "\n".join(lines) + "\n"
 
 
-def build_beta_table(
-    n: int, profile: SpectralProfile, L: int, method: str = "numeric"
-) -> BetaTable:
-    """Tabulate beta(l) for l <= L by quadrature or by the certified closed form."""
+def build_beta_table(n: int, profile: SpectralProfile, L: int) -> BetaTable:
+    """Tabulate beta(l) for l <= L."""
     profile.validate_positive(L)
     m = profile_order(profile)
     if L <= m:
         raise ValueError(f"band limit {L} leaves no degrees above the order m={m}")
     vals = np.zeros(L + 1)
-    if method == "numeric":
-        for l in range(m + 1, L + 1):
-            vals[l] = beta_numeric(n, profile, l)
-    elif method == "closed":
-        p = extract_P2d(n, profile, L)
-        poly, _ = fit_P2d(p, profile.d)
-        for l in range(m + 1, L + 1):
-            vals[l] = beta_closed_form(n, profile, l, float(poly(l)))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    for l in range(m + 1, L + 1):
+        vals[l] = beta_numeric(n, profile, l)
     return BetaTable(n, L, m, vals, profile)
 
 

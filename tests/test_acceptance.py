@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import grid_response_norms, polynomial_residual, quadrature_beta
 
 from sphereframes.frame_verify import certify_frame, find_refinement
 from sphereframes.harmonics import (
@@ -27,13 +28,10 @@ from sphereframes.special_functions import (
     zonal_gauss_rule,
 )
 from sphereframes.wavelet_spectra import (
-    beta_closed_form,
     beta_numeric,
     beta_tail_indicator,
     build_beta_table,
     eval_directional_wavelet_uv,
-    extract_P2d,
-    fit_P2d,
     make_preset,
     spectral_cutoff,
 )
@@ -62,17 +60,19 @@ def test_zonal_tight_frame_beta_is_quarter():
 
 def test_directional_closed_form_matches_quadrature():
     t0 = time.time()
+    ls = range(1, 33)
     for n in (2, 3):
         for d in (1, 2):
             profile = make_preset("abel-poisson", n, d=d)
-            values = extract_P2d(n, profile, 32)
-            _, residual = fit_P2d(values, d)
+            R = grid_response_norms(n, d, 32)
+            closed = [beta_numeric(n, profile, l) for l in ls]
+            # q(l) = l here, so l^(2d) beta(l) is a degree-2d polynomial
+            values = [b * l ** (2 * d) for b, l in zip(closed, ls)]
+            residual = polynomial_residual(ls, values, 2 * d)
             assert residual <= 1e-6, f"(n={n}, d={d}) residual {residual:.2e}"
-            poly, _ = fit_P2d(values, d)
-            for l in range(1, 33):
-                closed = beta_closed_form(n, profile, l, float(poly(l)))
-                numeric = beta_numeric(n, profile, l)
-                assert abs(closed - numeric) / numeric <= 1e-8, (n, d, l)
+            for l, value in zip(ls, closed):
+                numeric = quadrature_beta(n, profile, l, R[l])
+                assert abs(value - numeric) / numeric <= 1e-12, (n, d, l)
     assert time.time() - t0 < 120.0
 
 

@@ -109,6 +109,29 @@ def test_explicit_profile_from_config(tmp_path):
     assert doc["config"]["profile"]["preset"] is None
 
 
+def test_spectrum_with_positive_q0_includes_degree_zero(tmp_path):
+    conf = tmp_path / "p.conf"
+    conf.write_text("[profile]\nq = 1, 1\n")
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", str(conf), "--band-limit", "6", "--out", str(out)]) == 0
+    doc = json.loads(read(out / "beta.json"))
+    assert doc["order"] == -1
+    np.testing.assert_allclose(doc["values"], 0.25, rtol=1e-14)
+
+
+def test_artifacts_do_not_depend_on_core_count(tmp_path, monkeypatch):
+    args = ["spectrum", "--preset", "abel-poisson", "--band-limit", "4"]
+    outs = []
+    for cores in (2, 64):
+        monkeypatch.setattr("os.cpu_count", lambda cores=cores: cores)
+        outs.append(tmp_path / str(cores))
+        assert main(args + ["--out", str(outs[-1])]) == 0
+    a, b = outs
+    assert read(a / "beta.csv") == read(b / "beta.csv")
+    assert read(a / "beta.json") == read(b / "beta.json")
+    assert json.loads(read(a / "beta.json"))["config"]["threads"] is None
+
+
 def test_scale_grid_command(tmp_path):
     out = tmp_path / "o"
     code = main(

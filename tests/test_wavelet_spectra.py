@@ -5,22 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphereframes.harmonics import build_sphere_grid, synthesize
+from oracles import (
+    grid_response_norms,
+    polynomial_residual,
+    quadrature_beta,
+    scale_quadrature,
+)
+from sphereframes.harmonics import build_sphere_grid, dim_harmonic, synthesize
+from sphereframes.scale_grid import _degree_energies, build_scale_grid, discrete_beta
 from sphereframes.wavelet_spectra import (
+    PRESET_NAMES,
     BetaTable,
     SpectralProfile,
     SpectralTruncationWarning,
-    beta_closed_form,
     beta_numeric,
     beta_tail_indicator,
     build_beta_table,
-    build_scale_quadrature,
-    degree_energy_at_scale,
     degree_response_norms,
     directional_coeffs,
     eval_directional_wavelet,
-    extract_P2d,
-    fit_P2d,
     ladder_beta,
     make_preset,
     profile_order,
@@ -31,6 +34,15 @@ from sphereframes.wavelet_spectra import (
 )
 
 AP = make_preset("abel-poisson", 2)
+
+
+def custom_profile(d):
+    # q(0) > 0, non-integer exponents and a non-unit amplitude
+    return SpectralProfile(a=1.3, b=0.7, c=1.5, q=(0.5, 1.0, 0.25), d=d, amplitude=2.0)
+
+
+def oracle_profiles(n, d):
+    return [make_preset(name, n, d=d) for name in PRESET_NAMES] + [custom_profile(d)]
 
 
 def test_zonal_hat_literal_formula():
@@ -82,15 +94,40 @@ def test_profile_order():
     assert profile_order(flat) == -1  # beta(0) > 0: no vanishing moment
 
 
+def ladder_norm_sq_expanded(lam, d, l):
+    """||T^d e_0||^2 expanded by hand for d <= 3; couplings past degree l vanish."""
+    b0, b1, b2 = (ladder_beta(lam, l, i) if i < l else 0.0 for i in range(3))
+    return [
+        1.0,
+        b0**2,
+        b0**2 * (b0**2 + b1**2),
+        (b0 * b1 * b2) ** 2 + b0**2 * (b0**2 + b1**2) ** 2,
+    ][d]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_ladder_identity(n):
-    # the first-derivative response relates to the zonal one through the
-    # order-coupling coefficient: R_1(l) / R_0(l) = beta_{l,0}^2
+    # the derivative responses relate to the zonal one through the
+    # order-coupling coefficients: R_d(l) / R_0(l) = ||T_l^d e_0||^2,
+    # e.g. beta_{l,0}^2 for the first derivative
     lam = (n - 1) / 2
     R0 = degree_response_norms(n, 0, 10)
-    R1 = degree_response_norms(n, 1, 10)
-    for l in range(1, 11):
-        assert R1[l] / R0[l] == pytest.approx(ladder_beta(lam, l, 0) ** 2, rel=5e-13)
+    for d in range(1, 4):
+        Rd = degree_response_norms(n, d, 10)
+        grid = grid_response_norms(n, d, 10)
+        for l in range(1, 11):
+            expect = ladder_norm_sq_expanded(lam, d, l)
+            assert Rd[l] / R0[l] == pytest.approx(expect, rel=5e-13)
+            assert grid[l] / R0[l] == pytest.approx(expect, rel=5e-13)
+        assert Rd[0] == grid[0] == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_response_norms_match_grid_oracle(n):
+    for d in range(5):
+        np.testing.assert_allclose(
+            degree_response_norms(n, d, 12), grid_response_norms(n, d, 12), rtol=1e-12, atol=0
+        )
 
 
 def test_ladder_beta_values_and_guards():
@@ -131,32 +168,50 @@ def test_abel_poisson_directional_closed_form():
     assert table.B == pytest.approx(0.375, rel=1e-9)  # max at l = 1
 
 
-@pytest.mark.parametrize("n,d", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("n,d", [(n, d) for n in (2, 3, 4) for d in range(4)])
 def test_polynomiality_and_closed_form(n, d):
-    prof = make_preset("abel-poisson", n, d=d)
-    vals = extract_P2d(n, prof, 12)
-    poly, residual = fit_P2d(vals, d)
-    assert residual <= 1e-8
-    for l in (1, 5, 12):
-        closed = beta_closed_form(n, prof, l, float(poly(l)))
-        numeric = beta_numeric(n, prof, l)
-        assert closed == pytest.approx(numeric, rel=1e-9)
+    ls = range(1, 13)
+    R = grid_response_norms(n, d, 12)
+    for prof in oracle_profiles(n, d):
+        for l in ls:
+            exact = beta_numeric(n, prof, l)
+            assert exact == pytest.approx(quadrature_beta(n, prof, l, R[l]), rel=1e-12)
+        # beta / (amp^2 Gamma(2c') / (a 4^c') q^(-2d/gamma)) = ||T_l^d e_0||^2, a
+        # polynomial of degree 2d in l
+        cprime = prof.c + d / (prof.gamma * prof.b)
+        head = prof.amplitude**2 * math.gamma(2 * cprime) / (prof.a * 4**cprime)
+        ladder = [
+            beta_numeric(n, prof, l) * prof.q_eval(l) ** (2 * d / prof.gamma) / head
+            for l in ls
+        ]
+        assert polynomial_residual(ls, ladder, 2 * d) <= 1e-8
 
 
 def test_beta_numeric_quadrature_consistency():
     # the scale quadrature integrates the summed per-degree energy to
     # N(n, l) * beta(l); beta is the mean over the degree space
-    from sphereframes.harmonics import dim_harmonic
-
     prof = make_preset("gauss-weierstrass", 2, d=1)
     l = 3
-    rhos, wts = build_scale_quadrature(prof, l)
-    total = sum(
-        w * degree_energy_at_scale(2, prof, l, float(r)) for r, w in zip(rhos, wts)
-    )
+    rhos, wts = scale_quadrature(prof, l, panels=64)
+    total = float(np.dot(wts, _degree_energies(2, prof, l, rhos)))
     assert total / dim_harmonic(2, l) == pytest.approx(
         beta_numeric(2, prof, l), rel=1e-12
     )
+    R = grid_response_norms(2, 1, l)[l]
+    assert quadrature_beta(2, prof, l, R) == pytest.approx(
+        beta_numeric(2, prof, l), rel=1e-12
+    )
+
+
+def test_beta_table_includes_degree_zero_when_q0_positive():
+    # q(0) > 0 leaves no vanishing moment: beta(0) = Gamma(2c) / (a 4^c) too
+    prof = SpectralProfile(a=1.0, b=1.0, c=1.0, q=(1.0, 1.0))
+    table = build_beta_table(2, prof, 6)
+    assert table.m == -1
+    np.testing.assert_allclose(table.values, 0.25, rtol=1e-14)
+    assert table.A == pytest.approx(0.25) and table.B == pytest.approx(0.25)
+    fine = build_scale_grid(100.0, 1.05, 480)
+    assert discrete_beta(2, prof, fine, 0) == pytest.approx(0.25, rel=1e-10)
 
 
 def test_amplitude_scales_beta_quadratically():
@@ -222,8 +277,9 @@ def test_beta_table_structure():
     assert text.startswith("# dimension=2 band_limit=8 order=0")
     assert text.splitlines()[1] == "l,beta,A,B"
     assert len(text.splitlines()) == 11
-    closed = build_beta_table(2, prof, 8, method="closed")
-    np.testing.assert_allclose(closed.values, table.values, rtol=1e-8)
+    R = grid_response_norms(2, 1, 8)
+    oracle = [quadrature_beta(2, prof, l, R[l]) for l in range(1, 9)]
+    np.testing.assert_allclose(table.values[1:], oracle, rtol=1e-12)
     with pytest.raises(ValueError):
         build_beta_table(2, prof, 0)  # no degrees above the order
 

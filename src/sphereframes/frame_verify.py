@@ -3,9 +3,12 @@
 Pulls together the admissibility table, a scale grid, and a rotation grid,
 runs seeded random band-limited trial fields through the discrete transform,
 and compares every trial's energy against the frame window [A(1-tau),
-B(1+tau)].  The rotation-discretization deviation delta_hat is estimated by
-re-running the trials on a grid with all diameter caps halved; the scale
-deviation eps_hat comes from the per-degree admissibility comparison.  A
+B(1+tau)].  The scale deviation eps_hat comes from the per-degree
+admissibility comparison.  Integrating the rotations exactly leaves the
+semi-discrete energy S = sum_l discrete_beta(l) ||f_l||^2 of a trial, so the
+rotation deviation delta_hat = max_i |E_i - S_i| / O_i measures each trial's
+energy E_i against S_i, relative to its continuous energy O_i.  With that
+denominator |E - O| / O <= eps_hat + delta_hat by the triangle inequality.  A
 report passes when all trial ratios stay inside the window and the combined
 deviation eps_hat + delta_hat leaves the required margin below 1.
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from .harmonics import build_sphere_grid
 from .rotation_grid import build_rotation_grid
-from .scale_grid import ScaleGrid, discrete_beta, epsilon_report, scale_grid_for_profile
+from .scale_grid import ScaleGrid, epsilon_report, scale_grid_for_profile
 from .transform import energy_identity_oracle, random_bandlimited, transform_energies
 from .wavelet_spectra import (
     SpectralProfile,
@@ -64,7 +67,6 @@ class FrameReport:
     seed: int
     ratios: np.ndarray
     energies: np.ndarray
-    energies_half: np.ndarray
     oracles: np.ndarray
     discrepancies: np.ndarray
     verdict: bool
@@ -86,7 +88,6 @@ class FrameReport:
                 {
                     "trial": i,
                     "energy": float(self.energies[i]),
-                    "energy_half": float(self.energies_half[i]),
                     "oracle": float(self.oracles[i]),
                     "ratio": float(self.ratios[i]),
                     "discrepancy": float(self.discrepancies[i]),
@@ -150,10 +151,12 @@ def certify_frame(
 ) -> FrameReport:
     """Run seeded trial fields through the discrete system and judge the frame.
 
-    Full spatial verification (rotation grids and sphere quadrature) runs for
-    n = 2 by default and for n = 3 with L <= 4 when ``spatial=True``.  Higher
-    dimensions fall back to the spectral side: scale discretization only, with
-    the rotation integral taken as exact (delta_hat = 0).
+    Every trial's semi-discrete energy S (scales discretized, rotations
+    integrated exactly) is the reference for delta_hat = max |E - S| / O, with
+    O the continuous energy.  Full spatial verification (rotation grids and
+    sphere quadrature) computes E for n = 2 by default and for n = 3 with
+    L <= 4 when ``spatial=True``.  Higher dimensions stay on the spectral side,
+    where E is S and delta_hat = 0.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -168,13 +171,20 @@ def certify_frame(
     A, B = wavelet_bounds(beta)
     m = profile_order(profile)
     scales = scale_grid_for_profile(n, profile, ratio, L)
-    eps = epsilon_report(n, profile, scales, L).epsilon_hat
+    eps_report = epsilon_report(n, profile, scales, L)
+    eps = eps_report.epsilon_hat
+    disc = np.zeros(L + 1)
+    disc[eps_report.degrees] = eps_report.beta_discrete
 
     children = np.random.SeedSequence(seed).spawn(trials)
     fields = [random_bandlimited(n, L, m, s) for s in children]
     oracles = np.array(
         [energy_identity_oracle(n, profile, f, beta) for f in fields]
     )
+    power = np.array(
+        [[f.coeffs.degree_energy(l) for l in range(L + 1)] for f in fields]
+    )
+    semi = power @ disc
 
     grid_info = {
         "ratio": ratio,
@@ -186,36 +196,13 @@ def certify_frame(
     if spatial:
         deltas = tuple(float(x) for x in delta_list)
         rot = build_rotation_grid(n, deltas, max_elements)
-        rot_half = build_rotation_grid(
-            n, tuple(x / 2 for x in deltas), max_elements
-        )
         sphere = build_sphere_grid(n, L)
         energies = transform_energies(n, profile, fields, scales, rot, sphere, threads)
-        energies_half = transform_energies(
-            n, profile, fields, scales, rot_half, sphere, threads
-        )
-        delta_hat = float(
-            2.0 * np.max(np.abs(energies - energies_half) / energies_half)
-        )
-        grid_info.update(
-            {
-                "delta": list(deltas),
-                "rotation_sizes": list(rot.sizes),
-                "rotation_half_sizes": list(rot_half.sizes),
-            }
-        )
+        grid_info.update({"delta": list(deltas), "rotation_sizes": list(rot.sizes)})
     else:
-        # semi-discrete check: scales discretized, rotations integrated exactly
-        disc = np.array([discrete_beta(n, profile, scales, l) for l in range(L + 1)])
-        energies = np.array(
-            [
-                sum(disc[l] * f.coeffs.degree_energy(l) for l in range(L + 1))
-                for f in fields
-            ]
-        )
-        energies_half = energies.copy()
-        delta_hat = 0.0
+        energies = semi
         grid_info["delta"] = list(delta_list) if delta_list is not None else []
+    delta_hat = float(np.max(np.abs(energies - semi) / oracles))
 
     ratios = energies.copy()
     discrepancies = np.abs(energies - oracles) / oracles
@@ -237,7 +224,6 @@ def certify_frame(
         seed,
         ratios,
         energies,
-        energies_half,
         oracles,
         discrepancies,
         verdict,
@@ -306,7 +292,6 @@ def normalize_bounds(report: FrameReport) -> FrameReport:
         B=report.B * s,
         ratios=report.ratios * s,
         energies=report.energies * s,
-        energies_half=report.energies_half * s,
         oracles=report.oracles * s,
         normalization=report.normalization * s,
     )

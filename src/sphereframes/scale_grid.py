@@ -22,6 +22,7 @@ from .wavelet_spectra import (
     _response_norm,
     _scale_log_range,
     beta_numeric,
+    profile_order,
 )
 
 __all__ = [
@@ -155,18 +156,20 @@ def scale_grid_for_profile(
     L: int,
     convention: str = "midpoint",
 ) -> ScaleGrid:
-    """Grid whose range covers the scale integrands of all degrees 1..L.
+    """Grid whose range covers the scale integrands of the degrees m+1..L.
 
-    The range is the union of the per-degree supports at relative level 1e-15,
-    comfortably under the 1e-12 coverage threshold of discrete_beta, so the
-    truncation error stays negligible against the discretization error.
+    m is the profile order, so degree 0 counts for zonal profiles with
+    q(0) > 0.  The range is the union of the per-degree supports at relative
+    level 1e-15, comfortably under the 1e-12 coverage threshold of
+    discrete_beta, so the truncation error stays negligible against the
+    discretization error.
     """
     if L < 1:
         raise ValueError(f"band limit must be >= 1, got {L}")
     u_lo_L, _ = _scale_log_range(profile, L, 1e-15)
-    _, u_hi_1 = _scale_log_range(profile, 1, 1e-15)
-    count = max(1, math.ceil((u_hi_1 - u_lo_L) / math.log(ratio)))
-    return build_scale_grid(math.exp(u_hi_1), ratio, count, convention)
+    _, u_hi = _scale_log_range(profile, profile_order(profile) + 1, 1e-15)
+    count = max(1, math.ceil((u_hi - u_lo_L) / math.log(ratio)))
+    return build_scale_grid(math.exp(u_hi), ratio, count, convention)
 
 
 @dataclass(frozen=True)
@@ -207,10 +210,13 @@ class EpsilonReport:
 
 
 def epsilon_report(n: int, profile: SpectralProfile, grid: ScaleGrid, L: int) -> EpsilonReport:
-    """eps_hat = max over 1 <= l <= L of |discrete_beta - beta| / beta."""
+    """eps_hat = max of |discrete_beta - beta| / beta over the degrees m+1..L.
+
+    m is the profile order, so degree 0 counts for zonal profiles with q(0) > 0.
+    """
     if L < 1:
         raise ValueError(f"band limit must be >= 1, got {L}")
-    degrees = np.arange(1, L + 1)
+    degrees = np.arange(profile_order(profile) + 1, L + 1)
     cont = np.array([beta_numeric(n, profile, int(l)) for l in degrees])
     disc = np.array([discrete_beta(n, profile, grid, int(l)) for l in degrees])
     rel = np.abs(disc - cont) / cont

@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import roots_gegenbauer, roots_legendre
 
 __all__ = [
-    "GegenbauerOrder",
-    "ZonalProfileSamples",
     "gegenbauer",
     "gegenbauer_all",
     "gegenbauer_series",
@@ -22,66 +19,6 @@ __all__ = [
 ]
 
 _T_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GegenbauerOrder:
-    """Gegenbauer index lambda; equals (n - 1)/2 for the sphere of dimension n."""
-
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not self.lam >= 0.5:
-            raise ValueError(f"lambda must be >= 1/2, got {self.lam}")
-
-    @classmethod
-    def from_dimension(cls, n: int) -> "GegenbauerOrder":
-        if n < 2:
-            raise ValueError(f"sphere dimension must be >= 2, got {n}")
-        return cls((n - 1) / 2)
-
-
-@dataclass(frozen=True)
-class ZonalProfileSamples:
-    """Samples of a zonal function on [-1, 1] with the weight exponent of its measure.
-
-    abscissae must be strictly increasing; weights, when present, are quadrature
-    weights (with the factor (1 - t^2)^(lam - 1/2) already folded in) matching the
-    abscissae, so that sum(values * weights) approximates the weighted integral.
-    """
-
-    abscissae: np.ndarray
-    values: np.ndarray
-    lam: float
-    weights: np.ndarray | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.abscissae, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "abscissae", t)
-        object.__setattr__(self, "values", v)
-        if t.ndim != 1 or v.shape != t.shape:
-            raise ValueError("abscissae and values must be 1-d arrays of equal length")
-        if t.size and (t[0] < -1 - _T_TOL or t[-1] > 1 + _T_TOL):
-            raise ValueError("abscissae must lie in [-1, 1]")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("abscissae must be strictly increasing")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            object.__setattr__(self, "weights", w)
-            if w.shape != t.shape:
-                raise ValueError("weights must match abscissae in length")
-
-    @classmethod
-    def from_function(cls, fn, lam: float, npts: int) -> "ZonalProfileSamples":
-        t, w = zonal_gauss_rule(lam, npts)
-        return cls(t, np.asarray(fn(t), dtype=float), lam, w)
-
-    def integrate(self) -> float:
-        """Weighted integral int f(t) (1-t^2)^(lam-1/2) dt of the sampled profile."""
-        if self.weights is None:
-            raise ValueError("samples carry no quadrature weights")
-        return float(np.dot(self.values, self.weights))
 
 
 def _check_args(lam: float, l: int, t) -> np.ndarray:
@@ -97,7 +34,6 @@ def _check_args(lam: float, l: int, t) -> np.ndarray:
 
 def gegenbauer(lam: float, l: int, t):
     """Evaluate C_l^lam(t) by the three-term recurrence; t may be an array."""
-    lam = getattr(lam, "lam", lam)
     t = _check_args(lam, l, t)
     scalar = t.ndim == 0
     c = _gegenbauer_last(lam, l, np.atleast_1d(t))
@@ -153,7 +89,6 @@ def _pochhammer(x: float, k: int) -> float:
 
 def gegenbauer_derivative(lam: float, l: int, t, k: int = 1):
     """k-th derivative of C_l^lam at t, via d/dt C_l^lam = 2 lam C_{l-1}^{lam+1}."""
-    lam = getattr(lam, "lam", lam)
     if k < 0:
         raise ValueError(f"derivative order must be >= 0, got {k}")
     t = _check_args(lam, l, t)
@@ -181,7 +116,6 @@ def _log_squared_norm(lam: float, l: int) -> float:
 
 def gegenbauer_squared_norm(lam: float, l: int) -> float:
     """Weighted squared norm int_{-1}^{1} C_l^lam(t)^2 (1-t^2)^(lam-1/2) dt."""
-    lam = getattr(lam, "lam", lam)
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     if l < 0:
@@ -207,7 +141,6 @@ def funk_hecke_factor(n: int, l: int) -> float:
 
 def zonal_gauss_rule(lam: float, npts: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule on [-1, 1] for the weight (1-t^2)^(lam-1/2); exact to degree 2 npts - 1."""
-    lam = getattr(lam, "lam", lam)
     if npts < 1:
         raise ValueError(f"need at least one node, got {npts}")
     if lam <= 0:

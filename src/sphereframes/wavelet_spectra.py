@@ -386,11 +386,11 @@ def _scale_log_range(
     profile: SpectralProfile, l: int, tol: float = 1e-18
 ) -> tuple[float, float]:
     """log-rho interval outside which the degree-l scale integrand is negligible."""
-    if l < 1:
-        raise ValueError("scale range is defined for degrees l >= 1")
+    q = float(profile.q_eval(l))
+    if q <= 0.0:
+        raise ValueError(f"q({l}) <= 0: degree {l} has no scale range")
     cprime = profile.c + profile.d / (profile.gamma * profile.b)
     s_lo, s_hi = _envelope_log_range(cprime, tol)
-    q = float(profile.q_eval(l))
     u_lo = (math.log(s_lo) - profile.b * math.log(q)) / profile.a
     u_hi = (math.log(s_hi) - profile.b * math.log(q)) / profile.a
     return u_lo, u_hi

@@ -182,6 +182,7 @@ def test_discrete_frame_certification_on_sphere(certified_frame):
         seed=2026,
     )
     assert not control.verdict
+    assert np.all(control.discrepancies <= control.epsilon_hat + control.delta_hat)
     assert time.time() - t0 < 600.0
 
 

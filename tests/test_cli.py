@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sphereframes.cli import main
+
+QUICKSTART = Path(__file__).resolve().parent.parent / "configs" / "quickstart.conf"
 
 
 def read(path):
@@ -220,3 +223,9 @@ def test_certify_exit_codes(tmp_path):
         == 2
     )
     assert json.loads(read(bad / "frame_report.json"))["verdict"] == "fail"
+
+
+def test_shipped_quickstart_config_passes(tmp_path):
+    assert main(["certify", "--config", str(QUICKSTART), "--out", str(tmp_path)]) == 0
+    doc = json.loads(read(tmp_path / "frame_report.json"))
+    assert doc["verdict"] == "pass"

@@ -11,10 +11,16 @@ from sphereframes.frame_verify import (
     find_refinement,
     normalize_bounds,
 )
-from sphereframes.scale_grid import build_scale_grid
-from sphereframes.wavelet_spectra import make_preset
+from sphereframes.scale_grid import (
+    build_scale_grid,
+    discrete_beta,
+    scale_grid_for_profile,
+)
+from sphereframes.transform import random_bandlimited
+from sphereframes.wavelet_spectra import SpectralProfile, make_preset, profile_order
 
 AP1 = make_preset("abel-poisson", 2, d=1)
+Q0 = SpectralProfile(a=1, b=1, c=1, q=(1, 1))  # zonal with q(0) > 0: beta(0) > 0
 
 
 def test_certify_report_consistency():
@@ -30,6 +36,7 @@ def test_certify_report_consistency():
     assert rep.upper == pytest.approx(rep.B * 1.1)
     assert np.all(rep.ratios >= rep.lower) and np.all(rep.ratios <= rep.upper)
     assert rep.epsilon_hat + rep.delta_hat < 0.95
+    assert np.all(rep.discrepancies <= rep.epsilon_hat + rep.delta_hat)
     rows = rep.trials()
     assert len(rows) == 5
     assert rows[0]["ratio"] == pytest.approx(float(rep.ratios[0]))
@@ -87,7 +94,39 @@ def test_normalize_bounds_arithmetic():
 def test_negative_control_single_cell_fails(seed):
     rep = certify_frame(2, AP1, 8, 1.5, (math.pi, 2 * math.pi), 5, seed)
     assert not rep.verdict
-    assert rep.delta_hat > 1.0  # far beyond any usable deviation
+    assert np.any((rep.ratios < rep.lower) | (rep.ratios > rep.upper))
+    # more than 5x the 0.101 of the passing (1.2, 1.2) grid (20 trials, seed 2026)
+    assert rep.delta_hat > 0.5
+    assert np.all(rep.discrepancies <= rep.epsilon_hat + rep.delta_hat)
+
+
+@pytest.mark.parametrize(
+    "n, profile, deltas, seed",
+    [
+        (2, AP1, (1.2, 1.2), 2026),
+        (2, AP1, (math.pi, 2 * math.pi), 1),
+        (2, Q0, (1.2, 1.2), 2026),
+        (4, make_preset("abel-poisson", 4), None, 2026),
+    ],
+    ids=["pass-grid", "single-cell", "q0-positive", "spectral-n4"],
+)
+def test_delta_hat_measures_energy_against_semi_discrete(n, profile, deltas, seed):
+    L, ratio, trials = 8, 1.5, 5
+    rep = certify_frame(n, profile, L, ratio, deltas, trials, seed)
+    # rebuild S_i = sum_l discrete_beta(l) ||f_l||^2 from the same seeded fields
+    scales = scale_grid_for_profile(n, profile, ratio, L)
+    disc = [discrete_beta(n, profile, scales, l) for l in range(L + 1)]
+    m = profile_order(profile)
+    children = np.random.SeedSequence(seed).spawn(trials)
+    semi = np.array(
+        [
+            sum(disc[l] * f.coeffs.degree_energy(l) for l in range(L + 1))
+            for f in (random_bandlimited(n, L, m, s) for s in children)
+        ]
+    )
+    expected = float(np.max(np.abs(rep.energies - semi) / rep.oracles))
+    assert rep.delta_hat == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert np.all(rep.discrepancies <= rep.epsilon_hat + rep.delta_hat)
 
 
 def test_trials_guard():
@@ -102,6 +141,7 @@ def test_spectral_mode_for_higher_dimension():
     assert rep.delta_hat == 0.0
     assert rep.verdict
     np.testing.assert_allclose(rep.energies, rep.oracles, rtol=1e-9)
+    assert np.all(rep.discrepancies <= rep.epsilon_hat + rep.delta_hat)
     with pytest.raises(ValueError):
         certify_frame(4, prof4, 6, 1.2, (1.0, 1.0, 1.0, 1.0), 3, 11, spatial=True)
     with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from sphereframes.scale_grid import (
     find_ratio,
     scale_grid_for_profile,
 )
-from sphereframes.wavelet_spectra import beta_numeric, make_preset
+from sphereframes.wavelet_spectra import SpectralProfile, beta_numeric, make_preset
 
 AP = make_preset("abel-poisson", 2)
 AP1 = make_preset("abel-poisson", 2, d=1)
@@ -134,3 +134,14 @@ def test_profile_grid_covers_declared_range():
         warnings.simplefilter("error", ScaleCoverageWarning)
         for l in (1, 6, 12):
             discrete_beta(2, AP1, grid, l)
+
+
+def test_degree_zero_is_covered_when_q0_positive():
+    prof = SpectralProfile(a=1, b=1, c=1, q=(1, 1))  # zonal, beta(0) > 0
+    grid = scale_grid_for_profile(2, prof, 1.5, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ScaleCoverageWarning)
+        val = discrete_beta(2, prof, grid, 0)
+    assert val == pytest.approx(beta_numeric(2, prof, 0), rel=1e-6)
+    rep = epsilon_report(2, prof, grid, 8)
+    assert rep.degrees[0] == 0

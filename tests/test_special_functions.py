@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from scipy.special import eval_gegenbauer, eval_legendre
 
 from sphereframes.special_functions import (
-    GegenbauerOrder,
-    ZonalProfileSamples,
     funk_hecke_factor,
     gegenbauer,
     gegenbauer_all,
@@ -164,14 +162,6 @@ def test_surface_area_values():
     assert surface_area(3) == pytest.approx(2 * math.pi**2, rel=1e-15)
 
 
-def test_order_validation():
-    with pytest.raises(ValueError):
-        GegenbauerOrder(0.3)
-    with pytest.raises(ValueError):
-        GegenbauerOrder.from_dimension(1)
-    assert GegenbauerOrder.from_dimension(4).lam == 1.5
-
-
 def test_argument_validation():
     with pytest.raises(ValueError):
         gegenbauer(0.5, 2, 1.5)
@@ -183,13 +173,6 @@ def test_argument_validation():
         zonal_gauss_rule(0.5, 0)
 
 
-def test_profile_samples_validation():
-    with pytest.raises(ValueError):
-        ZonalProfileSamples(np.array([0.5, 0.1]), np.array([1.0, 1.0]), 0.5)
-    with pytest.raises(ValueError):
-        ZonalProfileSamples(np.array([0.0, 2.0]), np.array([1.0, 1.0]), 0.5)
-    samples = ZonalProfileSamples.from_function(lambda t: t * t, 0.5, 10)
-    assert samples.integrate() == pytest.approx(2.0 / 3.0, rel=1e-13)
-    bare = ZonalProfileSamples(np.array([0.0, 0.5]), np.array([1.0, 1.0]), 0.5)
-    with pytest.raises(ValueError):
-        bare.integrate()
+def test_legendre_rule_integrates_square():
+    t, w = zonal_gauss_rule(0.5, 10)
+    assert float(np.dot(t * t, w)) == pytest.approx(2.0 / 3.0, rel=1e-13)

@@ -65,13 +65,17 @@ class FrameReport:
     tolerance: float
     margin: float
     seed: int
-    ratios: np.ndarray
     energies: np.ndarray
     oracles: np.ndarray
     discrepancies: np.ndarray
     verdict: bool
     grid_info: dict
     normalization: float = 1.0
+
+    @property
+    def ratios(self) -> np.ndarray:
+        """Energy per unit field norm; trial fields have unit norm, so the energies."""
+        return self.energies
 
     @property
     def lower(self) -> float:
@@ -204,11 +208,10 @@ def certify_frame(
         grid_info["delta"] = list(delta_list) if delta_list is not None else []
     delta_hat = float(np.max(np.abs(energies - semi) / oracles))
 
-    ratios = energies.copy()
     discrepancies = np.abs(energies - oracles) / oracles
     in_window = bool(
-        np.all(ratios >= A * (1.0 - tolerance))
-        and np.all(ratios <= B * (1.0 + tolerance))
+        np.all(energies >= A * (1.0 - tolerance))
+        and np.all(energies <= B * (1.0 + tolerance))
     )
     verdict = in_window and (eps + delta_hat < 1.0 - margin)
     return FrameReport(
@@ -222,7 +225,6 @@ def certify_frame(
         tolerance,
         margin,
         seed,
-        ratios,
         energies,
         oracles,
         discrepancies,
@@ -279,9 +281,9 @@ def find_refinement(
 def normalize_bounds(report: FrameReport) -> FrameReport:
     """Rescale the family by 2/(A+B) so the window becomes (1-eps, 1+eps).
 
-    Energies and ratios scale along with the bounds, so the verdict carries
-    over unchanged; eps here is (B-A)/(A+B), the tightness of the rescaled
-    frame, not the grid deviation.
+    Energies, and with them the ratios, scale along with the bounds, so the
+    verdict carries over unchanged; eps here is (B-A)/(A+B), the tightness of
+    the rescaled frame, not the grid deviation.
     """
     if report.A <= 0 or report.B <= 0:
         raise ValueError("frame bounds must be positive to normalize")
@@ -290,7 +292,6 @@ def normalize_bounds(report: FrameReport) -> FrameReport:
         report,
         A=report.A * s,
         B=report.B * s,
-        ratios=report.ratios * s,
         energies=report.energies * s,
         oracles=report.oracles * s,
         normalization=report.normalization * s,

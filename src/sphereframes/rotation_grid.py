@@ -206,15 +206,18 @@ def build_rotation_grid(
     return RotationGrid(n, deltas, angles, weights, sizes)
 
 
-def _planar_rotation(n: int, axis: int, angle: float) -> np.ndarray:
-    """Rotation by angle in the (x_axis, x_axis+1) plane of R^(n+1), 1-based."""
-    R = np.eye(n + 1)
-    c, s = math.cos(angle), math.sin(angle)
+def _planar_rotation(n: int, axis: int, angle: np.ndarray) -> np.ndarray:
+    """Rotations by angle in the (x_axis, x_axis+1) plane of R^(n+1), 1-based.
+
+    angle may be an array; the result stacks one matrix per entry.
+    """
+    c, s = np.cos(angle), np.sin(angle)
+    R = np.broadcast_to(np.eye(n + 1), np.shape(angle) + (n + 1, n + 1)).copy()
     i = axis - 1
-    R[i, i] = c
-    R[i, i + 1] = -s
-    R[i + 1, i] = s
-    R[i + 1, i + 1] = c
+    R[..., i, i] = c
+    R[..., i, i + 1] = -s
+    R[..., i + 1, i] = s
+    R[..., i + 1, i + 1] = c
     return R
 
 
@@ -224,20 +227,22 @@ def rotation_matrix(n: int, euler) -> np.ndarray:
     The x^J block (theta_1 .. theta_{J-1}, phi) contributes the factor
     T_J = P_n(phi) P_{n-1}(theta_{J-1}) ... P_{n-J+1}(theta_1) with P_i the
     planar rotation in coordinates (x_i, x_i+1); blocks multiply outer first.
-    T_n applied to e_1 reproduces the sphere point with those angles.
+    T_n applied to e_1 reproduces the sphere point with those angles.  A
+    batch of angle rows, shape (..., n(n+1)/2), gives shape (..., n+1, n+1).
     """
     euler = np.asarray(euler, dtype=float)
-    if euler.shape != (n * (n + 1) // 2,):
-        raise ValueError(f"need {n * (n + 1) // 2} angles, got {euler.shape}")
-    R = np.eye(n + 1)
+    m = n * (n + 1) // 2
+    if euler.ndim == 0 or euler.shape[-1] != m:
+        raise ValueError(f"need {m} angles, got {euler.shape}")
+    R = None
     offset = 0
     for J in range(n, 0, -1):
-        block = euler[offset : offset + J]
+        block = euler[..., offset : offset + J]
         offset += J
-        T = _planar_rotation(n, n - J + 1, block[0])
+        T = _planar_rotation(n, n - J + 1, block[..., 0])
         for i in range(1, J):
-            T = _planar_rotation(n, n - J + 1 + i, block[i]) @ T
-        R = R @ T
+            T = _planar_rotation(n, n - J + 1 + i, block[..., i]) @ T
+        R = T if R is None else R @ T
     return R
 
 

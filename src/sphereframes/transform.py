@@ -7,17 +7,28 @@ limit without any error: higher wavelet degrees are orthogonal to the field.
 That keeps the quadrature requirement at twice the field band and lets one
 sphere grid serve every scale and rotation.
 
+The rotation grid factors the same way.  R e_1 depends only on the outer S^n
+angles of a rotation, so every rotation of one outer cell shares the
+Gegenbauer stack in y1.  The directional wavelet is sum_k p_k(y1, y2)
+psi^(k)(y1), and y2^j = (R e_2 . x)^j expands over the degree-j monomials
+x^mu.  So each cell keeps the moments of its stack, times the y1 part of
+p_k, against x^mu times the field, and a rotation costs only the contraction
+of its R e_2 monomials against those moments.  Cells are processed in chunks
+whose stack stays under a fixed byte budget.
+
 The energy identity sums beta(l) against the per-degree field energies and is
 the rotation-quadrature-free reference value for frame checks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .harmonics import (
     HarmonicCoefficients,
@@ -28,11 +39,10 @@ from .harmonics import (
 )
 from .rotation_grid import RotationGrid, rotation_matrix
 from .scale_grid import ScaleGrid
-from .special_functions import gegenbauer_all, surface_area
+from .special_functions import _pochhammer, gegenbauer_all, surface_area
 from .wavelet_spectra import (
     BetaTable,
     SpectralProfile,
-    _eval_uv_poly,
     _theta_derivative_tableau,
     zonal_hat_all,
 )
@@ -115,14 +125,35 @@ class TransformTable:
         return "\n".join(lines) + "\n"
 
 
-def _rotated_axes(n: int, rotations: RotationGrid):
-    """First two columns of every rotation matrix: images of e_1 and e_2."""
-    mats = np.stack([rotation_matrix(n, e) for e in rotations.angles])
-    return mats[:, :, 0], mats[:, :, 1]
+# Bytes of one chunk of outer cells: their Gegenbauer stack over the sphere
+# nodes, its moments and their per-scale sums.
+_CHUNK_BYTES = 8 * 2**20
+
+
+def _rotated_axes(n: int, angles: np.ndarray):
+    """Images of e_1 and e_2 under the rotations of the given angle rows."""
+    mats = rotation_matrix(n, angles)
+    return mats[..., 0], mats[..., 1]
 
 
 def _haar_normalization(n: int) -> float:
     return math.prod(surface_area(J) for J in range(1, n + 1))
+
+
+def _monomials(n: int, j: int):
+    """Degree-j monomials in x_0..x_n as index tuples, with the multinomial
+    weights that give (v . x)^j = sum_mu weight_mu v^mu x^mu."""
+    combos = list(itertools.combinations_with_replacement(range(n + 1), j))
+    weights = [
+        math.factorial(j) / math.prod(math.factorial(c.count(a)) for a in set(c))
+        for c in combos
+    ]
+    return combos, np.array(weights)
+
+
+def _eval_monomials(points: np.ndarray, combos) -> np.ndarray:
+    """x^mu for every row x of points and every index tuple mu; one column each."""
+    return np.stack([np.prod(points[:, list(c)], axis=1) for c in combos], axis=1)
 
 
 def _scan(
@@ -138,18 +169,22 @@ def _scan(
 ):
     """Shared driver over (scale, rotation) pairs for pre-weighted field columns.
 
-    field_matrix holds f(node) * w(node) / Sigma_n, one column per field.
-    Expanding the wavelet rows through the derivative tableau, the node sum
-    for each chain-rule order k is independent of the scale, so it is taken
-    once per rotation chunk; every scale then reduces to a dot product of the
-    spectrum against those per-degree sums.  Returns (energies per field,
-    table or None); the table keeps only the first field's values.
+    field_matrix holds f(node) * w(node) / Sigma_n, one column per field.  The
+    rotations are grouped into outer cells by their S^n angles, which fix
+    U = R e_1.  Per cell and chain-rule order k, the Gegenbauer stack
+    C^{lam+k}_l(U . x), times the y1 part of the tableau polynomial p_k, is
+    summed against x^mu times the field for every monomial x^mu that the
+    powers of y2 = V . x need; those moments are scale-independent, and the
+    spectrum folds them into per-scale sums.  A rotation then contracts the
+    monomials of its V = R e_2 against its cell's sums.  Cells run in chunks
+    of at most _CHUNK_BYTES, which bounds memory independently of the inner
+    grid and of the thread count.  Returns (energies per field, table or
+    None); the table keeps only the first field's values.
     """
     lam = (n - 1) / 2
     d = profile.d
     X = angles_to_vector(n, sphere_grid.angles)
-    U, V = _rotated_axes(n, rotations)
-    G, M = len(rotations), X.shape[0]
+    M = X.shape[0]
     # truncating the wavelet at the field band is exact: higher degrees are
     # orthogonal to the field, so the product stays within band 2 * field_L
     if 2 * sphere_grid.L < 2 * field_L:
@@ -159,61 +194,92 @@ def _scan(
         )
     rot_norm = rotations.weights / _haar_normalization(n)
     n_fields = field_matrix.shape[1]
-    table = np.empty((len(scales), G), dtype=complex) if collect else None
+    n_scales = len(scales)
+    table = np.empty((n_scales, len(rotations)), dtype=complex) if collect else None
 
-    orders = [0] if d == 0 else list(range(1, d + 1))
-    factors = {}
-    for k in orders:
-        fac = 2.0**k
-        for i in range(k):
-            fac *= lam + i
-        factors[k] = fac
-    tables = _theta_derivative_tableau(d) if d >= 1 else None
-    hats = [zonal_hat_all(profile, float(r), n, field_L) for r in scales.scales]
-    rho_pow = scales.scales ** (profile.tilde_exponent * d)
+    # the wavelet is sum_k p_k(y1, y2) psi^(k)(y1), with p_0 = 1 when zonal,
+    # and psi^(k) = sum_l hat(l + k) 2^k (lam)_k C^{lam+k}_l
+    tables = {0: np.ones((1, 1))} if d == 0 else dict(
+        enumerate(_theta_derivative_tableau(d), start=1)
+    )
+    hats = np.array([zonal_hat_all(profile, float(r), n, field_L) for r in scales.scales])
+    hats *= (scales.scales ** (profile.tilde_exponent * d))[:, None]
+    # terms[k]: (j, y1 polynomial or None when constant, spectrum) per power
+    # y2^j of p_k, the constant folded into the spectrum
+    terms = {}
+    for k, tab in tables.items():
+        if k > field_L:
+            continue
+        spectrum = hats[:, k:] * (2.0**k * _pochhammer(lam, k))
+        terms[k] = []
+        for j in range(tab.shape[1]):
+            poly = np.trim_zeros(tab[:, j], "b")
+            if poly.size == 1:
+                terms[k].append((j, None, spectrum * poly[0]))
+            elif poly.size > 1:
+                terms[k].append((j, poly, spectrum))
 
-    chunk = max(64, int(500_000 / max(M, 1)))
-    spans = [slice(s, min(s + chunk, G)) for s in range(0, G, chunk)]
+    # one block of columns per power j: x^mu * f for |mu| = j, viewed as
+    # real pairs so that the real stack multiplies it without a complex copy
+    powers = sorted({j for parts in terms.values() for j, _, _ in parts})
+    monomials, columns, field_cols = {}, {}, {}
+    start = 0
+    for j in powers:
+        combos, weights = _monomials(n, j)
+        monomials[j] = (combos, weights)
+        columns[j] = slice(start, start + len(combos))
+        start += len(combos)
+        xf = _eval_monomials(X, combos)[:, :, None] * field_matrix[:, None, :]
+        field_cols[j] = xf.reshape(M, -1).view(np.float64)
+    n_cols = start
 
-    def scan_chunk(sl: slice):
-        T1 = U[sl] @ X.T
-        T2 = V[sl] @ X.T
-        # per-degree node sums: B_k[l-k, g, t] = sum_m p_k(T1,T2) C_{l-k}(T1) fm
-        sums = {}
-        for k in orders:
-            if field_L < k:
-                continue
+    cell_of = np.unique(rotations.angles[:, :n], axis=0, return_inverse=True)[1].ravel()
+    order = np.argsort(cell_of, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(cell_of))])
+    n_cells = bounds.size - 1
+    cell_bytes = 8 * (
+        (field_L + 1) * (M + 2 * n_cols * n_fields) + 2 * n_scales * n_cols * n_fields
+    )
+    per_chunk = max(1, _CHUNK_BYTES // cell_bytes)
+    chunks = [range(c, min(c + per_chunk, n_cells)) for c in range(0, n_cells, per_chunk)]
+
+    def scan_chunk(cells: range):
+        rows = order[bounds[cells.start] : bounds[cells.stop]]
+        offsets = bounds[cells.start : cells.stop + 1] - bounds[cells.start]
+        U, V = _rotated_axes(n, rotations.angles[rows])
+        T1 = U[offsets[:-1]] @ X.T
+        # sums[s, c, col, t]: cell c's moments summed against scale s's spectrum
+        sums = np.zeros((n_scales, len(cells), n_cols, n_fields), dtype=complex)
+        for k, parts in terms.items():
             stack = gegenbauer_all(lam + k, field_L - k, T1)
-            if k > 0:
-                stack = stack * _eval_uv_poly(tables[k - 1], T1, T2)[None]
-            sums[k] = stack @ field_matrix
-        local_energy = np.zeros(n_fields)
-        local_rows = (
-            np.empty((len(scales), sl.stop - sl.start), dtype=complex)
-            if collect
-            else None
+            for j, poly, spectrum in parts:
+                weighted = stack if poly is None else stack * polyval(T1, poly)
+                mom = (weighted.reshape(-1, M) @ field_cols[j]).view(complex)
+                part = spectrum @ mom.reshape(stack.shape[0], -1)
+                sums[:, :, columns[j]] += part.reshape(n_scales, len(cells), -1, n_fields)
+        Vmono = np.concatenate(
+            [w * _eval_monomials(V, combos) for combos, w in monomials.values()], axis=1
         )
-        for j in range(len(scales)):
-            W = np.zeros((sl.stop - sl.start, n_fields), dtype=complex)
-            for k, B in sums.items():
-                coeffs = hats[j][k:] * factors[k]
-                W += np.tensordot(coeffs, B, axes=(0, 0))
-            W *= rho_pow[j]
+        local_energy = np.zeros(n_fields)
+        local_rows = np.empty((n_scales, rows.size), dtype=complex) if collect else None
+        for c in range(len(cells)):
+            a, b = offsets[c], offsets[c + 1]
+            W = Vmono[a:b] @ sums[:, c]
+            local_energy += scales.weights @ (rot_norm[rows[a:b]] @ np.abs(W) ** 2)
             if collect:
-                local_rows[j] = W[:, 0]
-            local_energy += scales.weights[j] * (rot_norm[sl] @ np.abs(W) ** 2)
-        return local_energy, local_rows
+                local_rows[:, a:b] = W[:, :, 0]
+        return rows, local_energy, local_rows
 
-    if threads and threads > 1 and len(spans) > 1:
+    if threads and threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(scan_chunk, spans))
+            results = list(ex.map(scan_chunk, chunks))
     else:
-        results = [scan_chunk(sl) for sl in spans]
+        results = [scan_chunk(cells) for cells in chunks]
     energies = np.zeros(n_fields)
-    for sl, (local_energy, local_rows) in zip(spans, results):
+    for rows, local_energy, local_rows in results:
         energies += local_energy
         if collect:
-            table[:, sl] = local_rows
+            table[:, rows] = local_rows
     return energies, table
 
 

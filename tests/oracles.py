@@ -1,14 +1,17 @@
-"""Numerical oracles for the exact admissibility path.
+"""Numerical oracles for the exact admissibility path and the transform.
 
-The library computes beta(l) and the per-degree response in closed form.  The
-functions here compute the same quantities the long way, from their
-definitions, so tests can check the closed forms against them:
+The library computes beta(l) and the per-degree response in closed form, and
+the transform through per-cell moments.  The functions here compute the same
+quantities the long way, from their definitions, so tests can check the fast
+paths against them:
 
 - ``grid_response_norms`` analyzes the directional derivative of each
   Gegenbauer kernel on an exact product grid and sums the squared
   coefficients of the surviving harmonics;
 - ``quadrature_beta`` integrates the degree-l energy over log-scale with
-  composite Gauss-Legendre panels, twice, and requires the two to agree.
+  composite Gauss-Legendre panels, twice, and requires the two to agree;
+- ``direct_transform`` evaluates the rotated wavelet on the sphere grid for
+  every rotation and scale and pairs it with the weighted field.
 """
 
 from __future__ import annotations
@@ -20,15 +23,19 @@ from scipy.special import roots_legendre
 
 from sphereframes.harmonics import (
     HarmonicIndex,
+    angles_to_vector,
     dim_harmonic,
     fourier_from_gegenbauer_factor,
     harmonic_normalization,
+    synthesize,
 )
+from sphereframes.rotation_grid import rotation_matrix
 from sphereframes.special_functions import gegenbauer_all, surface_area, zonal_gauss_rule
 from sphereframes.wavelet_spectra import (
     _eval_uv_poly,
     _scale_log_range,
     _theta_derivative_tableau,
+    eval_directional_wavelet_uv,
 )
 
 
@@ -144,3 +151,19 @@ def polynomial_residual(ls, values, degree: int) -> float:
     values = np.asarray(values, dtype=float)
     poly = np.polynomial.Polynomial.fit(ls, values, deg=degree)
     return float(np.max(np.abs(poly(ls) - values) / np.abs(values)))
+
+
+def direct_transform(n: int, profile, field, scales, rotations, sphere) -> np.ndarray:
+    """W[j, g] rotation by rotation: the wavelet at scale j evaluated at
+    (U_g . x, V_g . x), U_g and V_g the images of e_1 and e_2, truncated at the
+    field's band and summed against f(x) w(x) / Sigma_n over the sphere grid."""
+    X = angles_to_vector(n, sphere.angles)
+    weighted = synthesize(field.coeffs, sphere) * sphere.weights / surface_area(n)
+    out = np.empty((len(scales), len(rotations)), dtype=complex)
+    for g, euler in enumerate(rotations.angles):
+        R = rotation_matrix(n, euler)
+        y1, y2 = X @ R[:, 0], X @ R[:, 1]
+        for j, rho in enumerate(scales.scales):
+            psi = eval_directional_wavelet_uv(profile, float(rho), n, y1, y2, field.L)
+            out[j, g] = psi @ weighted
+    return out

@@ -160,6 +160,20 @@ def test_block_moves_pole_to_its_angles():
         np.testing.assert_allclose(R @ e1, angles_to_vector(n, angles), atol=1e-13)
 
 
+@pytest.mark.parametrize("n, deltas", [(2, (0.45, 0.45)), (3, (2.5, 2.5, 2.5))])
+def test_batched_rotation_matrix_matches_rows(n, deltas):
+    grid = build_rotation_grid(n, deltas)
+    batch = rotation_matrix(n, grid.angles)
+    rows = np.stack([rotation_matrix(n, e) for e in grid.angles])
+    assert batch.shape == (len(grid), n + 1, n + 1)
+    assert np.max(np.abs(batch - rows)) <= 1e-15
+    # any leading batch shape
+    cube = rotation_matrix(n, grid.angles[:6].reshape(2, 3, -1))
+    np.testing.assert_array_equal(cube.reshape(6, n + 1, n + 1), batch[:6])
+    with pytest.raises(ValueError):
+        rotation_matrix(n, grid.angles[:, :-1])
+
+
 def test_apply_rotation_round_trip():
     euler = np.array([0.7, 1.1, 2.3])
     point = np.array([1.2, 0.4])

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import direct_transform
 
-from sphereframes.harmonics import HarmonicCoefficients, build_sphere_grid
+from sphereframes import transform
+from sphereframes.harmonics import HarmonicCoefficients, build_sphere_grid, synthesize
 from sphereframes.rotation_grid import RotationGrid, build_rotation_grid
 from sphereframes.scale_grid import build_scale_grid, scale_grid_for_profile
 from sphereframes.transform import (
@@ -138,6 +141,83 @@ def test_thread_count_does_not_change_values():
     one = wavelet_analysis(n, prof, f, scales, rot, sphere, threads=1)
     two = wavelet_analysis(n, prof, f, scales, rot, sphere, threads=2)
     np.testing.assert_array_equal(one.values, two.values)
+
+
+def _cell_sample(grid, cells):
+    """The rows of the given outer cells of a product grid, cells kept whole."""
+    inner = len(grid) // grid.sizes[0]
+    rows = np.concatenate([np.arange(c * inner, (c + 1) * inner) for c in cells])
+    return RotationGrid(grid.n, grid.delta_list, grid.angles[rows], grid.weights[rows], grid.sizes)
+
+
+@pytest.mark.parametrize(
+    "n, d", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2)]
+)
+def test_transform_matches_direct_oracle(n, d):
+    L = 4 if n == 2 else 3
+    prof = make_preset("abel-poisson", n, d=d)
+    sphere = build_sphere_grid(n, L)
+    scales = build_scale_grid(1.5, 1.5, 4)
+    full = build_rotation_grid(n, (1.6,) * n if n == 2 else (2.5,) * n)
+    grid = _cell_sample(full, (0, 7, 19, 31) if n == 2 else (0, 57, 173))
+    # rows shuffled, so that no outer cell is contiguous
+    perm = np.random.default_rng(d).permutation(len(grid))
+    shuffled = RotationGrid(n, grid.delta_list, grid.angles[perm], grid.weights[perm], grid.sizes)
+    identity = RotationGrid(
+        n, (math.pi,) * n, np.zeros((1, n * (n + 1) // 2)), np.array([1.0]), (1,) * n
+    )
+    fields = [random_bandlimited(n, L, 0, s) for s in (1, 2)]
+    for rot in (grid, shuffled, identity):
+        expect = [direct_transform(n, prof, f, scales, rot, sphere) for f in fields]
+        table = wavelet_analysis(n, prof, fields[0], scales, rot, sphere)
+        scale = np.max(np.abs(expect[0]))
+        assert np.max(np.abs(table.values - expect[0])) <= 1e-12 * scale
+        energies = transform_energies(n, prof, fields, scales, rot, sphere)
+        for e, values in zip(energies, expect):
+            want = frame_energy(TransformTable(values, scales, rot))
+            assert e == pytest.approx(want, rel=1e-12)
+
+
+def test_transform_memory_does_not_grow_with_inner_cells():
+    # the outer S^2 cells fix the Gegenbauer stacks; refining S^1 from 4 to 32
+    # cells multiplies the rotations by 8 but must not grow the working set
+    n, L = 2, 16
+    prof = make_preset("abel-poisson", n, d=1)
+    sphere = build_sphere_grid(n, L)
+    scales = scale_grid_for_profile(n, prof, 1.5, L)
+    fields = [random_bandlimited(n, L, 0, s) for s in (1, 2)]
+    synthesize(fields[0].coeffs, sphere)  # the harmonic basis is cached on the grid
+    peaks = []
+    for inner_cap in (1.6, 0.2):
+        rot = build_rotation_grid(n, (0.8, inner_cap))
+        tracemalloc.start()
+        try:
+            transform_energies(n, prof, fields, scales, rot, sphere)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rot.sizes[1] == (4 if inner_cap == 1.6 else 32)
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+def test_cell_chunks_split_across_threads(monkeypatch):
+    # one outer cell per chunk, so the threaded path runs many chunks
+    n, L = 2, 6
+    prof = make_preset("abel-poisson", n, d=2)
+    sphere = build_sphere_grid(n, L)
+    scales = build_scale_grid(1.5, 1.5, 2)
+    rot = build_rotation_grid(n, (1.0, 1.0))
+    f = random_bandlimited(n, L, 0, 9)
+    whole = wavelet_analysis(n, prof, f, scales, rot, sphere).values
+    monkeypatch.setattr(transform, "_CHUNK_BYTES", 1)
+    one = wavelet_analysis(n, prof, f, scales, rot, sphere, threads=1)
+    two = wavelet_analysis(n, prof, f, scales, rot, sphere, threads=2)
+    np.testing.assert_array_equal(one.values, two.values)
+    assert np.max(np.abs(one.values - whole)) <= 1e-13 * np.max(np.abs(whole))
+    energies = [
+        transform_energies(n, prof, [f], scales, rot, sphere, threads=t) for t in (1, 2)
+    ]
+    np.testing.assert_array_equal(energies[0], energies[1])
 
 
 def test_band_limit_mismatch_rejected():

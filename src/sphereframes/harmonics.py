@@ -4,6 +4,15 @@ Angle convention on the n-sphere: (theta_1, ..., theta_{n-1}, phi) with
 x_1 = cos theta_1, x_j = cos theta_j * prod_{i<j} sin theta_i, and the final
 pair (x_n, x_{n+1}) carrying the azimuth phi. The last index k_{n-1} is signed
 and enters as exp(i k phi); the polar factors use |k_{n-1}|.
+
+The sphere grid is a tensor product: a Gauss rule per polar axis and uniform
+azimuths.  synthesize runs over it axis by axis (the Driscoll-Healy scheme):
+polar axis tau contracts the chain index k_{tau-1} against normalized rows
+h^(-1/2) C_m^mu(cos theta) sin^|k_tau|(theta), made by one recurrence in m,
+and a DFT over the azimuths sums the signed last index.  analyze is the
+adjoint of the same steps.  Memory stays at the size of the grid and one
+bounded block of rows.  harmonic_basis keeps the dense matrix of every
+harmonic on the grid as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -11,10 +20,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
+from scipy.special import betaln
 
 from .special_functions import (
     _log_squared_norm,
@@ -40,6 +50,12 @@ __all__ = [
     "angles_to_vector",
     "vector_to_angles",
 ]
+
+
+# Largest dense basis harmonic_basis allocates; larger requests raise.
+_BASIS_MAX_BYTES = 2**30
+# Bytes of the normalized axis rows that synthesize and analyze hold at once.
+_ROW_BYTES = 8 * 2**20
 
 
 class HarmonicIndex(NamedTuple):
@@ -140,7 +156,6 @@ class SphereGrid:
     phi_weight: float
     angles: np.ndarray  # (M, n) flattened angle tuples
     weights: np.ndarray  # (M,)
-    _basis_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -176,10 +191,20 @@ def build_sphere_grid(n: int, L: int) -> SphereGrid:
 
 
 def harmonic_basis(grid: SphereGrid, L: int) -> tuple[list[HarmonicIndex], np.ndarray]:
-    """Matrix of Y_l^k values on the grid, one row per index with l <= L; cached."""
-    if L in grid._basis_cache:
-        return grid._basis_cache[L]
+    """Dense matrix of Y_l^k values on the grid, one row per index with l <= L.
+
+    The reference that the separable synthesize and analyze are tested
+    against; nothing on the transform path builds it.  Raises before
+    allocating more than _BASIS_MAX_BYTES.
+    """
     n = grid.n
+    count = sum(dim_harmonic(n, l) for l in range(L + 1))
+    nbytes = count * grid.size * np.dtype(complex).itemsize
+    if nbytes > _BASIS_MAX_BYTES:
+        raise ValueError(
+            f"dense harmonic basis for n={n}, L={L} on {grid.size} nodes needs "
+            f"{nbytes} bytes, over the {_BASIS_MAX_BYTES}-byte limit"
+        )
     indices = all_indices(n, L)
     # per-axis blocks C_m^{(n-tau)/2 + kk}(t) * sin^kk(theta), any m <= L, kk <= L
     axis_blocks: list[dict[int, np.ndarray]] = []
@@ -194,7 +219,6 @@ def harmonic_basis(grid: SphereGrid, L: int) -> tuple[list[HarmonicIndex], np.nd
     phi_block = {
         k: np.exp(1j * k * grid.phi_nodes) for k in range(-L, L + 1)
     }
-    shape = tuple(len(a) for a in grid.axis_nodes) + (len(grid.phi_nodes),)
     mat = np.empty((len(indices), grid.size), dtype=complex)
     for row, idx in enumerate(indices):
         l, k = idx
@@ -209,8 +233,66 @@ def harmonic_basis(grid: SphereGrid, L: int) -> tuple[list[HarmonicIndex], np.nd
         for p in parts[1:]:
             acc = np.multiply.outer(acc, p)
         mat[row] = acc.reshape(-1)
-    grid._basis_cache[L] = (indices, mat)
     return indices, mat
+
+
+def _axis_rows(base: float, t: np.ndarray, L: int, kk: np.ndarray) -> np.ndarray:
+    """Normalized rows of one polar axis for the ascending orders kk.
+
+    rows[j, m, i] = h(mu, m)^(-1/2) C_m^mu(t_i) sin^kk_j(theta_i) with
+    mu = base + kk_j, for m <= L - kk_j, and zero above; m runs to L - kk_0.
+    One three-term recurrence in m runs for every kk at once.  The norms are
+    folded into its coefficients and the start sin^kk / sqrt(h(mu, 0)) is
+    taken in log space, so rows stay finite where C_m^mu itself overflows.
+    """
+    kk = np.asarray(kk, dtype=float)
+    mu = base + kk[:, None]
+    log_h0 = math.log(math.pi) - np.log(mu) - betaln(mu, 0.5)  # h(mu, 0) = pi / (mu B(mu, 1/2))
+    top = L - int(kk[0])
+    rows = np.zeros((kk.size, top + 1, t.size))
+    rows[:, 0] = np.exp(kk[:, None] * (0.5 * (np.log1p(-t) + np.log1p(t))) - 0.5 * log_h0)
+    if top == 0:
+        return rows
+    # m C_m = 2(m + mu - 1) t C_{m-1} - (m + 2mu - 2) C_{m-2}, rescaled to unit norm
+    m = np.arange(1.0, top + 1)
+    alpha = 2.0 * np.sqrt((m + mu - 1) * (m + mu) / (m * (m + 2 * mu - 1)))
+    m = m[1:]
+    beta = np.sqrt(
+        (m - 1) * (m + mu) * (m + 2 * mu - 2) / (m * (m + mu - 2) * (m + 2 * mu - 1))
+    )
+    live = np.searchsorted(kk, L - np.arange(top + 1), side="right")
+    K = live[1]
+    rows[:K, 1] = alpha[:K, :1] * t * rows[:K, 0]
+    for j in range(2, top + 1):
+        K = live[j]
+        rows[:K, j] = (
+            alpha[:K, j - 1 : j] * t * rows[:K, j - 1] - beta[:K, j - 2 : j - 1] * rows[:K, j - 2]
+        )
+    return rows
+
+
+def _order_blocks(L: int, nodes: int) -> list[np.ndarray]:
+    """Runs of kk = 0..L whose axis rows fit in _ROW_BYTES; at least one order each."""
+    per = max(1, _ROW_BYTES // (8 * (L + 1) * nodes))
+    return [np.arange(k, min(k + per, L + 1)) for k in range(0, L + 1, per)]
+
+
+def _chain_positions(n: int, L: int) -> np.ndarray:
+    """Positions of all_indices(n, L) in the dense (l, kk_1, ..., kk_{n-1}, sign) array.
+
+    kk_tau = |k_tau|, and sign is 1 for a negative last index.  C order over
+    (l, k_1, ..., k_{n-1}) with the last index signed is the lexicographic
+    order of all_indices, so the valid entries come out in that order.
+    """
+    side = L + 1
+    chain = [np.arange(side).reshape((-1,) + (1,) * (n - 1 - tau)) for tau in range(n - 1)]
+    signed = np.arange(-L, side)
+    valid = chain[-1] >= np.abs(signed)
+    for a, b in zip(chain, chain[1:]):
+        valid = valid & (a >= b)
+    coords = np.nonzero(valid)
+    k = coords[-1] - L
+    return np.ravel_multi_index(coords[:-1] + (np.abs(k), k < 0), (side,) * n + (2,))
 
 
 @dataclass
@@ -287,25 +369,78 @@ class HarmonicCoefficients:
 
 
 def analyze(samples: np.ndarray, grid: SphereGrid, L: int) -> HarmonicCoefficients:
-    """Project grid samples onto harmonics: a_l^k = (1/Sigma_n) sum conj(Y) f w."""
+    """Project grid samples onto harmonics: a_l^k = (1/Sigma_n) sum conj(Y) f w.
+
+    The adjoint of synthesize: a weighted DFT in phi, then the polar axes
+    from last to first, each contracting its nodes against its normalized
+    rows.
+    """
     samples = np.asarray(samples)
     if samples.shape != (grid.size,):
         raise ValueError(f"expected {grid.size} samples, got {samples.shape}")
     if L > grid.L:
         raise ValueError(f"grid exact to band {grid.L}, cannot analyze at L={L}")
-    _, mat = harmonic_basis(grid, L)
-    vals = mat.conj() @ (samples * grid.weights) / surface_area(grid.n)
-    return HarmonicCoefficients(grid.n, L, vals)
+    n, side = grid.n, L + 1
+    n_phi = grid.phi_nodes.size
+    spectrum = np.fft.fft((samples * grid.weights).reshape(-1, n_phi), axis=1)
+    # x[p, kk, sign]: the phi sums against e^{-i k phi} for k = kk and k = -kk
+    x = np.zeros((spectrum.shape[0], side, 2), dtype=complex)
+    x[:, :, 0] = spectrum[:, :side]
+    x[:, 1:, 1] = spectrum[:, n_phi - np.arange(1, side)]
+    for tau in range(n - 1, 0, -1):
+        t = grid.axis_nodes[tau - 1]
+        # (nodes of the axes before tau, node of axis tau, kk_tau, later kk and sign)
+        xr = x.reshape(-1, t.size, side, 2 * side ** (n - 1 - tau)).view(np.float64)
+        # y[p, kk_{tau-1}, kk_tau, q], padded to kk_{tau-1} = 2L for the zero rows
+        # with kk_tau + m > L; the padding is dropped after the axis
+        y = np.zeros((xr.shape[0], 2 * L + 1, side, xr.shape[3]))
+        for kk in _order_blocks(L, t.size):
+            rows = _axis_rows((n - tau) / 2, t, L, kk)  # (kk_tau, m, node)
+            rhs = xr[:, :, kk].transpose(2, 1, 0, 3).reshape(kk.size, t.size, -1)
+            out = (rows @ rhs).reshape(kk.size, rows.shape[1], xr.shape[0], -1)
+            outer = kk[:, None] + np.arange(rows.shape[1])  # kk_{tau-1} = kk_tau + m
+            y[:, outer, kk[:, None]] = out.transpose(2, 0, 1, 3)
+        x = y[:, :side].view(complex)
+    scale = math.sqrt(surface_area(n) / (2.0 * math.pi)) / surface_area(n)
+    return HarmonicCoefficients(n, L, x.reshape(-1)[_chain_positions(n, L)] * scale)
 
 
 def synthesize(coeffs: HarmonicCoefficients, grid: SphereGrid) -> np.ndarray:
-    """Pointwise sum of the coefficient table against the basis on the grid."""
+    """Pointwise sum of the coefficient table against the harmonics on the grid.
+
+    Separable over the tensor grid: each polar axis in turn contracts the
+    chain index it ends (l, then k_1, ...) against its normalized rows, and a
+    DFT over the uniform azimuths sums the signed last index.
+    """
     if coeffs.n != grid.n:
         raise ValueError(f"dimension mismatch: coefficients n={coeffs.n}, grid n={grid.n}")
     if coeffs.L > grid.L:
         raise ValueError(f"coefficients at L={coeffs.L} exceed grid band {grid.L}")
-    _, mat = harmonic_basis(grid, coeffs.L)
-    return coeffs.values @ mat
+    n, L = grid.n, coeffs.L
+    side = L + 1
+    x = np.zeros((side,) * n + (2,), dtype=complex)
+    x.reshape(-1)[_chain_positions(n, L)] = coeffs.values
+    for tau in range(1, n):
+        t = grid.axis_nodes[tau - 1]
+        # (nodes of the axes before tau, kk_{tau-1}, kk_tau, later kk and sign),
+        # padded with zeros to kk_{tau-1} = 2L so that every kk_tau + m exists
+        xr = x.reshape(-1, side, side, 2 * side ** (n - 1 - tau)).view(np.float64)
+        pad = np.concatenate([xr, np.zeros_like(xr[:, :L])], axis=1)
+        y = np.empty((xr.shape[0], t.size, side, xr.shape[3]))
+        for kk in _order_blocks(L, t.size):
+            rows = _axis_rows((n - tau) / 2, t, L, kk)  # (kk_tau, m, node)
+            outer = kk[:, None] + np.arange(rows.shape[1])  # kk_{tau-1} = kk_tau + m
+            lhs = pad[:, outer, kk[:, None]].transpose(1, 0, 3, 2)
+            out = lhs.reshape(kk.size, -1, rows.shape[1]) @ rows
+            y[:, :, kk] = out.reshape(kk.size, xr.shape[0], -1, t.size).transpose(1, 3, 0, 2)
+        x = y.view(complex)
+    x = x.reshape(-1, side, 2)
+    n_phi = grid.phi_nodes.size
+    fourier = np.zeros((x.shape[0], n_phi), dtype=complex)
+    fourier[:, :side] = x[:, :, 0]
+    fourier[:, n_phi - np.arange(1, side)] = x[:, 1:, 1]
+    values = np.fft.ifft(fourier, axis=1, norm="forward")
+    return values.reshape(-1) * math.sqrt(surface_area(n) / (2.0 * math.pi))
 
 
 def fourier_from_gegenbauer_factor(n: int, l: int) -> float:

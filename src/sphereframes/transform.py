@@ -126,7 +126,9 @@ class TransformTable:
 
 
 # Bytes of one chunk of outer cells: their Gegenbauer stack over the sphere
-# nodes, its moments and their per-scale sums.
+# nodes, its moments and their per-scale sums.  A chunk holds at least one
+# cell, so the real bound is max(_CHUNK_BYTES, one cell): at n=2, L=128 one
+# cell's stack is 129 x 33 153 x 8 B, about 34 MB.
 _CHUNK_BYTES = 8 * 2**20
 
 
@@ -177,9 +179,10 @@ def _scan(
     powers of y2 = V . x need; those moments are scale-independent, and the
     spectrum folds them into per-scale sums.  A rotation then contracts the
     monomials of its V = R e_2 against its cell's sums.  Cells run in chunks
-    of at most _CHUNK_BYTES, which bounds memory independently of the inner
-    grid and of the thread count.  Returns (energies per field, table or
-    None); the table keeps only the first field's values.
+    of at most _CHUNK_BYTES or one cell, whichever is larger, which bounds
+    memory independently of the inner grid and of the thread count; one
+    cell's stack has (field_L + 1) x M entries.  Returns (energies per
+    field, table or None); the table keeps only the first field's values.
     """
     lam = (n - 1) / 2
     d = profile.d

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from sphereframes.harmonics import (
     HarmonicCoefficients,
     HarmonicIndex,
+    _axis_rows,
     all_indices,
     analyze,
     angles_to_vector,
@@ -23,7 +25,7 @@ from sphereframes.harmonics import (
     validate_index,
     vector_to_angles,
 )
-from sphereframes.special_functions import gegenbauer, surface_area
+from sphereframes.special_functions import gegenbauer, surface_area, zonal_gauss_rule
 
 
 def test_dim_harmonic_closed_forms():
@@ -85,6 +87,68 @@ def test_analyze_synthesize_round_trip():
         )
         back = analyze(synthesize(coeffs, grid), grid, L)
         np.testing.assert_allclose(back.values, coeffs.values, atol=1e-11)
+
+
+@pytest.mark.parametrize("n,L,grid_L", [(2, 16, 16), (3, 8, 8), (4, 4, 4), (2, 5, 9)])
+def test_separable_transforms_match_dense_basis(n, L, grid_L):
+    rng = np.random.default_rng(n * 100 + L)
+    grid = build_sphere_grid(n, grid_L)
+    _, mat = harmonic_basis(grid, L)
+    coeffs = HarmonicCoefficients.zeros(n, L)
+    size = coeffs.values.shape
+    coeffs.values[:] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    want = coeffs.values @ mat
+    got = synthesize(coeffs, grid)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    samples = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+    want = mat.conj() @ (samples * grid.weights) / surface_area(n)
+    got = analyze(samples, grid, L).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_round_trip_at_band_128():
+    # the dense basis would need 8.2 GiB here
+    rng = np.random.default_rng(128)
+    n, L = 2, 128
+    grid = build_sphere_grid(n, L)
+    coeffs = HarmonicCoefficients.zeros(n, L)
+    size = coeffs.values.shape
+    coeffs.values[:] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    back = analyze(synthesize(coeffs, grid), grid, L)
+    assert np.max(np.abs(back.values - coeffs.values)) <= 1e-12 * np.max(np.abs(coeffs.values))
+
+
+def test_synthesis_memory_stays_far_below_dense_basis():
+    # the dense basis at n=2, L=64 is 8 385 x 4 225 complex entries, 567 MB
+    n, L = 2, 64
+    grid = build_sphere_grid(n, L)
+    coeffs = HarmonicCoefficients.zeros(n, L)
+    coeffs.values[:] = np.random.default_rng(64).normal(size=coeffs.values.shape)
+    tracemalloc.start()
+    try:
+        synthesize(coeffs, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_dense_basis_refuses_oversized_request():
+    grid = build_sphere_grid(2, 128)
+    with pytest.raises(ValueError, match="8827185168 bytes"):
+        harmonic_basis(grid, 128)
+
+
+@pytest.mark.parametrize("kk", [0, 200, 400])
+def test_normalized_axis_rows_stay_finite_at_band_800(kk):
+    # unnormalized C_m^(kk + 1/2) at these nodes overflow to inf by L = 768
+    L = 800
+    t, w = zonal_gauss_rule(0.5, L + 1)
+    rows = _axis_rows(0.5, t, L, np.array([kk]))[0]
+    assert rows.shape == (L + 1 - kk, L + 1)
+    assert np.all(np.isfinite(rows))
+    gram = (rows * w) @ rows.T
+    assert np.max(np.abs(gram - np.eye(L + 1 - kk))) <= 1e-12
 
 
 def test_parseval_on_grid():

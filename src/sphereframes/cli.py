@@ -70,7 +70,6 @@ class RunConfig:
                 "d": prof.d,
                 "q": list(prof.q),
                 "amplitude": prof.amplitude,
-                "direction": prof.direction,
             },
             "scales": {
                 "rho_max": self.rho_max,

@@ -10,9 +10,12 @@ azimuths.  synthesize runs over it axis by axis (the Driscoll-Healy scheme):
 polar axis tau contracts the chain index k_{tau-1} against normalized rows
 h^(-1/2) C_m^mu(cos theta) sin^|k_tau|(theta), made by one recurrence in m,
 and a DFT over the azimuths sums the signed last index.  analyze is the
-adjoint of the same steps.  Memory stays at the size of the grid and one
-bounded block of rows.  harmonic_basis keeps the dense matrix of every
-harmonic on the grid as the reference the tests compare against.
+adjoint of the same steps and takes a trailing column axis, so several
+sample sets share one pass.  Memory stays at the size of the grid and one
+bounded block of rows.  eval_degree_components evaluates a coefficient
+table at scattered points, one degree at a time, from the same rows.
+harmonic_basis keeps the dense matrix of every harmonic on the grid as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "HarmonicCoefficients",
     "SphereGrid",
     "dim_harmonic",
+    "coefficient_count",
     "enumerate_indices",
     "all_indices",
     "eval_harmonic",
@@ -45,6 +49,7 @@ __all__ = [
     "harmonic_basis",
     "analyze",
     "synthesize",
+    "eval_degree_components",
     "gegenbauer_coeff_from_fourier",
     "fourier_from_gegenbauer_factor",
     "angles_to_vector",
@@ -79,6 +84,15 @@ def dim_harmonic(n: int, l: int) -> int:
     if n < 2 or l < 0:
         raise ValueError(f"need n >= 2 and l >= 0, got n={n}, l={l}")
     return (n + 2 * l - 1) * math.factorial(n + l - 2) // (math.factorial(n - 1) * math.factorial(l))
+
+
+def coefficient_count(n: int, L: int) -> int:
+    """Number of harmonics of every degree l <= L on the n-sphere (0 for L < 0).
+
+    They span the polynomials of degree <= L restricted to S^n, as many as
+    the degree-L harmonics on S^(n+1), so the count is dim_harmonic(n + 1, L).
+    """
+    return dim_harmonic(n + 1, L) if L >= 0 else 0
 
 
 def enumerate_indices(n: int, l: int) -> list[HarmonicIndex]:
@@ -198,7 +212,7 @@ def harmonic_basis(grid: SphereGrid, L: int) -> tuple[list[HarmonicIndex], np.nd
     allocating more than _BASIS_MAX_BYTES.
     """
     n = grid.n
-    count = sum(dim_harmonic(n, l) for l in range(L + 1))
+    count = coefficient_count(n, L)
     nbytes = count * grid.size * np.dtype(complex).itemsize
     if nbytes > _BASIS_MAX_BYTES:
         raise ValueError(
@@ -244,13 +258,17 @@ def _axis_rows(base: float, t: np.ndarray, L: int, kk: np.ndarray) -> np.ndarray
     One three-term recurrence in m runs for every kk at once.  The norms are
     folded into its coefficients and the start sin^kk / sqrt(h(mu, 0)) is
     taken in log space, so rows stay finite where C_m^mu itself overflows.
+    t may include the poles +-1.
     """
     kk = np.asarray(kk, dtype=float)
     mu = base + kk[:, None]
     log_h0 = math.log(math.pi) - np.log(mu) - betaln(mu, 0.5)  # h(mu, 0) = pi / (mu B(mu, 1/2))
     top = L - int(kk[0])
     rows = np.zeros((kk.size, top + 1, t.size))
-    rows[:, 0] = np.exp(kk[:, None] * (0.5 * (np.log1p(-t) + np.log1p(t))) - 0.5 * log_h0)
+    # log sin^kk(theta); at the poles sin^0 = 1 and every higher power is 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_sin = kk[:, None] * (0.5 * (np.log1p(-t) + np.log1p(t)))
+    rows[:, 0] = np.exp(np.where(kk[:, None] > 0, log_sin, 0.0) - 0.5 * log_h0)
     if top == 0:
         return rows
     # m C_m = 2(m + mu - 1) t C_{m-1} - (m + 2mu - 2) C_{m-2}, rescaled to unit norm
@@ -277,12 +295,12 @@ def _order_blocks(L: int, nodes: int) -> list[np.ndarray]:
     return [np.arange(k, min(k + per, L + 1)) for k in range(0, L + 1, per)]
 
 
-def _chain_positions(n: int, L: int) -> np.ndarray:
-    """Positions of all_indices(n, L) in the dense (l, kk_1, ..., kk_{n-1}, sign) array.
+def _chain_coords(n: int, L: int) -> tuple[np.ndarray, ...]:
+    """(l, k_1, ..., k_{n-1}) of all_indices(n, L) as arrays, last index signed.
 
-    kk_tau = |k_tau|, and sign is 1 for a negative last index.  C order over
-    (l, k_1, ..., k_{n-1}) with the last index signed is the lexicographic
-    order of all_indices, so the valid entries come out in that order.
+    C order over (l, k_1, ..., k_{n-1}) with the last index signed is the
+    lexicographic order of all_indices, so the valid entries come out in
+    that order.
     """
     side = L + 1
     chain = [np.arange(side).reshape((-1,) + (1,) * (n - 1 - tau)) for tau in range(n - 1)]
@@ -291,13 +309,26 @@ def _chain_positions(n: int, L: int) -> np.ndarray:
     for a, b in zip(chain, chain[1:]):
         valid = valid & (a >= b)
     coords = np.nonzero(valid)
-    k = coords[-1] - L
-    return np.ravel_multi_index(coords[:-1] + (np.abs(k), k < 0), (side,) * n + (2,))
+    return coords[:-1] + (coords[-1] - L,)
+
+
+def _chain_positions(n: int, L: int) -> np.ndarray:
+    """Positions of all_indices(n, L) in the dense (l, kk_1, ..., kk_{n-1}, sign) array.
+
+    kk_tau = |k_tau|, and sign is 1 for a negative last index.
+    """
+    coords = _chain_coords(n, L)
+    k = coords[-1]
+    return np.ravel_multi_index(coords[:-1] + (np.abs(k), k < 0), (L + 1,) * n + (2,))
 
 
 @dataclass
 class HarmonicCoefficients:
-    """Band-limited coefficient table aligned with all_indices(n, L)."""
+    """Band-limited coefficient table aligned with all_indices(n, L).
+
+    values has one row per index; trailing axes, when present, hold several
+    tables over the same indices (one per column of the analysed samples).
+    """
 
     n: int
     L: int
@@ -305,8 +336,8 @@ class HarmonicCoefficients:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=complex)
-        expect = sum(dim_harmonic(self.n, l) for l in range(self.L + 1))
-        if self.values.shape != (expect,):
+        expect = coefficient_count(self.n, self.L)
+        if self.values.shape[:1] != (expect,):
             raise ValueError(
                 f"expected {expect} coefficients for n={self.n}, L={self.L}, "
                 f"got shape {self.values.shape}"
@@ -314,8 +345,7 @@ class HarmonicCoefficients:
 
     @classmethod
     def zeros(cls, n: int, L: int) -> "HarmonicCoefficients":
-        count = sum(dim_harmonic(n, l) for l in range(L + 1))
-        return cls(n, L, np.zeros(count, dtype=complex))
+        return cls(n, L, np.zeros(coefficient_count(n, L), dtype=complex))
 
     def indices(self) -> list[HarmonicIndex]:
         return all_indices(self.n, self.L)
@@ -323,28 +353,37 @@ class HarmonicCoefficients:
     def degree_slice(self, l: int) -> slice:
         if not 0 <= l <= self.L:
             raise ValueError(f"degree {l} outside [0, {self.L}]")
-        start = sum(dim_harmonic(self.n, j) for j in range(l))
-        return slice(start, start + dim_harmonic(self.n, l))
+        return slice(coefficient_count(self.n, l - 1), coefficient_count(self.n, l))
+
+    def _single(self) -> np.ndarray:
+        """values of a one-column table; the per-table methods below reduce
+        over all of values, so several columns are refused, not summed."""
+        if self.values.ndim != 1:
+            raise ValueError(
+                f"needs one coefficient table, got columns of shape {self.values.shape[1:]}"
+            )
+        return self.values
 
     def get(self, l: int, k: tuple[int, ...]) -> complex:
         idx = HarmonicIndex(l, tuple(k))
         validate_index(self.n, idx)
         block = enumerate_indices(self.n, l)
-        return complex(self.values[self.degree_slice(l)][block.index(idx)])
+        return complex(self._single()[self.degree_slice(l)][block.index(idx)])
 
     def degree_energy(self, l: int) -> float:
-        v = self.values[self.degree_slice(l)]
+        v = self._single()[self.degree_slice(l)]
         return float(np.vdot(v, v).real)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.values, self.values).real))
+        v = self._single()
+        return float(np.sqrt(np.vdot(v, v).real))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write(f"# dimension={self.n} band_limit={self.L}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["l"] + [f"k_{i}" for i in range(1, self.n)] + ["re", "im"])
-        for idx, v in zip(self.indices(), self.values):
+        for idx, v in zip(self.indices(), self._single()):
             writer.writerow(
                 [idx.l, *idx.k, format(v.real, ".17g"), format(v.imag, ".17g")]
             )
@@ -373,24 +412,29 @@ def analyze(samples: np.ndarray, grid: SphereGrid, L: int) -> HarmonicCoefficien
 
     The adjoint of synthesize: a weighted DFT in phi, then the polar axes
     from last to first, each contracting its nodes against its normalized
-    rows.
+    rows.  samples has one row per grid node; trailing axes are independent
+    columns that share the rows and come back as trailing axes of values.
     """
     samples = np.asarray(samples)
-    if samples.shape != (grid.size,):
+    if samples.shape[:1] != (grid.size,):
         raise ValueError(f"expected {grid.size} samples, got {samples.shape}")
     if L > grid.L:
         raise ValueError(f"grid exact to band {grid.L}, cannot analyze at L={L}")
     n, side = grid.n, L + 1
+    columns = samples.shape[1:]
+    width = math.prod(columns)
     n_phi = grid.phi_nodes.size
-    spectrum = np.fft.fft((samples * grid.weights).reshape(-1, n_phi), axis=1)
-    # x[p, kk, sign]: the phi sums against e^{-i k phi} for k = kk and k = -kk
-    x = np.zeros((spectrum.shape[0], side, 2), dtype=complex)
+    weighted = samples.reshape(-1, n_phi, width) * grid.weights.reshape(-1, n_phi, 1)
+    spectrum = np.fft.fft(weighted, axis=1)
+    # x[p, kk, sign, c]: the phi sums against e^{-i k phi} for k = kk and k = -kk
+    x = np.zeros((spectrum.shape[0], side, 2, width), dtype=complex)
     x[:, :, 0] = spectrum[:, :side]
     x[:, 1:, 1] = spectrum[:, n_phi - np.arange(1, side)]
+    del weighted, spectrum  # grid-sized; the axis passes below need the room
     for tau in range(n - 1, 0, -1):
         t = grid.axis_nodes[tau - 1]
-        # (nodes of the axes before tau, node of axis tau, kk_tau, later kk and sign)
-        xr = x.reshape(-1, t.size, side, 2 * side ** (n - 1 - tau)).view(np.float64)
+        # (nodes of the axes before tau, node of axis tau, kk_tau, later kk, sign and column)
+        xr = x.reshape(-1, t.size, side, 2 * side ** (n - 1 - tau) * width).view(np.float64)
         # y[p, kk_{tau-1}, kk_tau, q], padded to kk_{tau-1} = 2L for the zero rows
         # with kk_tau + m > L; the padding is dropped after the axis
         y = np.zeros((xr.shape[0], 2 * L + 1, side, xr.shape[3]))
@@ -402,7 +446,8 @@ def analyze(samples: np.ndarray, grid: SphereGrid, L: int) -> HarmonicCoefficien
             y[:, outer, kk[:, None]] = out.transpose(2, 0, 1, 3)
         x = y[:, :side].view(complex)
     scale = math.sqrt(surface_area(n) / (2.0 * math.pi)) / surface_area(n)
-    return HarmonicCoefficients(n, L, x.reshape(-1)[_chain_positions(n, L)] * scale)
+    values = x.reshape(-1, width)[_chain_positions(n, L)] * scale
+    return HarmonicCoefficients(n, L, values.reshape((-1,) + columns))
 
 
 def synthesize(coeffs: HarmonicCoefficients, grid: SphereGrid) -> np.ndarray:
@@ -419,7 +464,7 @@ def synthesize(coeffs: HarmonicCoefficients, grid: SphereGrid) -> np.ndarray:
     n, L = grid.n, coeffs.L
     side = L + 1
     x = np.zeros((side,) * n + (2,), dtype=complex)
-    x.reshape(-1)[_chain_positions(n, L)] = coeffs.values
+    x.reshape(-1)[_chain_positions(n, L)] = coeffs._single()
     for tau in range(1, n):
         t = grid.axis_nodes[tau - 1]
         # (nodes of the axes before tau, kk_{tau-1}, kk_tau, later kk and sign),
@@ -441,6 +486,37 @@ def synthesize(coeffs: HarmonicCoefficients, grid: SphereGrid) -> np.ndarray:
     fourier[:, n_phi - np.arange(1, side)] = x[:, 1:, 1]
     values = np.fft.ifft(fourier, axis=1, norm="forward")
     return values.reshape(-1) * math.sqrt(surface_area(n) / (2.0 * math.pi))
+
+
+def eval_degree_components(coeffs: HarmonicCoefficients, points) -> np.ndarray:
+    """sum_K a_lK Y_lK(x) for every degree l <= L at angle tuples x, shape (P, n).
+
+    Returns shape (L + 1, P) plus the trailing axes of coeffs.values.  Each
+    point gets every polar axis's normalized rows in one recurrence; a
+    degree's harmonics are then products of entries along their index
+    chains, contracted against that degree's coefficients before the next
+    degree is built, so the working set is the rows and one degree.
+    """
+    n, L = coeffs.n, coeffs.L
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != n:
+        raise ValueError(f"points need {n} angles for the {n}-sphere, got {pts.shape[1]}")
+    values = coeffs.values.reshape(coeffs.values.shape[0], -1)
+    coords = _chain_coords(n, L)
+    chain = coords[:-1] + (np.abs(coords[-1]),)
+    every = np.arange(L + 1)
+    rows = [_axis_rows((n - tau) / 2, np.cos(pts[:, tau - 1]), L, every) for tau in range(1, n)]
+    phase = np.exp(1j * np.arange(-L, L + 1)[:, None] * pts[:, n - 1])
+    out = np.empty((L + 1, pts.shape[0], values.shape[1]), dtype=complex)
+    for l in range(L + 1):
+        block = slice(coefficient_count(n, l - 1), coefficient_count(n, l))
+        Y = phase[coords[-1][block] + L]
+        for tau in range(1, n):
+            kk = chain[tau][block]
+            Y = Y * rows[tau - 1][kk, chain[tau - 1][block] - kk]
+        out[l] = Y.T @ values[block]
+    out *= math.sqrt(surface_area(n) / (2.0 * math.pi))
+    return out.reshape((L + 1, pts.shape[0]) + coeffs.values.shape[1:])
 
 
 def fourier_from_gegenbauer_factor(n: int, l: int) -> float:

@@ -206,19 +206,28 @@ def build_rotation_grid(
     return RotationGrid(n, deltas, angles, weights, sizes)
 
 
-def _planar_rotation(n: int, axis: int, angle: np.ndarray) -> np.ndarray:
-    """Rotations by angle in the (x_axis, x_axis+1) plane of R^(n+1), 1-based.
+def _rotate(n: int, euler, v: np.ndarray) -> np.ndarray:
+    """R v for a batch of angle rows, shape (..., n(n+1)/2), and v of shape
+    (..., n+1, k), overwriting v.
 
-    angle may be an array; the result stacks one matrix per entry.
+    The planar factors of rotation_matrix act on the rows of v, innermost
+    first, so each costs two rows of v instead of a matrix product.
     """
-    c, s = np.cos(angle), np.sin(angle)
-    R = np.broadcast_to(np.eye(n + 1), np.shape(angle) + (n + 1, n + 1)).copy()
-    i = axis - 1
-    R[..., i, i] = c
-    R[..., i, i + 1] = -s
-    R[..., i + 1, i] = s
-    R[..., i + 1, i + 1] = c
-    return R
+    euler = np.asarray(euler, dtype=float)
+    m = n * (n + 1) // 2
+    if euler.ndim == 0 or euler.shape[-1] != m:
+        raise ValueError(f"need {m} angles, got {euler.shape}")
+    # block J starts at m - J(J+1)/2, the outer block J = n at 0; T_1 acts first
+    for J in range(1, n + 1):
+        offset = m - J * (J + 1) // 2
+        for i in range(J):
+            a = euler[..., offset + i, None]
+            c, s = np.cos(a), np.sin(a)
+            lo, hi = n - J + i, n - J + i + 1
+            lo_new = c * v[..., lo, :] - s * v[..., hi, :]
+            v[..., hi, :] = s * v[..., lo, :] + c * v[..., hi, :]
+            v[..., lo, :] = lo_new
+    return v
 
 
 def rotation_matrix(n: int, euler) -> np.ndarray:
@@ -230,20 +239,8 @@ def rotation_matrix(n: int, euler) -> np.ndarray:
     T_n applied to e_1 reproduces the sphere point with those angles.  A
     batch of angle rows, shape (..., n(n+1)/2), gives shape (..., n+1, n+1).
     """
-    euler = np.asarray(euler, dtype=float)
-    m = n * (n + 1) // 2
-    if euler.ndim == 0 or euler.shape[-1] != m:
-        raise ValueError(f"need {m} angles, got {euler.shape}")
-    R = None
-    offset = 0
-    for J in range(n, 0, -1):
-        block = euler[..., offset : offset + J]
-        offset += J
-        T = _planar_rotation(n, n - J + 1, block[..., 0])
-        for i in range(1, J):
-            T = _planar_rotation(n, n - J + 1 + i, block[..., i]) @ T
-        R = T if R is None else R @ T
-    return R
+    batch = np.shape(euler)[:-1]
+    return _rotate(n, euler, np.broadcast_to(np.eye(n + 1), batch + (n + 1, n + 1)).copy())
 
 
 def apply_rotation(n: int, euler, point):

@@ -11,6 +11,7 @@ __all__ = [
     "gegenbauer",
     "gegenbauer_all",
     "gegenbauer_series",
+    "gegenbauer_connection",
     "gegenbauer_derivative",
     "gegenbauer_squared_norm",
     "funk_hecke_factor",
@@ -77,6 +78,42 @@ def gegenbauer_series(lam: float, coeffs: np.ndarray, t: np.ndarray) -> np.ndarr
         prev, cur = cur, (2.0 * (m + lam - 1.0) * t * cur - (m + 2.0 * lam - 2.0) * prev) / m
         if coeffs[m] != 0.0:
             acc += coeffs[m] * cur
+    return acc
+
+
+def _times_t(lam: float, coeffs: np.ndarray) -> np.ndarray:
+    """C^lam-series coefficients of t times the series, one degree longer:
+    t C_l = ((l + 1) C_{l+1} + (l + 2 lam - 1) C_{l-1}) / (2 (l + lam))."""
+    l = np.arange(coeffs.shape[-1])
+    out = np.zeros(coeffs.shape[:-1] + (l.size + 1,))
+    out[..., 1:] += coeffs * ((l + 1) / (2.0 * (l + lam)))
+    out[..., :-2] += coeffs[..., 1:] * ((l[1:] + 2.0 * lam - 1) / (2.0 * (l[1:] + lam)))
+    return out
+
+
+def gegenbauer_connection(lam: float, k: int, poly, coeffs: np.ndarray) -> np.ndarray:
+    """C^lam-series coefficients of poly(t) * sum_m coeffs[..., m] C^{lam+k}_m(t).
+
+    poly holds ascending monomial coefficients, not all zero.  The order is
+    lowered k times with C^{mu+1}_m = sum_{i <= m/2} (m - 2i + mu) / mu
+    C^mu_{m-2i}, so the C^mu coefficient of degree l is (l + mu) / mu times
+    the sum of the C^{mu+1} coefficients of degrees l, l + 2, ...; then the
+    product with poly runs by Horner's rule on the three-term relation for
+    t C^lam_l.  The last axis of the result runs to degree m_max + deg(poly).
+    """
+    out = np.asarray(coeffs, dtype=float)
+    l = np.arange(out.shape[-1])
+    for mu in lam + np.arange(k - 1, -1, -1):
+        tail = np.empty_like(out)
+        for parity in (0, 1):
+            same = out[..., parity::2]
+            tail[..., parity::2] = np.cumsum(same[..., ::-1], axis=-1)[..., ::-1]
+        out = tail * ((l + mu) / mu)
+    poly = np.trim_zeros(np.asarray(poly, dtype=float), "b")
+    acc = poly[-1] * out
+    for c in poly[-2::-1]:
+        acc = _times_t(lam, acc)
+        acc[..., : out.shape[-1]] += c * out
     return acc
 
 

@@ -1,20 +1,22 @@
-"""Spherical wavelet transform by quadrature and the coefficient-space energy identity.
+"""Spherical wavelet transform of band-limited fields and the coefficient-space energy identity.
 
 W f(rho, R) pairs the field with the wavelet rotated by R, so the wavelet only
 enters through the two inner products y1 = x . (R e_1) and y2 = x . (R e_2).
 For a band-limited field the wavelet may be truncated at the field's band
 limit without any error: higher wavelet degrees are orthogonal to the field.
-That keeps the quadrature requirement at twice the field band and lets one
-sphere grid serve every scale and rotation.
 
-The rotation grid factors the same way.  R e_1 depends only on the outer S^n
-angles of a rotation, so every rotation of one outer cell shares the
-Gegenbauer stack in y1.  The directional wavelet is sum_k p_k(y1, y2)
-psi^(k)(y1), and y2^j = (R e_2 . x)^j expands over the degree-j monomials
-x^mu.  So each cell keeps the moments of its stack, times the y1 part of
-p_k, against x^mu times the field, and a rotation costs only the contraction
-of its R e_2 monomials against those moments.  Cells are processed in chunks
-whose stack stays under a fixed byte budget.
+The directional wavelet is sum_k p_k(y1, y2) psi^(k)(y1), and y2^j =
+(R e_2 . x)^j expands over the degree-j monomials x^mu, so the transform is
+a sum of zonal kernels in y1 paired with x^mu f.  A zonal kernel acts
+diagonally in degree (Funk-Hecke): closed-form Gegenbauer connection
+coefficients turn each one into a per-degree filter, and the pairing is
+that filter applied to the degree components of x^mu f at U = R e_1.  The
+fields are synthesized on the sphere grid, multiplied by each monomial and
+analysed once per call; the products stay within the grid rule's band, so
+the analysis is exact.  U depends only on the outer S^n angles of a
+rotation, so each outer cell evaluates the degree components once, in
+O(L^n) work, and a rotation costs only the contraction of its R e_2
+monomials against its cell's per-scale sums.
 
 The energy identity sums beta(l) against the per-degree field energies and is
 the rotation-quadrature-free reference value for frame checks.
@@ -28,18 +30,17 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .harmonics import (
     HarmonicCoefficients,
-    all_indices,
-    angles_to_vector,
-    dim_harmonic,
+    analyze,
+    coefficient_count,
+    eval_degree_components,
     synthesize,
 )
-from .rotation_grid import RotationGrid, rotation_matrix
+from .rotation_grid import RotationGrid, _rotate
 from .scale_grid import ScaleGrid
-from .special_functions import _pochhammer, gegenbauer_all, surface_area
+from .special_functions import _pochhammer, gegenbauer_connection, surface_area
 from .wavelet_spectra import (
     BetaTable,
     SpectralProfile,
@@ -69,7 +70,7 @@ class TestField:
     seed: object = None
 
     def __post_init__(self):
-        low = sum(dim_harmonic(self.coeffs.n, l) for l in range(self.order + 1))
+        low = coefficient_count(self.coeffs.n, self.order)
         if low and np.any(self.coeffs.values[:low] != 0.0):
             raise ValueError(f"coefficients up to degree {self.order} must vanish")
         if abs(self.coeffs.norm() - 1.0) > 1e-12:
@@ -92,8 +93,8 @@ def random_bandlimited(n: int, L: int, m: int, seed) -> TestField:
     if L <= m:
         raise ValueError(f"band limit {L} leaves no degrees above order {m}")
     rng = np.random.default_rng(seed)
-    total = len(all_indices(n, L))
-    low = sum(dim_harmonic(n, l) for l in range(m + 1))
+    total = coefficient_count(n, L)
+    low = coefficient_count(n, m)
     vals = np.zeros(total, dtype=complex)
     live = total - low
     vals[low:] = (rng.standard_normal(live) + 1j * rng.standard_normal(live)) / math.sqrt(2)
@@ -125,17 +126,11 @@ class TransformTable:
         return "\n".join(lines) + "\n"
 
 
-# Bytes of one chunk of outer cells: their Gegenbauer stack over the sphere
-# nodes, its moments and their per-scale sums.  A chunk holds at least one
-# cell, so the real bound is max(_CHUNK_BYTES, one cell): at n=2, L=128 one
-# cell's stack is 129 x 33 153 x 8 B, about 34 MB.
+# Bytes of one chunk of outer cells: the normalized axis rows and phases at
+# their centres, their degree components and the per-scale sums.  A chunk
+# holds at least one cell, so the real bound is max(_CHUNK_BYTES, one cell):
+# at n=2, L=128 one cell's rows are 129 x 129 x 8 B, about 130 kB.
 _CHUNK_BYTES = 8 * 2**20
-
-
-def _rotated_axes(n: int, angles: np.ndarray):
-    """Images of e_1 and e_2 under the rotations of the given angle rows."""
-    mats = rotation_matrix(n, angles)
-    return mats[..., 0], mats[..., 1]
 
 
 def _haar_normalization(n: int) -> float:
@@ -158,10 +153,42 @@ def _eval_monomials(points: np.ndarray, combos) -> np.ndarray:
     return np.stack([np.prod(points[:, list(c)], axis=1) for c in combos], axis=1)
 
 
+def _filters(n: int, profile: SpectralProfile, field_L: int, scales: ScaleGrid) -> dict:
+    """filters[j][s, l]: the Funk-Hecke multiplier of degree l, at scale s, of
+    the wavelet terms that carry y2^j.
+
+    The wavelet is sum_k p_k(y1, y2) psi^(k)(y1), with p_0 = 1 when zonal,
+    and psi^(k) = sum_m hat(m + k) 2^k (lam)_k C^{lam+k}_m.  Every monomial
+    y1^i y2^j of p_k has i + j = k, so the y1 part times psi^(k) re-expands
+    in C^lam_l for l <= field_L - j, and C^lam_l(U . x) pairs with a field
+    as lam / (l + lam) times its degree-l component at U.
+    """
+    lam = (n - 1) / 2
+    d = profile.d
+    tables = {0: np.ones((1, 1))} if d == 0 else dict(
+        enumerate(_theta_derivative_tableau(d), start=1)
+    )
+    hats = np.array([zonal_hat_all(profile, float(r), n, field_L) for r in scales.scales])
+    hats *= (scales.scales ** (profile.tilde_exponent * d))[:, None]
+    filters = {}
+    for k, tab in tables.items():
+        if k > field_L:
+            continue
+        spectrum = hats[:, k:] * (2.0**k * _pochhammer(lam, k))
+        for j in range(tab.shape[1]):
+            if not tab[:, j].any():
+                continue
+            filt = filters.setdefault(j, np.zeros((len(scales), field_L - j + 1)))
+            filt += gegenbauer_connection(lam, k, tab[:, j], spectrum)
+    for j, filt in filters.items():
+        filt *= lam / (np.arange(filt.shape[1]) + lam)
+    return filters
+
+
 def _scan(
     n: int,
     profile: SpectralProfile,
-    field_matrix: np.ndarray,
+    fields,
     field_L: int,
     scales: ScaleGrid,
     rotations: RotationGrid,
@@ -169,71 +196,51 @@ def _scan(
     threads=None,
     collect: bool = False,
 ):
-    """Shared driver over (scale, rotation) pairs for pre-weighted field columns.
+    """Shared loop over (scale, rotation) pairs for a batch of fields.
 
-    field_matrix holds f(node) * w(node) / Sigma_n, one column per field.  The
-    rotations are grouped into outer cells by their S^n angles, which fix
-    U = R e_1.  Per cell and chain-rule order k, the Gegenbauer stack
-    C^{lam+k}_l(U . x), times the y1 part of the tableau polynomial p_k, is
-    summed against x^mu times the field for every monomial x^mu that the
-    powers of y2 = V . x need; those moments are scale-independent, and the
-    spectrum folds them into per-scale sums.  A rotation then contracts the
-    monomials of its V = R e_2 against its cell's sums.  Cells run in chunks
-    of at most _CHUNK_BYTES or one cell, whichever is larger, which bounds
-    memory independently of the inner grid and of the thread count; one
-    cell's stack has (field_L + 1) x M entries.  Returns (energies per
-    field, table or None); the table keeps only the first field's values.
+    W f(rho, R) = sum over the wavelet terms y2^j G_j(y1) of the pairing of
+    G_j(U . x) with (V . x)^j f(x), U = R e_1 and V = R e_2.  Expanding
+    (V . x)^j over the degree-j monomials x^mu, each field is multiplied by
+    x^mu on the sphere grid and analysed once, to degree field_L - j, where
+    the grid rule is still exact for the product.  By the addition theorem
+    G_j(U . x) pairs with x^mu f as sum_l filters[j][s, l] times the degree-l
+    component of x^mu f at U.  U depends only on the outer S^n angles of a
+    rotation, so a cell evaluates those components once at its centre and
+    folds them into per-scale sums; a rotation then contracts the monomials
+    of its V against its cell's sums.  Cells run in chunks of at most
+    _CHUNK_BYTES or one cell, whichever is larger, which bounds memory
+    independently of the inner grid and of the thread count.  Returns
+    (energies per field, table or None); the table keeps only the first
+    field's values.
     """
-    lam = (n - 1) / 2
-    d = profile.d
-    X = angles_to_vector(n, sphere_grid.angles)
-    M = X.shape[0]
-    # truncating the wavelet at the field band is exact: higher degrees are
-    # orthogonal to the field, so the product stays within band 2 * field_L
-    if 2 * sphere_grid.L < 2 * field_L:
+    if sphere_grid.L < field_L:
         raise ValueError(
             f"sphere grid exact to band {2 * sphere_grid.L} cannot integrate "
             f"field band {field_L} against the equally truncated wavelet"
         )
     rot_norm = rotations.weights / _haar_normalization(n)
-    n_fields = field_matrix.shape[1]
+    n_fields = len(fields)
     n_scales = len(scales)
     table = np.empty((n_scales, len(rotations)), dtype=complex) if collect else None
+    filters = _filters(n, profile, field_L, scales)
 
-    # the wavelet is sum_k p_k(y1, y2) psi^(k)(y1), with p_0 = 1 when zonal,
-    # and psi^(k) = sum_l hat(l + k) 2^k (lam)_k C^{lam+k}_l
-    tables = {0: np.ones((1, 1))} if d == 0 else dict(
-        enumerate(_theta_derivative_tableau(d), start=1)
-    )
-    hats = np.array([zonal_hat_all(profile, float(r), n, field_L) for r in scales.scales])
-    hats *= (scales.scales ** (profile.tilde_exponent * d))[:, None]
-    # terms[k]: (j, y1 polynomial or None when constant, spectrum) per power
-    # y2^j of p_k, the constant folded into the spectrum
-    terms = {}
-    for k, tab in tables.items():
-        if k > field_L:
-            continue
-        spectrum = hats[:, k:] * (2.0**k * _pochhammer(lam, k))
-        terms[k] = []
-        for j in range(tab.shape[1]):
-            poly = np.trim_zeros(tab[:, j], "b")
-            if poly.size == 1:
-                terms[k].append((j, None, spectrum * poly[0]))
-            elif poly.size > 1:
-                terms[k].append((j, poly, spectrum))
-
-    # one block of columns per power j: x^mu * f for |mu| = j, viewed as
-    # real pairs so that the real stack multiplies it without a complex copy
-    powers = sorted({j for parts in terms.values() for j, _, _ in parts})
-    monomials, columns, field_cols = {}, {}, {}
+    # moments[j]: coefficients of x^mu f to degree field_L - j, one column per
+    # (mu, field); analysed one monomial at a time to keep the grid-sized
+    # transients at n_fields columns
+    X = sphere_grid.cartesian()
+    samples = np.stack([synthesize(f.coeffs, sphere_grid) for f in fields], axis=1)
+    monomials, columns, moments = {}, {}, {}
     start = 0
-    for j in powers:
+    for j in sorted(filters):
         combos, weights = _monomials(n, j)
         monomials[j] = (combos, weights)
         columns[j] = slice(start, start + len(combos))
         start += len(combos)
-        xf = _eval_monomials(X, combos)[:, :, None] * field_matrix[:, None, :]
-        field_cols[j] = xf.reshape(M, -1).view(np.float64)
+        parts = [
+            analyze(xm[:, None] * samples, sphere_grid, field_L - j).values
+            for xm in _eval_monomials(X, combos).T
+        ]
+        moments[j] = HarmonicCoefficients(n, field_L - j, np.stack(parts, axis=1))
     n_cols = start
 
     cell_of = np.unique(rotations.angles[:, :n], axis=0, return_inverse=True)[1].ravel()
@@ -241,25 +248,31 @@ def _scan(
     bounds = np.concatenate([[0], np.cumsum(np.bincount(cell_of))])
     n_cells = bounds.size - 1
     cell_bytes = 8 * (
-        (field_L + 1) * (M + 2 * n_cols * n_fields) + 2 * n_scales * n_cols * n_fields
+        (n - 1) * (field_L + 1) ** 2
+        + 2 * (2 * field_L + 1)
+        + 2 * (field_L + 1 + n_scales) * n_cols * n_fields
     )
     per_chunk = max(1, _CHUNK_BYTES // cell_bytes)
     chunks = [range(c, min(c + per_chunk, n_cells)) for c in range(0, n_cells, per_chunk)]
 
+    def cell_sums(centres: np.ndarray) -> np.ndarray:
+        """sums[s, c, col, t]: the degree components at cell centre c summed
+        against scale s's filter.  Its own function, so that the components
+        are freed before the chunk's per-rotation arrays are built."""
+        sums = np.empty((n_scales, len(centres), n_cols, n_fields), dtype=complex)
+        for j, filt in filters.items():
+            comps = eval_degree_components(moments[j], centres)
+            part = filt @ comps.reshape(comps.shape[0], -1).view(np.float64)
+            sums[:, :, columns[j]] = part.view(complex).reshape(sums.shape[:2] + (-1, n_fields))
+        return sums
+
     def scan_chunk(cells: range):
         rows = order[bounds[cells.start] : bounds[cells.stop]]
         offsets = bounds[cells.start : cells.stop + 1] - bounds[cells.start]
-        U, V = _rotated_axes(n, rotations.angles[rows])
-        T1 = U[offsets[:-1]] @ X.T
-        # sums[s, c, col, t]: cell c's moments summed against scale s's spectrum
-        sums = np.zeros((n_scales, len(cells), n_cols, n_fields), dtype=complex)
-        for k, parts in terms.items():
-            stack = gegenbauer_all(lam + k, field_L - k, T1)
-            for j, poly, spectrum in parts:
-                weighted = stack if poly is None else stack * polyval(T1, poly)
-                mom = (weighted.reshape(-1, M) @ field_cols[j]).view(complex)
-                part = spectrum @ mom.reshape(stack.shape[0], -1)
-                sums[:, :, columns[j]] += part.reshape(n_scales, len(cells), -1, n_fields)
+        sums = cell_sums(rotations.angles[rows[offsets[:-1]], :n])
+        e2 = np.zeros((rows.size, n + 1, 1))
+        e2[:, 1] = 1.0
+        V = _rotate(n, rotations.angles[rows], e2)[..., 0]
         Vmono = np.concatenate(
             [w * _eval_monomials(V, combos) for combos, w in monomials.values()], axis=1
         )
@@ -286,14 +299,6 @@ def _scan(
     return energies, table
 
 
-def _weighted_field_matrix(fields, sphere_grid) -> np.ndarray:
-    cols = []
-    for f in fields:
-        fv = synthesize(f.coeffs, sphere_grid)
-        cols.append(fv * sphere_grid.weights / surface_area(sphere_grid.n))
-    return np.stack(cols, axis=1)
-
-
 def wavelet_analysis(
     n: int,
     profile: SpectralProfile,
@@ -303,12 +308,13 @@ def wavelet_analysis(
     sphere_grid,
     threads=None,
 ) -> TransformTable:
-    """W f(rho_j, R_g) by sphere quadrature for every grid pair."""
+    """W f(rho_j, R_g) for every grid pair: each scale's Funk-Hecke filters
+    applied to the degree components of the monomial-weighted field at the
+    rotation's cell centre."""
     if f.n != n or sphere_grid.n != n:
         raise ValueError("field, sphere grid, and transform dimension must agree")
-    fm = _weighted_field_matrix([f], sphere_grid)
     _, table = _scan(
-        n, profile, fm, f.L, scales, rotations, sphere_grid, threads, collect=True
+        n, profile, [f], f.L, scales, rotations, sphere_grid, threads, collect=True
     )
     return TransformTable(table, scales, rotations)
 
@@ -329,8 +335,7 @@ def transform_energies(
     for f in fields:
         if f.n != n:
             raise ValueError("field dimension mismatch")
-    fm = _weighted_field_matrix(fields, sphere_grid)
-    energies, _ = _scan(n, profile, fm, field_L, scales, rotations, sphere_grid, threads)
+    energies, _ = _scan(n, profile, fields, field_L, scales, rotations, sphere_grid, threads)
     return energies
 
 

@@ -3,8 +3,8 @@
 A profile (a, b, c, q, d) defines the scale family
     hat Psi_rho(l) = (rho^a q(l)^b)^c exp(-rho^a q(l)^b) * (l + lam)/lam,
 and for d >= 1 the directional member is the d-th derivative in the rotation
-angle about a tangent axis at the pole, scaled by rho^(a d / (gamma b)) with
-gamma the degree of q. The admissibility function
+angle of the (x_1, x_2) plane, towards the tangent x_2 at the pole, scaled by
+rho^(a d / (gamma b)) with gamma the degree of q. The admissibility function
     beta(l) = (1/N(n,l)) sum_kappa int |a_l^kappa(Psi_rho)|^2 drho/rho
 is exact: the scale integral is a Gamma function and the directional response
 is a power of the coupling matrix T_l built from ``ladder_beta``, so
@@ -70,7 +70,6 @@ class SpectralProfile:
     c: float
     q: tuple[float, ...]
     d: int = 0
-    direction: int = 2
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
@@ -82,8 +81,6 @@ class SpectralProfile:
         object.__setattr__(self, "q", q)
         if len(q) < 2 or q[-1] == 0.0:
             raise ValueError("q must be a polynomial of degree >= 1")
-        if self.direction < 2:
-            raise ValueError("direction axis must be >= 2 (tangent at the pole)")
         if self.amplitude <= 0:
             raise ValueError("amplitude must be positive")
         if self.q_eval(0) < 0:
@@ -230,7 +227,7 @@ def _zonal_derivative_series(
 def eval_directional_wavelet_uv(
     profile: SpectralProfile, rho: float, n: int, y1: np.ndarray, y2: np.ndarray, L: int
 ) -> np.ndarray:
-    """Directional wavelet value from the two relevant coordinates y1 = x_1, y2 = x_s."""
+    """Directional wavelet value from the two relevant coordinates y1 = x_1, y2 = x_2."""
     d = profile.d
     scale = rho ** (profile.tilde_exponent * d)
     if d == 0:
@@ -267,10 +264,7 @@ def eval_directional_wavelet(
     pts = np.asarray(point, dtype=float)
     single = pts.ndim == 1
     x = angles_to_vector(n, np.atleast_2d(pts))
-    s = profile.direction
-    if s > n + 1:
-        raise ValueError(f"direction axis {s} outside ambient dimension {n + 1}")
-    vals = eval_directional_wavelet_uv(profile, rho, n, x[:, 0], x[:, s - 1], L)
+    vals = eval_directional_wavelet_uv(profile, rho, n, x[:, 0], x[:, 1], L)
     return float(vals[0]) if single else vals
 
 
@@ -309,8 +303,6 @@ def directional_coeffs(
     for i, idx in enumerate(coeffs.indices()):
         first = abs(idx.k[0]) if idx.k else 0
         lives = first in allowed and all(ki == 0 for ki in idx.k[1:])
-        if profile.direction != 2:
-            lives = True  # generic axis: no sparsity pattern enforced
         if not lives:
             if abs(coeffs.values[i]) > tol:
                 raise RuntimeError(
@@ -363,7 +355,7 @@ def _response_norm(n: int, d: int, l: int) -> float:
 
 def degree_response_norms(n: int, d: int, L: int) -> np.ndarray:
     """R[l] = sum_kappa |a_l^kappa(D^d[C_l kernel])|^2 for l <= L, D the rotation
-    derivative about the default tangent axis (admissibility is axis-independent)."""
+    derivative in the (x_1, x_2) plane (admissibility is axis-independent)."""
     return np.array([_response_norm(n, d, l) for l in range(L + 1)])
 
 

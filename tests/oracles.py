@@ -41,7 +41,7 @@ from sphereframes.wavelet_spectra import (
 
 def grid_response_norms(n: int, d: int, L: int) -> np.ndarray:
     """R[l] = sum_kappa |a_l^kappa(D^d[C_l kernel])|^2 for l <= L by grid analysis,
-    D the rotation derivative about the default tangent axis."""
+    D the rotation derivative in the (x_1, x_2) plane."""
     lam = (n - 1) / 2
     out = np.zeros(L + 1)
     if d == 0:

@@ -14,8 +14,10 @@ from sphereframes.harmonics import (
     analyze,
     angles_to_vector,
     build_sphere_grid,
+    coefficient_count,
     dim_harmonic,
     enumerate_indices,
+    eval_degree_components,
     eval_harmonic,
     fourier_from_gegenbauer_factor,
     gegenbauer_coeff_from_fourier,
@@ -103,6 +105,66 @@ def test_separable_transforms_match_dense_basis(n, L, grid_L):
     samples = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
     want = mat.conj() @ (samples * grid.weights) / surface_area(n)
     got = analyze(samples, grid, L).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n,L", [(2, 9), (3, 5), (4, 3)])
+def test_batched_analyze_matches_per_column(n, L):
+    rng = np.random.default_rng(n)
+    grid = build_sphere_grid(n, L)
+    samples = rng.normal(size=(grid.size, 2, 3)) + 1j * rng.normal(size=(grid.size, 2, 3))
+    batched = analyze(samples, grid, L)
+    assert batched.values.shape == (coefficient_count(n, L), 2, 3)
+    for a in range(2):
+        for b in range(3):
+            single = analyze(samples[:, a, b], grid, L).values
+            assert np.max(np.abs(batched.values[:, a, b] - single)) <= 1e-14 * np.max(
+                np.abs(single)
+            )
+
+
+def test_multi_column_table_refuses_single_table_reductions():
+    # a table with a column axis comes from analyze; the methods that read one
+    # table must not silently reduce over all columns
+    n, L = 2, 3
+    grid = build_sphere_grid(n, L)
+    table = analyze(np.ones((grid.size, 2)), grid, L)
+    for call in (
+        table.norm,
+        lambda: table.degree_energy(0),
+        lambda: table.get(0, (0,)),
+        table.to_csv,
+        lambda: synthesize(table, grid),
+    ):
+        with pytest.raises(ValueError, match="one coefficient table"):
+            call()
+
+
+@pytest.mark.parametrize("n,L", [(2, 7), (3, 5), (4, 3)])
+def test_degree_components_match_dense_basis_and_eval_harmonic(n, L):
+    rng = np.random.default_rng(10 + n)
+    count = coefficient_count(n, L)
+    values = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+    coeffs = HarmonicCoefficients(n, L, values)
+    starts = [coefficient_count(n, l - 1) for l in range(L + 2)]
+    # on a grid, against the dense basis
+    grid = build_sphere_grid(n, L)
+    _, mat = harmonic_basis(grid, L)
+    got = eval_degree_components(coeffs, grid.angles)
+    assert got.shape == (L + 1, grid.size, 2)
+    for l in range(L + 1):
+        block = slice(starts[l], starts[l + 1])
+        want = mat[block].T @ values[block]
+        assert np.max(np.abs(got[l] - want)) <= 1e-12 * np.max(np.abs(want))
+    # at scattered points and both poles, against eval_harmonic index by index
+    points = rng.uniform(0.0, math.pi, size=(6, n))
+    points[:, -1] *= 2.0
+    points[0, 0], points[1, 0] = 0.0, math.pi
+    got = eval_degree_components(coeffs, points)
+    want = np.zeros_like(got)
+    for row, idx in enumerate(all_indices(n, L)):
+        want[idx.l] += eval_harmonic(n, idx, points)[:, None] * values[row]
+    assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -254,6 +316,19 @@ def test_coefficient_table_access():
         coeffs.degree_slice(4)
     with pytest.raises(ValueError):
         HarmonicCoefficients(2, 3, np.zeros(5))
+
+
+def test_degree_slice_matches_running_sum():
+    # a zero-stride table, so that n=6, L=40 needs no 17.5 M coefficients
+    for n in range(2, 7):
+        L = 40
+        table = HarmonicCoefficients(n, L, np.broadcast_to(0j, (coefficient_count(n, L),)))
+        start = 0
+        for l in range(L + 1):
+            assert table.degree_slice(l) == slice(start, start + dim_harmonic(n, l))
+            start += dim_harmonic(n, l)
+        assert start == coefficient_count(n, L) == len(table.values)
+    assert coefficient_count(3, -1) == 0
 
 
 def test_csv_round_trip():

@@ -174,6 +174,27 @@ def test_batched_rotation_matrix_matches_rows(n, deltas):
         rotation_matrix(n, grid.angles[:, :-1])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rotation_matrix_is_its_planar_factor_product(n):
+    # the docstring's convention as explicit matrices: block J (outer first)
+    # is P_n(phi) ... P_{n-J+1}(theta_1), P_i rotating coordinates (x_i, x_i+1)
+    def planar(i, a):
+        P = np.eye(n + 1)
+        P[i - 1 : i + 1, i - 1 : i + 1] = [[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
+        return P
+
+    for euler in np.random.default_rng(n).uniform(0.0, 2.0 * math.pi, size=(5, n * (n + 1) // 2)):
+        want = np.eye(n + 1)
+        offset = 0
+        for J in range(n, 0, -1):
+            T = np.eye(n + 1)
+            for i in range(J):
+                T = planar(n - J + 1 + i, euler[offset + i]) @ T
+            want = want @ T
+            offset += J
+        assert np.max(np.abs(rotation_matrix(n, euler) - want)) <= 1e-14
+
+
 def test_apply_rotation_round_trip():
     euler = np.array([0.7, 1.1, 2.3])
     point = np.array([1.2, 0.4])

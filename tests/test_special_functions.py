@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 from scipy.special import eval_gegenbauer, eval_legendre
 
 from sphereframes.special_functions import (
     funk_hecke_factor,
     gegenbauer,
     gegenbauer_all,
+    gegenbauer_connection,
     gegenbauer_derivative,
     gegenbauer_series,
     gegenbauer_squared_norm,
     surface_area,
     zonal_gauss_rule,
 )
+from sphereframes.wavelet_spectra import _theta_derivative_tableau
 
 
 def test_low_degree_values():
@@ -40,6 +43,27 @@ def test_half_integer_is_legendre():
         np.testing.assert_allclose(
             gegenbauer(0.5, l, t), eval_legendre(l, t), rtol=1e-12, atol=1e-13
         )
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
+def test_connection_coefficients_match_stacks(lam):
+    # poly(t) C^{lam+k}_m(t) re-expanded in C^lam, for every y1 polynomial of
+    # the derivative tableaux through d = 3 and the zonal k = 0 term
+    t = np.random.default_rng(int(2 * lam)).uniform(-1.0, 1.0, 60)
+    terms = [(0, np.ones(1))] + [
+        (k, tab[:, j])
+        for d in range(1, 4)
+        for k, tab in enumerate(_theta_derivative_tableau(d), start=1)
+        for j in range(tab.shape[1])
+        if tab[:, j].any()
+    ]
+    top = 64
+    for k, poly in terms:
+        series = gegenbauer_connection(lam, k, poly, np.eye(top + 1))
+        got = series @ gegenbauer_all(lam, series.shape[1] - 1, t)
+        want = polyval(t, poly) * gegenbauer_all(lam + k, top, t)
+        err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+        assert np.max(err) <= 1e-12, (k, poly)
 
 
 def test_stack_agrees_with_single_degree():

@@ -178,8 +178,43 @@ def test_transform_matches_direct_oracle(n, d):
             assert e == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_transform_matches_direct_oracle_at_band_32(d):
+    # at L=32 the kernel's connection coefficients and degree components run
+    # over many degrees; two whole outer cells keep the oracle cheap
+    n, L = 2, 32
+    prof = make_preset("abel-poisson", n, d=d)
+    sphere = build_sphere_grid(n, L)
+    scales = build_scale_grid(0.5, 1.5, 4)
+    grid = _cell_sample(build_rotation_grid(n, (1.6, 1.6)), (5, 18))
+    f = random_bandlimited(n, L, 0, 32 + d)
+    expect = direct_transform(n, prof, f, scales, grid, sphere)
+    table = wavelet_analysis(n, prof, f, scales, grid, sphere)
+    assert np.max(np.abs(table.values - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def test_transform_memory_at_band_64():
+    # the field batch of the band-64 benchmark: 4 fields, 32 outer cells of 4
+    # rotations, 42 scales.  One analysis of all 12 monomial-weighted columns
+    # peaks at 11.9 MiB by itself; one monomial per analysis keeps the whole
+    # call at 6.8 MiB.
+    n, L = 2, 64
+    prof = make_preset("abel-poisson", n, d=1)
+    sphere = build_sphere_grid(n, L)
+    scales = scale_grid_for_profile(n, prof, 1.5, L)
+    rot = build_rotation_grid(n, (1.6, 1.6))
+    fields = [random_bandlimited(n, L, 0, s) for s in np.random.SeedSequence(7).spawn(4)]
+    tracemalloc.start()
+    try:
+        transform_energies(n, prof, fields, scales, rot, sphere)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_transform_memory_does_not_grow_with_inner_cells():
-    # the outer S^2 cells fix the Gegenbauer stacks; refining S^1 from 4 to 32
+    # the outer S^2 cells fix the cell centres U; refining S^1 from 4 to 32
     # cells multiplies the rotations by 8 but must not grow the working set
     n, L = 2, 16
     prof = make_preset("abel-poisson", n, d=1)

@@ -11,9 +11,15 @@ polar axis tau contracts the chain index k_{tau-1} against normalized rows
 h^(-1/2) C_m^mu(cos theta) sin^|k_tau|(theta), made by one recurrence in m,
 and a DFT over the azimuths sums the signed last index.  analyze is the
 adjoint of the same steps and takes a trailing column axis, so several
-sample sets share one pass.  Memory stays at the size of the grid and one
-bounded block of rows.  eval_degree_components evaluates a coefficient
-table at scattered points, one degree at a time, from the same rows.
+sample sets share one pass.  The rows depend only on the grid, so
+build_sphere_grid computes them once, for every order, and the grid holds
+them: (n - 1)(L + 1)^3 * 8 bytes, 2.1 MiB at n=2, L=64 and 16 MiB at
+L=128.  It refuses a grid whose rows would pass _MAX_ARRAY_BYTES (1 GiB;
+at n=2 the largest grid is L=511).  synthesize and analyze at a band below
+the grid's take a slice of them; besides the rows, their working memory is
+a few arrays the size of the grid.  eval_degree_components evaluates a
+coefficient table at scattered points, one degree at a time, from rows of
+the same recurrence at those points.
 harmonic_basis keeps the dense matrix of every harmonic on the grid as the
 reference the tests compare against.
 """
@@ -57,10 +63,9 @@ __all__ = [
 ]
 
 
-# Largest dense basis harmonic_basis allocates; larger requests raise.
-_BASIS_MAX_BYTES = 2**30
-# Bytes of the normalized axis rows that synthesize and analyze hold at once.
-_ROW_BYTES = 8 * 2**20
+# Largest dense basis harmonic_basis allocates, and largest set of axis rows
+# a SphereGrid holds; larger requests raise.
+_MAX_ARRAY_BYTES = 2**30
 
 
 class HarmonicIndex(NamedTuple):
@@ -170,6 +175,8 @@ class SphereGrid:
     phi_weight: float
     angles: np.ndarray  # (M, n) flattened angle tuples
     weights: np.ndarray  # (M,)
+    # per polar axis, read-only rows[kk, m, node] of _axis_rows for every kk <= L
+    axis_rows: list[np.ndarray]
 
     @property
     def size(self) -> int:
@@ -180,16 +187,30 @@ class SphereGrid:
 
 
 def build_sphere_grid(n: int, L: int) -> SphereGrid:
-    """Gauss rule per polar angle (weight-matched) and uniform azimuth, exact at 2L."""
+    """Gauss rule per polar angle (weight-matched) and uniform azimuth, exact at 2L.
+
+    Also computes each polar axis's normalized rows for every order kk <= L,
+    which synthesize and analyze share.  Raises before holding more than
+    _MAX_ARRAY_BYTES of them.
+    """
     if n < 2:
         raise ValueError(f"sphere dimension must be >= 2, got {n}")
     if L < 0:
         raise ValueError(f"band limit must be >= 0, got {L}")
-    axis_nodes, axis_weights = [], []
+    nbytes = (n - 1) * (L + 1) ** 3 * np.dtype(float).itemsize
+    if nbytes > _MAX_ARRAY_BYTES:
+        raise ValueError(
+            f"axis rows of the sphere grid for n={n}, L={L} need {nbytes} bytes, "
+            f"over the {_MAX_ARRAY_BYTES}-byte limit"
+        )
+    axis_nodes, axis_weights, axis_rows = [], [], []
     for tau in range(1, n):
         t, w = zonal_gauss_rule((n - tau) / 2, L + 1)
         axis_nodes.append(t)
         axis_weights.append(w)
+        rows = _axis_rows((n - tau) / 2, t, L, np.arange(L + 1))
+        rows.flags.writeable = False
+        axis_rows.append(rows)
     m_phi = 2 * L + 1
     phi = 2.0 * math.pi * np.arange(m_phi) / m_phi
     phi_w = 2.0 * math.pi / m_phi
@@ -201,7 +222,7 @@ def build_sphere_grid(n: int, L: int) -> SphereGrid:
     weights = np.ones(angles.shape[0])
     for wm in wmesh:
         weights = weights * wm.reshape(-1)
-    return SphereGrid(n, L, axis_nodes, axis_weights, phi, phi_w, angles, weights)
+    return SphereGrid(n, L, axis_nodes, axis_weights, phi, phi_w, angles, weights, axis_rows)
 
 
 def harmonic_basis(grid: SphereGrid, L: int) -> tuple[list[HarmonicIndex], np.ndarray]:
@@ -209,15 +230,15 @@ def harmonic_basis(grid: SphereGrid, L: int) -> tuple[list[HarmonicIndex], np.nd
 
     The reference that the separable synthesize and analyze are tested
     against; nothing on the transform path builds it.  Raises before
-    allocating more than _BASIS_MAX_BYTES.
+    allocating more than _MAX_ARRAY_BYTES.
     """
     n = grid.n
     count = coefficient_count(n, L)
     nbytes = count * grid.size * np.dtype(complex).itemsize
-    if nbytes > _BASIS_MAX_BYTES:
+    if nbytes > _MAX_ARRAY_BYTES:
         raise ValueError(
             f"dense harmonic basis for n={n}, L={L} on {grid.size} nodes needs "
-            f"{nbytes} bytes, over the {_BASIS_MAX_BYTES}-byte limit"
+            f"{nbytes} bytes, over the {_MAX_ARRAY_BYTES}-byte limit"
         )
     indices = all_indices(n, L)
     # per-axis blocks C_m^{(n-tau)/2 + kk}(t) * sin^kk(theta), any m <= L, kk <= L
@@ -287,12 +308,6 @@ def _axis_rows(base: float, t: np.ndarray, L: int, kk: np.ndarray) -> np.ndarray
             alpha[:K, j - 1 : j] * t * rows[:K, j - 1] - beta[:K, j - 2 : j - 1] * rows[:K, j - 2]
         )
     return rows
-
-
-def _order_blocks(L: int, nodes: int) -> list[np.ndarray]:
-    """Runs of kk = 0..L whose axis rows fit in _ROW_BYTES; at least one order each."""
-    per = max(1, _ROW_BYTES // (8 * (L + 1) * nodes))
-    return [np.arange(k, min(k + per, L + 1)) for k in range(0, L + 1, per)]
 
 
 def _chain_coords(n: int, L: int) -> tuple[np.ndarray, ...]:
@@ -421,6 +436,7 @@ def analyze(samples: np.ndarray, grid: SphereGrid, L: int) -> HarmonicCoefficien
     if L > grid.L:
         raise ValueError(f"grid exact to band {grid.L}, cannot analyze at L={L}")
     n, side = grid.n, L + 1
+    kk = np.arange(side)
     columns = samples.shape[1:]
     width = math.prod(columns)
     n_phi = grid.phi_nodes.size
@@ -435,15 +451,14 @@ def analyze(samples: np.ndarray, grid: SphereGrid, L: int) -> HarmonicCoefficien
         t = grid.axis_nodes[tau - 1]
         # (nodes of the axes before tau, node of axis tau, kk_tau, later kk, sign and column)
         xr = x.reshape(-1, t.size, side, 2 * side ** (n - 1 - tau) * width).view(np.float64)
-        # y[p, kk_{tau-1}, kk_tau, q], padded to kk_{tau-1} = 2L for the zero rows
-        # with kk_tau + m > L; the padding is dropped after the axis
+        rows = grid.axis_rows[tau - 1][:side, :side]  # (kk_tau, m, node)
+        rhs = xr.transpose(2, 1, 0, 3).reshape(side, t.size, -1)
+        out = (rows @ rhs).reshape(side, side, xr.shape[0], -1)
+        # y[p, kk_{tau-1}, kk_tau, q] with kk_{tau-1} = kk_tau + m, padded to
+        # 2L; the padding holds the rows' m > L - kk_tau, which no harmonic
+        # of degree <= L reaches, and is dropped after the axis
         y = np.zeros((xr.shape[0], 2 * L + 1, side, xr.shape[3]))
-        for kk in _order_blocks(L, t.size):
-            rows = _axis_rows((n - tau) / 2, t, L, kk)  # (kk_tau, m, node)
-            rhs = xr[:, :, kk].transpose(2, 1, 0, 3).reshape(kk.size, t.size, -1)
-            out = (rows @ rhs).reshape(kk.size, rows.shape[1], xr.shape[0], -1)
-            outer = kk[:, None] + np.arange(rows.shape[1])  # kk_{tau-1} = kk_tau + m
-            y[:, outer, kk[:, None]] = out.transpose(2, 0, 1, 3)
+        y[:, kk[:, None] + kk, kk[:, None]] = out.transpose(2, 0, 1, 3)
         x = y[:, :side].view(complex)
     scale = math.sqrt(surface_area(n) / (2.0 * math.pi)) / surface_area(n)
     values = x.reshape(-1, width)[_chain_positions(n, L)] * scale
@@ -463,22 +478,21 @@ def synthesize(coeffs: HarmonicCoefficients, grid: SphereGrid) -> np.ndarray:
         raise ValueError(f"coefficients at L={coeffs.L} exceed grid band {grid.L}")
     n, L = grid.n, coeffs.L
     side = L + 1
+    kk = np.arange(side)
     x = np.zeros((side,) * n + (2,), dtype=complex)
     x.reshape(-1)[_chain_positions(n, L)] = coeffs._single()
     for tau in range(1, n):
         t = grid.axis_nodes[tau - 1]
+        rows = grid.axis_rows[tau - 1][:side, :side]  # (kk_tau, m, node)
         # (nodes of the axes before tau, kk_{tau-1}, kk_tau, later kk and sign),
-        # padded with zeros to kk_{tau-1} = 2L so that every kk_tau + m exists
+        # padded with zeros to kk_{tau-1} = 2L so that every kk_tau + m exists;
+        # the zeros meet the rows' m > L - kk_tau
         xr = x.reshape(-1, side, side, 2 * side ** (n - 1 - tau)).view(np.float64)
         pad = np.concatenate([xr, np.zeros_like(xr[:, :L])], axis=1)
-        y = np.empty((xr.shape[0], t.size, side, xr.shape[3]))
-        for kk in _order_blocks(L, t.size):
-            rows = _axis_rows((n - tau) / 2, t, L, kk)  # (kk_tau, m, node)
-            outer = kk[:, None] + np.arange(rows.shape[1])  # kk_{tau-1} = kk_tau + m
-            lhs = pad[:, outer, kk[:, None]].transpose(1, 0, 3, 2)
-            out = lhs.reshape(kk.size, -1, rows.shape[1]) @ rows
-            y[:, :, kk] = out.reshape(kk.size, xr.shape[0], -1, t.size).transpose(1, 3, 0, 2)
-        x = y.view(complex)
+        lhs = pad[:, kk[:, None] + kk, kk[:, None]].transpose(1, 0, 3, 2)
+        out = lhs.reshape(side, -1, side) @ rows
+        y = out.reshape(side, xr.shape[0], -1, t.size).transpose(1, 3, 0, 2)
+        x = np.ascontiguousarray(y).view(complex)
     x = x.reshape(-1, side, 2)
     n_phi = grid.phi_nodes.size
     fourier = np.zeros((x.shape[0], n_phi), dtype=complex)

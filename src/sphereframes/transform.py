@@ -45,7 +45,7 @@ from .wavelet_spectra import (
     BetaTable,
     SpectralProfile,
     _theta_derivative_tableau,
-    zonal_hat_all,
+    zonal_hat,
 )
 
 __all__ = [
@@ -118,12 +118,15 @@ class TransformTable:
             )
 
     def to_csv(self) -> str:
-        lines = ["j,g,re,im"]
-        for j in range(self.values.shape[0]):
-            for g in range(self.values.shape[1]):
-                w = self.values[j, g]
-                lines.append(f"{j},{g},{w.real:.17g},{w.imag:.17g}")
-        return "\n".join(lines) + "\n"
+        """One "j,g,re,im" line per entry, scale-major, parts in %.17g."""
+        n_scales, n_rotations = self.values.shape
+        columns = (
+            np.repeat(np.arange(n_scales), n_rotations).tolist(),
+            np.tile(np.arange(n_rotations), n_scales).tolist(),
+            self.values.real.ravel().tolist(),
+            self.values.imag.ravel().tolist(),
+        )
+        return "j,g,re,im\n" + "".join(map("{},{},{:.17g},{:.17g}\n".format, *columns))
 
 
 # Bytes of one chunk of outer cells: the normalized axis rows and phases at
@@ -168,7 +171,7 @@ def _filters(n: int, profile: SpectralProfile, field_L: int, scales: ScaleGrid) 
     tables = {0: np.ones((1, 1))} if d == 0 else dict(
         enumerate(_theta_derivative_tableau(d), start=1)
     )
-    hats = np.array([zonal_hat_all(profile, float(r), n, field_L) for r in scales.scales])
+    hats = zonal_hat(profile, scales.scales[:, None], np.arange(field_L + 1), n)
     hats *= (scales.scales ** (profile.tilde_exponent * d))[:, None]
     filters = {}
     for k, tab in tables.items():

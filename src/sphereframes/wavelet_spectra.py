@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -123,22 +122,25 @@ def make_preset(name: str, n: int, d: int = 0, order: int = 2) -> SpectralProfil
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 
-def zonal_hat(profile: SpectralProfile, rho: float, l, n: int):
-    """Spectrum value hat Psi_rho(l); l may be an integer array."""
-    if rho <= 0:
-        raise ValueError(f"scale must be positive, got {rho}")
+def zonal_hat(profile: SpectralProfile, rho: float | np.ndarray, l, n: int):
+    """Spectrum value hat Psi_rho(l); the scales rho and the integer degrees l
+    may be arrays that broadcast together.  A float when both are scalars."""
+    # [()] leaves a scalar rho as np.float64, whose ** is the C library's pow
+    # like a Python float's; the other powers go through np.power on arrays
+    rho = np.asarray(rho, dtype=float)[()]
+    if np.any(rho <= 0):
+        bad = np.asarray(rho)[rho <= 0].flat[0]
+        raise ValueError(f"scale must be positive, got {bad}")
     lam = (n - 1) / 2
-    larr = np.atleast_1d(np.asarray(l))
-    qv = np.atleast_1d(np.asarray(profile.q_eval(larr), dtype=float))
+    larr = np.asarray(l)
+    qv = np.asarray(profile.q_eval(larr), dtype=float)
     if np.any(qv[larr >= 1] <= 0):
         raise ValueError("q(l) <= 0 inside the requested range")
     pos = qv > 0
-    s = np.zeros_like(qv)
-    s[pos] = rho**profile.a * qv[pos] ** profile.b
-    val = np.zeros_like(qv)
-    val[pos] = s[pos] ** profile.c * np.exp(-s[pos])
+    s = rho**profile.a * np.power(np.where(pos, qv, 0.0), profile.b)
+    val = np.where(pos, np.power(s, profile.c) * np.exp(-s), 0.0)
     out = profile.amplitude * val * (larr + lam) / lam
-    return float(out[0]) if np.asarray(l).ndim == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def zonal_hat_all(profile: SpectralProfile, rho: float, n: int, L: int) -> np.ndarray:
@@ -167,7 +169,6 @@ def spectral_cutoff(
 # directional evaluation
 
 
-@lru_cache(maxsize=None)
 def _theta_derivative_tableau(d: int) -> tuple[np.ndarray, ...]:
     """Coefficient arrays T[k][i, j] with d^d/dTheta^d psi(t(Theta))|_0 =
     sum_k T[k](y1, y2) psi^(k)(y1), entries indexing y1^i y2^j."""
@@ -315,7 +316,6 @@ def directional_coeffs(
 
 def ladder_beta(lam: float, l: int, iota: int) -> float:
     """Coupling coefficient linking adjacent azimuthal orders within degree l."""
-    lam = getattr(lam, "lam", lam)
     if not 0 <= iota <= l:
         raise ValueError(f"need 0 <= iota <= l, got iota={iota}, l={l}")
     bracket = l * (2.0 * lam + l) - iota * (2.0 * lam + iota)

@@ -11,7 +11,8 @@ paths against them:
 - ``quadrature_beta`` integrates the degree-l energy over log-scale with
   composite Gauss-Legendre panels, twice, and requires the two to agree;
 - ``direct_transform`` evaluates the rotated wavelet on the sphere grid for
-  every rotation and scale and pairs it with the weighted field.
+  every rotation and scale and pairs it with the weighted field;
+- ``table_csv`` formats a transform table one entry at a time.
 """
 
 from __future__ import annotations
@@ -167,3 +168,13 @@ def direct_transform(n: int, profile, field, scales, rotations, sphere) -> np.nd
             psi = eval_directional_wavelet_uv(profile, float(rho), n, y1, y2, field.L)
             out[j, g] = psi @ weighted
     return out
+
+
+def table_csv(values: np.ndarray) -> str:
+    """The "j,g,re,im" text of a (scales x rotations) table, one f-string per entry."""
+    lines = ["j,g,re,im"]
+    for j in range(values.shape[0]):
+        for g in range(values.shape[1]):
+            w = values[j, g]
+            lines.append(f"{j},{g},{w.real:.17g},{w.imag:.17g}")
+    return "\n".join(lines) + "\n"

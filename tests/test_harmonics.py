@@ -91,7 +91,9 @@ def test_analyze_synthesize_round_trip():
         np.testing.assert_allclose(back.values, coeffs.values, atol=1e-11)
 
 
-@pytest.mark.parametrize("n,L,grid_L", [(2, 16, 16), (3, 8, 8), (4, 4, 4), (2, 5, 9)])
+@pytest.mark.parametrize(
+    "n,L,grid_L", [(2, 16, 16), (3, 8, 8), (4, 4, 4), (2, 5, 9), (3, 5, 8)]
+)
 def test_separable_transforms_match_dense_basis(n, L, grid_L):
     rng = np.random.default_rng(n * 100 + L)
     grid = build_sphere_grid(n, grid_L)
@@ -199,6 +201,30 @@ def test_dense_basis_refuses_oversized_request():
     grid = build_sphere_grid(2, 128)
     with pytest.raises(ValueError, match="8827185168 bytes"):
         harmonic_basis(grid, 128)
+
+
+@pytest.mark.parametrize("n,L", [(2, 9), (3, 5), (4, 3)])
+def test_grid_holds_the_axis_rows_of_every_order(n, L):
+    grid = build_sphere_grid(n, L)
+    assert len(grid.axis_rows) == n - 1
+    for tau in range(1, n):
+        held = grid.axis_rows[tau - 1]
+        fresh = _axis_rows((n - tau) / 2, grid.axis_nodes[tau - 1], L, np.arange(L + 1))
+        assert held.shape == fresh.shape == (L + 1, L + 1, L + 1)
+        assert held.tobytes() == fresh.tobytes()
+        assert not held.flags.writeable
+
+
+def test_sphere_grid_refuses_oversized_axis_rows():
+    # (n - 1)(L + 1)^3 * 8 bytes of rows; refused before any of them exist
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="1736654408 bytes"):
+            build_sphere_grid(2, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("kk", [0, 200, 400])

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import direct_transform
+from oracles import direct_transform, table_csv
 
 from sphereframes import transform
 from sphereframes.harmonics import HarmonicCoefficients, build_sphere_grid
@@ -18,7 +18,13 @@ from sphereframes.transform import (
     transform_energies,
     wavelet_analysis,
 )
-from sphereframes.wavelet_spectra import build_beta_table, directional_coeffs, make_preset
+from sphereframes.wavelet_spectra import (
+    PRESET_NAMES,
+    build_beta_table,
+    directional_coeffs,
+    make_preset,
+    zonal_hat_all,
+)
 
 
 def test_random_field_determinism():
@@ -281,3 +287,41 @@ def test_table_csv_and_alignment():
     other = build_rotation_grid(n, (1.5, 1.5))
     with pytest.raises(ValueError):
         frame_energy(table, rotations=other)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_filters_match_per_scale_spectra(n, monkeypatch):
+    # one zonal_hat call over (scales x degrees) gives the bits of one
+    # zonal_hat_all call per scale
+    L = 12
+
+    def per_scale(profile, rho, l, n):
+        return np.array([zonal_hat_all(profile, float(r), n, int(l[-1])) for r in rho.ravel()])
+
+    for name in PRESET_NAMES:
+        for d in range(3):
+            prof = make_preset(name, n, d=d)
+            scales = scale_grid_for_profile(n, prof, 1.5, L)
+            whole = transform._filters(n, prof, L, scales)
+            with monkeypatch.context() as m:
+                m.setattr(transform, "zonal_hat", per_scale)
+                stacked = transform._filters(n, prof, L, scales)
+            assert whole.keys() == stacked.keys()
+            for j in whole:
+                assert whole[j].tobytes() == stacked[j].tobytes()
+
+
+def test_table_csv_matches_per_entry_formatter():
+    n = 2
+    scales = build_scale_grid(1.0, 1.5, 2)
+    rot = build_rotation_grid(n, (2.0, 2.0))
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1 / 3, -2.5e-310, 1e300]
+    values = np.empty((len(scales), len(rot)), dtype=complex)
+    values.real = np.resize(special, values.shape)
+    values.imag = np.resize(special[::-1] + [7.0], values.shape)
+    table = TransformTable(values, scales, rot)
+    text = table.to_csv()
+    assert text == table_csv(values)
+    assert {"0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324"} <= set(
+        text.replace("\n", ",").split(",")
+    )

@@ -60,6 +60,23 @@ def test_zonal_hat_literal_formula():
     np.testing.assert_allclose(zonal_hat_all(prof, rho, n, 5), hats, rtol=1e-15)
 
 
+def test_zonal_hat_broadcasts_scales_against_degrees():
+    prof = SpectralProfile(a=2.0, b=1.5, c=3.0, q=(0.0, 1.0, 0.5), amplitude=1.7)
+    rhos = np.array([0.3, 0.8, 2.0])
+    ls = np.arange(7)
+    hats = zonal_hat(prof, rhos[:, None], ls, 3)
+    assert hats.shape == (3, 7)
+    for row, rho in zip(hats, rhos):
+        # numpy's vectorized power may round rho^a apart from the scalar power
+        np.testing.assert_allclose(row, zonal_hat_all(prof, float(rho), 3, 6), rtol=1e-15)
+    for bad in (0.0, -0.5):
+        with pytest.raises(ValueError, match=f"scale must be positive, got {bad}"):
+            zonal_hat(prof, np.array([0.5, bad, 1.0])[:, None], ls, 3)
+    negative = SpectralProfile(a=1.0, b=1.0, c=1.0, q=(1.0, 0.5, -0.5))
+    with pytest.raises(ValueError, match="q\\(l\\) <= 0"):
+        zonal_hat(negative, rhos[:, None], ls, 3)
+
+
 def test_presets():
     assert AP.a == AP.b == AP.c == 1.0 and AP.q == (0.0, 1.0) and AP.d == 0
     gw2 = make_preset("gauss-weierstrass", 2)

@@ -11,10 +11,6 @@ energy E_i against S_i, relative to its continuous energy O_i.  With that
 denominator |E - O| / O <= eps_hat + delta_hat by the triangle inequality.  A
 report passes when all trial ratios stay inside the window and the combined
 deviation eps_hat + delta_hat leaves the required margin below 1.
-
-The sup-norm error budget mirrors the per-level structure of the grid error
-bound; the constants in that bound are unspecified, so the budget is reported
-as a relative diagnostic, not as a certified bound.
 """
 
 from __future__ import annotations
@@ -28,25 +24,14 @@ import numpy as np
 
 from .harmonics import build_sphere_grid
 from .rotation_grid import build_rotation_grid
-from .scale_grid import ScaleGrid, epsilon_report, scale_grid_for_profile
+from .scale_grid import epsilon_report, scale_grid_for_profile
 from .transform import energy_identity_oracle, random_bandlimited, transform_energies
-from .wavelet_spectra import (
-    SpectralProfile,
-    _eval_uv_poly,
-    _theta_derivative_tableau,
-    _zonal_derivative_series,
-    build_beta_table,
-    profile_order,
-    spectral_cutoff,
-    wavelet_bounds,
-)
+from .wavelet_spectra import SpectralProfile, build_beta_table, profile_order, wavelet_bounds
 
 __all__ = [
     "FrameReport",
     "certify_frame",
     "find_refinement",
-    "ErrorBudget",
-    "error_budget",
     "normalize_bounds",
 ]
 
@@ -252,8 +237,9 @@ def find_refinement(
     Each round halves every rotation cap and the log of the scale ratio.
     Returns the first passing report; raises if max_rounds is exhausted.
     """
+    if max_rounds < 1:
+        raise ValueError(f"need at least one round, got max_rounds={max_rounds}")
     deltas = tuple(float(x) for x in delta_list)
-    report = None
     for _ in range(max_rounds):
         report = certify_frame(
             n,
@@ -296,108 +282,3 @@ def normalize_bounds(report: FrameReport) -> FrameReport:
         oracles=report.oracles * s,
         normalization=report.normalization * s,
     )
-
-
-# ---------------------------------------------------------------------------
-# sup-norm error budget
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Per-scale sup norms and per-level grid-error indicators."""
-
-    sup_wavelet: np.ndarray
-    sup_gradient: np.ndarray
-    delta_list: tuple
-    per_level: np.ndarray
-    total: float
-
-
-def _poly_partial(table: np.ndarray, axis: int) -> np.ndarray:
-    out = np.zeros_like(table)
-    for i in range(table.shape[0]):
-        for j in range(table.shape[1]):
-            c = table[i, j]
-            if c == 0.0:
-                continue
-            if axis == 0 and i >= 1:
-                out[i - 1, j] += c * i
-            elif axis == 1 and j >= 1:
-                out[i, j - 1] += c * j
-    return out
-
-
-def _sup_norms(
-    n: int, profile: SpectralProfile, rho: float, dense: int, max_degree: int
-):
-    """Sup of |Psi_rho| and of its tangential gradient on a dense angle net.
-
-    The wavelet depends on the point only through y1 and y2, so the net runs
-    over that pair; the gradient uses the exact derivative of the expansion,
-    projected onto the tangent plane.
-    """
-    d = profile.d
-    L = min(spectral_cutoff(profile, rho, n), max_degree)
-    theta = np.linspace(0.0, math.pi, dense)
-    phi = np.linspace(0.0, math.pi, max(dense // 8, 9))
-    y1 = np.repeat(np.cos(theta), phi.size)
-    y2 = np.outer(np.sin(theta), np.cos(phi)).ravel()
-
-    def series(k: int) -> np.ndarray:
-        return _zonal_derivative_series(profile, rho, n, L, k, y1)
-
-    scale = rho ** (profile.tilde_exponent * d)
-    if d == 0:
-        val = series(0)
-        grad_u = series(1)
-        grad_v = np.zeros_like(val)
-    else:
-        tables = _theta_derivative_tableau(d)
-        val = np.zeros_like(y1)
-        grad_u = np.zeros_like(y1)
-        grad_v = np.zeros_like(y1)
-        for k in range(1, d + 1):
-            tab = tables[k - 1]
-            pk = _eval_uv_poly(tab, y1, y2)
-            sk = series(k)
-            val += pk * sk
-            grad_u += _eval_uv_poly(_poly_partial(tab, 0), y1, y2) * sk
-            grad_u += pk * series(k + 1)
-            grad_v += _eval_uv_poly(_poly_partial(tab, 1), y1, y2) * sk
-    val *= scale
-    grad_u *= scale
-    grad_v *= scale
-    grad_sq = (
-        grad_u**2 * (1.0 - y1**2)
-        - 2.0 * grad_u * grad_v * y1 * y2
-        + grad_v**2 * (1.0 - y2**2)
-    )
-    return float(np.max(np.abs(val))), float(np.sqrt(max(np.max(grad_sq), 0.0)))
-
-
-def error_budget(
-    n: int,
-    profile: SpectralProfile,
-    scales: ScaleGrid,
-    delta_list,
-    dense: int = 257,
-    max_degree: int = 2048,
-) -> ErrorBudget:
-    """Per-level indicators delta_J * sum_j w_j |Psi_j|_inf |grad Psi_j|_inf.
-
-    Relative diagnostic only: the proportionality constants of the underlying
-    bound are unknown, and the series is capped at max_degree for very small
-    scales.
-    """
-    deltas = tuple(float(x) for x in delta_list)
-    if len(deltas) != n:
-        raise ValueError(f"need {n} diameter caps, got {len(deltas)}")
-    if any(x < 0 for x in deltas):
-        raise ValueError("diameter caps must be nonnegative")
-    sup_w = np.empty(len(scales))
-    sup_g = np.empty(len(scales))
-    for j, rho in enumerate(scales.scales):
-        sup_w[j], sup_g[j] = _sup_norms(n, profile, float(rho), dense, max_degree)
-    weighted = float(np.dot(scales.weights, sup_w * sup_g))
-    per_level = np.array([dlt * weighted for dlt in deltas])
-    return ErrorBudget(sup_w, sup_g, deltas, per_level, float(per_level.sum()))

@@ -50,16 +50,13 @@ __all__ = [
     "coefficient_count",
     "enumerate_indices",
     "all_indices",
-    "eval_harmonic",
     "build_sphere_grid",
     "harmonic_basis",
     "analyze",
     "synthesize",
     "eval_degree_components",
-    "gegenbauer_coeff_from_fourier",
     "fourier_from_gegenbauer_factor",
     "angles_to_vector",
-    "vector_to_angles",
 ]
 
 
@@ -141,26 +138,6 @@ def harmonic_normalization(n: int, index: HarmonicIndex) -> float:
     """Constant A_l^k making the harmonic unit-norm under the 1/Sigma_n inner product."""
     validate_index(n, index)
     return math.exp(-0.5 * _log_norm_product(n, index))
-
-
-def eval_harmonic(n: int, index: HarmonicIndex, point) -> complex | np.ndarray:
-    """Evaluate Y_l^k at angle tuples; accepts one point or an array (P, n)."""
-    index = HarmonicIndex(index[0], tuple(index[1]))
-    validate_index(n, index)
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    if pts.shape[1] != n:
-        raise ValueError(f"points need {n} angles for the {n}-sphere, got {pts.shape[1]}")
-    l, k = index
-    chain = (l,) + tuple(abs(ki) for ki in k)
-    out = np.full(pts.shape[0], harmonic_normalization(n, index), dtype=complex)
-    for tau in range(1, n):
-        mu = (n - tau) / 2 + chain[tau]
-        m = chain[tau - 1] - chain[tau]
-        theta = pts[:, tau - 1]
-        t = np.cos(theta)
-        out *= gegenbauer_all(mu, m, t)[m] * np.sin(theta) ** chain[tau]
-    out *= np.exp(1j * k[-1] * pts[:, n - 1])
-    return out[0] if np.asarray(point).ndim == 1 else out
 
 
 @dataclass
@@ -539,11 +516,6 @@ def fourier_from_gegenbauer_factor(n: int, l: int) -> float:
     return (lam + l) / (lam * math.sqrt(dim_harmonic(n, l)))
 
 
-def gegenbauer_coeff_from_fourier(n: int, l: int, a: complex) -> complex:
-    """Gegenbauer-series coefficient of a zonal function from its k=0 Fourier coefficient."""
-    return fourier_from_gegenbauer_factor(n, l) * a
-
-
 def angles_to_vector(n: int, angles) -> np.ndarray:
     """Embed angle tuples into ambient coordinates; (..., n) -> (..., n+1)."""
     a = np.asarray(angles, dtype=float)
@@ -558,20 +530,4 @@ def angles_to_vector(n: int, angles) -> np.ndarray:
         run = run * np.sin(a[..., j])
     out[..., n - 1] = run * np.cos(a[..., n - 1])
     out[..., n] = run * np.sin(a[..., n - 1])
-    return out[0] if single else out
-
-
-def vector_to_angles(n: int, x) -> np.ndarray:
-    """Inverse of angles_to_vector; tolerant at the poles (phi set to 0 there)."""
-    v = np.asarray(x, dtype=float)
-    single = v.ndim == 1
-    v = np.atleast_2d(v)
-    if v.shape[-1] != n + 1:
-        raise ValueError(f"need {n + 1} coordinates, got {v.shape[-1]}")
-    out = np.empty(v.shape[:-1] + (n,))
-    for j in range(n - 1):
-        tail = np.sqrt(np.sum(v[..., j + 1 :] ** 2, axis=-1))
-        out[..., j] = np.arctan2(tail, v[..., j])
-    phi = np.arctan2(v[..., n], v[..., n - 1])
-    out[..., n - 1] = np.mod(phi, 2.0 * math.pi)
     return out[0] if single else out

@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harmonics import angles_to_vector, vector_to_angles
 from .special_functions import surface_area
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "RotationGrid",
     "build_rotation_grid",
     "rotation_matrix",
-    "apply_rotation",
 ]
 
 
@@ -93,19 +91,15 @@ def partition_sphere(J: int, delta: float) -> SpherePartition:
         )
 
     if J == 1:
-        count = math.ceil(2.0 * math.pi / delta)
+        count = _arc_count(delta)
         arc = 2.0 * math.pi / count
         cells = tuple(
             PartitionCell(((i + 0.5) * arc,), arc, arc) for i in range(count)
         )
         return SpherePartition(J, delta, cells)
 
-    bands = math.ceil(math.pi * math.sqrt(2.0) / delta)
-    h = math.pi / bands
     cells = []
-    for i in range(bands):
-        a, b = i * h, (i + 1) * h
-        sin_max = 1.0 if a <= math.pi / 2 <= b else max(math.sin(a), math.sin(b))
+    for a, b, h, sin_max in _bands(delta):
         sub = partition_sphere(J - 1, (delta - h) / sin_max)
         theta_mid = 0.5 * (a + b)
         band_measure = sin_power_integral(J - 1, a, b)
@@ -118,6 +112,38 @@ def partition_sphere(J: int, delta: float) -> SpherePartition:
                 )
             )
     return SpherePartition(J, delta, tuple(cells))
+
+
+def _arc_count(delta: float) -> int:
+    return math.ceil(2.0 * math.pi / delta)
+
+
+def _bands(delta: float):
+    """Latitude bands (a, b, height, largest sine) of height <= delta / sqrt(2)."""
+    bands = math.ceil(math.pi * math.sqrt(2.0) / delta)
+    h = math.pi / bands
+    for i in range(bands):
+        a, b = i * h, (i + 1) * h
+        sin_max = 1.0 if a <= math.pi / 2 <= b else max(math.sin(a), math.sin(b))
+        yield a, b, h, sin_max
+
+
+def _cell_count(J: int, delta: float, limit: int) -> int:
+    """len(partition_sphere(J, delta)) without building a cell, for delta > 0.
+
+    Stops at the first band that takes the count past limit and returns the
+    count so far, so the work is bounded by limit rather than by the cells.
+    """
+    if delta >= math.pi:
+        return 1
+    if J == 1:
+        return _arc_count(delta)
+    count = 0
+    for _, _, h, sin_max in _bands(delta):
+        count += _cell_count(J - 1, (delta - h) / sin_max, limit - count)
+        if count > limit:
+            break
+    return count
 
 
 @dataclass(frozen=True)
@@ -173,21 +199,29 @@ def build_rotation_grid(
     """Cartesian product of partitions of S^n, ..., S^1 with product weights.
 
     delta_list is ordered (delta_n, ..., delta_1), outermost sphere first.
-    Raises if the product of partition sizes exceeds max_elements.
+    Raises if the product of partition sizes exceeds max_elements, before
+    any partition is built: the sizes are counted innermost first, and each
+    count stops once it passes the room the smaller spheres leave.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     deltas = tuple(float(d) for d in delta_list)
     if len(deltas) != n:
         raise ValueError(f"need {n} diameter caps, got {len(deltas)}")
+    if min(deltas) <= 0:
+        raise ValueError(f"diameter caps must be positive, got {deltas}")
+    total = 1
+    for J in range(1, n + 1):
+        room = max_elements // total
+        count = _cell_count(J, deltas[n - J], room)
+        if count > room:
+            raise ValueError(
+                f"rotation grid would hold more than {max_elements} elements, the cap; "
+                "increase the caps in delta_list or raise max_elements"
+            )
+        total *= count
     parts = [partition_sphere(J, deltas[n - J]) for J in range(n, 0, -1)]
     sizes = tuple(len(p) for p in parts)
-    total = math.prod(sizes)
-    if total > max_elements:
-        raise ValueError(
-            f"rotation grid would hold {total} elements (cap {max_elements}); "
-            "increase the caps in delta_list or raise max_elements"
-        )
     m = n * (n + 1) // 2
     angles = np.empty((total, m))
     weights = np.ones(total)
@@ -241,9 +275,3 @@ def rotation_matrix(n: int, euler) -> np.ndarray:
     """
     batch = np.shape(euler)[:-1]
     return _rotate(n, euler, np.broadcast_to(np.eye(n + 1), batch + (n + 1, n + 1)).copy())
-
-
-def apply_rotation(n: int, euler, point):
-    """Rotate a point given by its angle tuple; returns the image's angles."""
-    R = rotation_matrix(n, euler)
-    return vector_to_angles(n, R @ angles_to_vector(n, point))

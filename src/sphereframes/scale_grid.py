@@ -43,17 +43,11 @@ class ScaleCoverageWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ScaleGrid:
-    """Strictly decreasing scales with log-quadrature weights.
-
-    ``convention`` records whether each node sits at the midpoint or the left
-    (small-rho) endpoint of its log-cell; the node positions differ by a half
-    step X0^(-1/2) between the two.
-    """
+    """Strictly decreasing scales with log-quadrature weights."""
 
     scales: np.ndarray
     weights: np.ndarray
     ratio: float
-    convention: str = "midpoint"
 
     def __post_init__(self):
         scales = np.asarray(self.scales, dtype=float)
@@ -72,8 +66,6 @@ class ScaleGrid:
             step = scales[:-1] / scales[1:]
             if np.any(step <= 1.0) or np.any(step > self.ratio * (1.0 + 1e-12)):
                 raise ValueError("consecutive scale ratios must lie in (1, ratio]")
-        if self.convention not in ("midpoint", "left"):
-            raise ValueError(f"unknown convention {self.convention!r}")
 
     def __len__(self) -> int:
         return int(self.scales.size)
@@ -87,15 +79,11 @@ class ScaleGrid:
         return float(self.scales[-1])
 
 
-def build_scale_grid(
-    rho_max: float, ratio: float, count: int, convention: str = "midpoint"
-) -> ScaleGrid:
+def build_scale_grid(rho_max: float, ratio: float, count: int) -> ScaleGrid:
     """Geometric grid rho_j = rho_max * ratio^-j for j = 0..count, weights ln ratio.
 
-    ``count`` is the number of ratio steps, so the grid holds count + 1 scales.
-    The left-endpoint convention shifts every node down by ratio^(-1/2), which
-    turns the midpoint rule for the log-cells into the left-endpoint rule on
-    the same cells.
+    ``count`` is the number of ratio steps, so the grid holds count + 1 scales,
+    each at the midpoint of its log-cell.
     """
     if rho_max <= 0:
         raise ValueError(f"rho_max must be positive, got {rho_max}")
@@ -105,10 +93,8 @@ def build_scale_grid(
         raise ValueError(f"count must be >= 0, got {count}")
     j = np.arange(count + 1)
     scales = rho_max * ratio ** (-j.astype(float))
-    if convention == "left":
-        scales = scales / math.sqrt(ratio)
     weights = np.full(count + 1, math.log(ratio))
-    return ScaleGrid(scales, weights, ratio, convention)
+    return ScaleGrid(scales, weights, ratio)
 
 
 def _degree_energies(n: int, profile: SpectralProfile, l: int, scales: np.ndarray):
@@ -149,13 +135,7 @@ def discrete_beta(n: int, profile: SpectralProfile, grid: ScaleGrid, l: int) -> 
     return float(np.dot(grid.weights, energies)) / dim_harmonic(n, l)
 
 
-def scale_grid_for_profile(
-    n: int,
-    profile: SpectralProfile,
-    ratio: float,
-    L: int,
-    convention: str = "midpoint",
-) -> ScaleGrid:
+def scale_grid_for_profile(n: int, profile: SpectralProfile, ratio: float, L: int) -> ScaleGrid:
     """Grid whose range covers the scale integrands of the degrees m+1..L.
 
     m is the profile order, so degree 0 counts for zonal profiles with
@@ -169,7 +149,7 @@ def scale_grid_for_profile(
     u_lo_L, _ = _scale_log_range(profile, L, 1e-15)
     _, u_hi = _scale_log_range(profile, profile_order(profile) + 1, 1e-15)
     count = max(1, math.ceil((u_hi - u_lo_L) / math.log(ratio)))
-    return build_scale_grid(math.exp(u_hi), ratio, count, convention)
+    return build_scale_grid(math.exp(u_hi), ratio, count)
 
 
 @dataclass(frozen=True)
@@ -184,7 +164,6 @@ class EpsilonReport:
     count: int
     rho_min: float
     rho_max: float
-    convention: str = "midpoint"
 
     @property
     def epsilon_hat(self) -> float:
@@ -205,7 +184,6 @@ class EpsilonReport:
             "count": self.count,
             "rho_min": self.rho_min,
             "rho_max": self.rho_max,
-            "convention": self.convention,
         }
 
 
@@ -229,7 +207,6 @@ def epsilon_report(n: int, profile: SpectralProfile, grid: ScaleGrid, L: int) ->
         len(grid) - 1,
         grid.rho_min,
         grid.rho_max,
-        grid.convention,
     )
 
 
@@ -241,7 +218,6 @@ def find_ratio(
     lo: float = 1.005,
     hi: float = 2.0,
     rel_tol: float = 1e-3,
-    convention: str = "midpoint",
 ) -> float:
     """Largest grid ratio X0 in [lo, hi] whose eps_hat stays within target.
 
@@ -251,7 +227,7 @@ def find_ratio(
         raise ValueError("need 1 < lo < hi")
 
     def eps(ratio: float) -> float:
-        grid = scale_grid_for_profile(n, profile, ratio, L, convention)
+        grid = scale_grid_for_profile(n, profile, ratio, L)
         return epsilon_report(n, profile, grid, L).epsilon_hat
 
     if eps(hi) <= target:

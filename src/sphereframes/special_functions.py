@@ -1,4 +1,4 @@
-"""Gegenbauer polynomials, their derivatives and norms, and Funk-Hecke constants."""
+"""Gegenbauer stacks and connection coefficients, weighted Gauss rules, sphere areas."""
 
 from __future__ import annotations
 
@@ -8,13 +8,8 @@ import numpy as np
 from scipy.special import roots_gegenbauer, roots_legendre
 
 __all__ = [
-    "gegenbauer",
     "gegenbauer_all",
-    "gegenbauer_series",
     "gegenbauer_connection",
-    "gegenbauer_derivative",
-    "gegenbauer_squared_norm",
-    "funk_hecke_factor",
     "zonal_gauss_rule",
     "surface_area",
 ]
@@ -31,14 +26,6 @@ def _check_args(lam: float, l: int, t) -> np.ndarray:
     if np.any(np.abs(t) > 1 + _T_TOL):
         raise ValueError("argument outside [-1, 1]")
     return t
-
-
-def gegenbauer(lam: float, l: int, t):
-    """Evaluate C_l^lam(t) by the three-term recurrence; t may be an array."""
-    t = _check_args(lam, l, t)
-    scalar = t.ndim == 0
-    c = _gegenbauer_last(lam, l, np.atleast_1d(t))
-    return float(c[0]) if scalar else c
 
 
 def _gegenbauer_last(lam: float, l: int, t: np.ndarray) -> np.ndarray:
@@ -62,23 +49,6 @@ def gegenbauer_all(lam: float, L: int, t: np.ndarray) -> np.ndarray:
     for m in range(2, L + 1):
         out[m] = (2.0 * (m + lam - 1.0) * t * out[m - 1] - (m + 2.0 * lam - 2.0) * out[m - 2]) / m
     return out
-
-
-def gegenbauer_series(lam: float, coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Sum_l coeffs[l] * C_l^lam(t) without storing the full polynomial stack."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    t = _check_args(lam, max(coeffs.size - 1, 0), t)
-    acc = np.full(t.shape, coeffs[0] if coeffs.size else 0.0, dtype=float)
-    if coeffs.size <= 1:
-        return acc
-    prev = np.ones_like(t)
-    cur = 2.0 * lam * t
-    acc += coeffs[1] * cur
-    for m in range(2, coeffs.size):
-        prev, cur = cur, (2.0 * (m + lam - 1.0) * t * cur - (m + 2.0 * lam - 2.0) * prev) / m
-        if coeffs[m] != 0.0:
-            acc += coeffs[m] * cur
-    return acc
 
 
 def _times_t(lam: float, coeffs: np.ndarray) -> np.ndarray:
@@ -124,21 +94,6 @@ def _pochhammer(x: float, k: int) -> float:
     return out
 
 
-def gegenbauer_derivative(lam: float, l: int, t, k: int = 1):
-    """k-th derivative of C_l^lam at t, via d/dt C_l^lam = 2 lam C_{l-1}^{lam+1}."""
-    if k < 0:
-        raise ValueError(f"derivative order must be >= 0, got {k}")
-    t = _check_args(lam, l, t)
-    if k == 0:
-        return gegenbauer(lam, l, t)
-    if k > l:
-        return 0.0 if t.ndim == 0 else np.zeros_like(t)
-    factor = 2.0**k * _pochhammer(lam, k)
-    scalar = t.ndim == 0
-    c = _gegenbauer_last(lam + k, l - k, np.atleast_1d(t))
-    return float(factor * c[0]) if scalar else factor * c
-
-
 def _log_squared_norm(lam: float, l: int) -> float:
     # pi 2^(1-2 lam) Gamma(l+2 lam) / (l! (l+lam) Gamma(lam)^2), in log space
     return (
@@ -149,31 +104,6 @@ def _log_squared_norm(lam: float, l: int) -> float:
         - math.log(l + lam)
         - 2.0 * math.lgamma(lam)
     )
-
-
-def gegenbauer_squared_norm(lam: float, l: int) -> float:
-    """Weighted squared norm int_{-1}^{1} C_l^lam(t)^2 (1-t^2)^(lam-1/2) dt."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if l < 0:
-        raise ValueError(f"degree must be >= 0, got {l}")
-    return math.exp(_log_squared_norm(lam, l))
-
-
-def funk_hecke_factor(n: int, l: int) -> float:
-    """Degree-l multiplier (4 pi)^lam l! Gamma(lam) / Gamma(2 lam + l) on the n-sphere."""
-    if n < 2:
-        raise ValueError(f"sphere dimension must be >= 2, got {n}")
-    if l < 0:
-        raise ValueError(f"degree must be >= 0, got {l}")
-    lam = (n - 1) / 2
-    log = (
-        lam * math.log(4.0 * math.pi)
-        + math.lgamma(l + 1.0)
-        + math.lgamma(lam)
-        - math.lgamma(2.0 * lam + l)
-    )
-    return math.exp(log)
 
 
 def zonal_gauss_rule(lam: float, npts: int) -> tuple[np.ndarray, np.ndarray]:

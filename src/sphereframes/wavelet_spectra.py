@@ -1,4 +1,4 @@
-"""Zonal wavelet spectra, directional derivation, and the admissibility function beta.
+"""Zonal wavelet spectra, the directional derivative tableau, and admissibility beta.
 
 A profile (a, b, c, q, d) defines the scale family
     hat Psi_rho(l) = (rho^a q(l)^b)^c exp(-rho^a q(l)^b) * (l + lam)/lam,
@@ -15,49 +15,27 @@ is a power of the coupling matrix T_l built from ``ladder_beta``, so
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import brentq
 
-from .harmonics import (
-    HarmonicCoefficients,
-    SphereGrid,
-    analyze,
-    angles_to_vector,
-    build_sphere_grid,
-    dim_harmonic,
-    fourier_from_gegenbauer_factor,
-)
-from .special_functions import gegenbauer_all
+from .harmonics import dim_harmonic, fourier_from_gegenbauer_factor
 
 __all__ = [
     "SpectralProfile",
     "BetaTable",
-    "DirectionalCoefficients",
-    "SpectralTruncationWarning",
     "make_preset",
     "PRESET_NAMES",
     "zonal_hat",
-    "zonal_hat_all",
-    "spectral_cutoff",
-    "eval_directional_wavelet",
-    "eval_directional_wavelet_uv",
-    "directional_coeffs",
     "ladder_beta",
     "beta_numeric",
     "wavelet_bounds",
-    "beta_tail_indicator",
     "build_beta_table",
     "degree_response_norms",
     "profile_order",
 ]
-
-
-class SpectralTruncationWarning(UserWarning):
-    """Spectral tail above tolerance at the requested truncation degree."""
 
 
 @dataclass(frozen=True)
@@ -143,30 +121,8 @@ def zonal_hat(profile: SpectralProfile, rho: float | np.ndarray, l, n: int):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def zonal_hat_all(profile: SpectralProfile, rho: float, n: int, L: int) -> np.ndarray:
-    return zonal_hat(profile, rho, np.arange(L + 1), n)
-
-
-def spectral_cutoff(
-    profile: SpectralProfile, rho: float, n: int, tol: float = 1e-14, cap: int = 200_000
-) -> int:
-    """Smallest degree beyond the peak with hat(l) < tol * max hat."""
-    if rho <= 0:
-        raise ValueError(f"scale must be positive, got {rho}")
-    best = 0.0
-    l = 0
-    while l < cap:
-        v = zonal_hat(profile, rho, l, n)
-        if v > best:
-            best = v
-        elif best > 0 and v < tol * best:
-            return l
-        l += 1
-    raise RuntimeError(f"no spectral cutoff below degree {cap} at scale {rho}")
-
-
 # ---------------------------------------------------------------------------
-# directional evaluation
+# directional derivative
 
 
 def _theta_derivative_tableau(d: int) -> tuple[np.ndarray, ...]:
@@ -193,125 +149,6 @@ def _theta_derivative_tableau(d: int) -> tuple[np.ndarray, ...]:
                     nxt[k + 1][i, j + 1] += coef
         tables = nxt
     return tuple(tables[1:]) if d >= 1 else tuple()
-
-
-def _eval_uv_poly(coeffs: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = np.zeros(np.broadcast(u, v).shape)
-    for i in range(coeffs.shape[0]):
-        for j in range(coeffs.shape[1]):
-            if coeffs[i, j] != 0.0:
-                out = out + coeffs[i, j] * u**i * v**j
-    return out
-
-
-def _zonal_derivative_series(
-    profile: SpectralProfile, rho: float, n: int, L: int, k: int, t: np.ndarray
-) -> np.ndarray:
-    """k-th derivative of the truncated zonal wavelet psi_rho at t."""
-    lam = (n - 1) / 2
-    hat = zonal_hat_all(profile, rho, n, L)
-    if k == 0:
-        coeffs = hat
-        order = lam
-    else:
-        if L < k:
-            return np.zeros_like(t)
-        factor = 2.0**k
-        for i in range(k):
-            factor *= lam + i
-        coeffs = hat[k:] * factor
-        order = lam + k
-    stack = gegenbauer_all(order, coeffs.size - 1, t)
-    return np.tensordot(coeffs, stack, axes=(0, 0))
-
-
-def eval_directional_wavelet_uv(
-    profile: SpectralProfile, rho: float, n: int, y1: np.ndarray, y2: np.ndarray, L: int
-) -> np.ndarray:
-    """Directional wavelet value from the two relevant coordinates y1 = x_1, y2 = x_2."""
-    d = profile.d
-    scale = rho ** (profile.tilde_exponent * d)
-    if d == 0:
-        return _zonal_derivative_series(profile, rho, n, L, 0, np.asarray(y1, float))
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    tables = _theta_derivative_tableau(d)
-    out = np.zeros(np.broadcast(y1, y2).shape)
-    for k in range(1, d + 1):
-        pk = _eval_uv_poly(tables[k - 1], y1, y2)
-        if np.any(pk != 0.0):
-            out = out + pk * _zonal_derivative_series(profile, rho, n, L, k, y1)
-    return scale * out
-
-
-def eval_directional_wavelet(
-    profile: SpectralProfile,
-    rho: float,
-    n: int,
-    point,
-    L: int,
-    check_tail: bool = True,
-) -> float | np.ndarray:
-    """Evaluate the order-d directional wavelet at angle tuples, truncated at L."""
-    if check_tail:
-        hat = zonal_hat_all(profile, rho, n, L)
-        peak = hat.max()
-        if peak > 0 and hat[-1] > 1e-14 * peak:
-            warnings.warn(
-                f"spectral tail at degree {L} is {hat[-1] / peak:.2e} of the peak",
-                SpectralTruncationWarning,
-                stacklevel=2,
-            )
-    pts = np.asarray(point, dtype=float)
-    single = pts.ndim == 1
-    x = angles_to_vector(n, np.atleast_2d(pts))
-    vals = eval_directional_wavelet_uv(profile, rho, n, x[:, 0], x[:, 1], L)
-    return float(vals[0]) if single else vals
-
-
-@dataclass
-class DirectionalCoefficients:
-    """Harmonic coefficients of one scale of the directional family."""
-
-    rho: float
-    d: int
-    coeffs: HarmonicCoefficients
-
-    def surviving_orders(self) -> tuple[int, ...]:
-        return tuple(range(self.d % 2, self.d + 1, 2))
-
-
-def directional_coeffs(
-    profile: SpectralProfile,
-    rho: float,
-    n: int,
-    L: int,
-    grid: SphereGrid | None = None,
-) -> DirectionalCoefficients:
-    """Analyze the directional wavelet on an exact grid and zero the vanishing orders."""
-    profile.validate_positive(L)
-    if grid is None:
-        grid = build_sphere_grid(n, L)
-    samples = eval_directional_wavelet(
-        profile, rho, n, grid.angles, L, check_tail=False
-    )
-    coeffs = analyze(samples.astype(complex), grid, L)
-    allowed = set()
-    for j in range(profile.d % 2, profile.d + 1, 2):
-        allowed.add(j)
-    scale = np.abs(coeffs.values).max()
-    tol = 1e-10 * max(scale, 1.0)
-    for i, idx in enumerate(coeffs.indices()):
-        first = abs(idx.k[0]) if idx.k else 0
-        lives = first in allowed and all(ki == 0 for ki in idx.k[1:])
-        if not lives:
-            if abs(coeffs.values[i]) > tol:
-                raise RuntimeError(
-                    f"coefficient {idx} = {coeffs.values[i]:.3e} violates the "
-                    f"vanishing pattern for derivative order {profile.d}"
-                )
-            coeffs.values[i] = 0.0
-    return DirectionalCoefficients(rho, profile.d, coeffs)
 
 
 def ladder_beta(lam: float, l: int, iota: int) -> float:
@@ -477,12 +314,3 @@ def wavelet_bounds(table: BetaTable) -> tuple[float, float]:
     if table.L <= table.m:
         raise ValueError(f"no degrees above order m={table.m} in a table to L={table.L}")
     return table.A, table.B
-
-
-def beta_tail_indicator(table: BetaTable) -> float:
-    """|beta(L) - beta(L/2)| / beta(L), a convergence indicator for the tail."""
-    l_hi = table.L
-    l_mid = table.L // 2
-    if l_mid <= table.m:
-        raise ValueError("table too short for a tail indicator")
-    return abs(table.values[l_hi] - table.values[l_mid]) / table.values[l_hi]

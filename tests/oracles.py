@@ -12,31 +12,61 @@ paths against them:
   composite Gauss-Legendre panels, twice, and requires the two to agree;
 - ``direct_transform`` evaluates the rotated wavelet on the sphere grid for
   every rotation and scale and pairs it with the weighted field;
-- ``table_csv`` formats a transform table one entry at a time.
+- ``table_csv`` formats a transform table one entry at a time;
+- ``gegenbauer``, ``gegenbauer_derivative``, ``gegenbauer_squared_norm`` and
+  ``funk_hecke_factor`` give single Gegenbauer values, derivatives, norms
+  and the Funk-Hecke multiplier;
+- ``eval_harmonic`` evaluates one harmonic pointwise, ``vector_to_angles``
+  inverts ``angles_to_vector`` and ``apply_rotation`` rotates a point given
+  by its angles;
+- ``eval_directional_wavelet_uv`` and ``eval_directional_wavelet`` evaluate
+  the directional wavelet pointwise as a series of zonal derivatives
+  (``_zonal_derivative_series``), the reference for the Funk-Hecke filters
+  of ``transform._filters``; ``eval_directional_wavelet`` warns with
+  ``SpectralTruncationWarning`` when the spectrum is cut above 1e-14 of its
+  peak.  ``directional_coeffs`` analyzes it on an exact grid;
+- ``spectral_cutoff`` finds the degree where the spectrum has decayed, and
+  ``beta_tail_indicator`` measures how settled beta is at the band limit.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_legendre
 
 from sphereframes.harmonics import (
+    HarmonicCoefficients,
     HarmonicIndex,
+    SphereGrid,
+    analyze,
     angles_to_vector,
+    build_sphere_grid,
     dim_harmonic,
     fourier_from_gegenbauer_factor,
     harmonic_normalization,
     synthesize,
+    validate_index,
 )
 from sphereframes.rotation_grid import rotation_matrix
-from sphereframes.special_functions import gegenbauer_all, surface_area, zonal_gauss_rule
+from sphereframes.special_functions import (
+    _check_args,
+    _gegenbauer_last,
+    _log_squared_norm,
+    _pochhammer,
+    gegenbauer_all,
+    surface_area,
+    zonal_gauss_rule,
+)
 from sphereframes.wavelet_spectra import (
-    _eval_uv_poly,
+    BetaTable,
+    SpectralProfile,
     _scale_log_range,
     _theta_derivative_tableau,
-    eval_directional_wavelet_uv,
+    zonal_hat,
 )
 
 
@@ -178,3 +208,255 @@ def table_csv(values: np.ndarray) -> str:
             w = values[j, g]
             lines.append(f"{j},{g},{w.real:.17g},{w.imag:.17g}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Gegenbauer values, derivatives and norms
+
+
+def gegenbauer(lam: float, l: int, t):
+    """Evaluate C_l^lam(t) by the three-term recurrence; t may be an array."""
+    t = _check_args(lam, l, t)
+    scalar = t.ndim == 0
+    c = _gegenbauer_last(lam, l, np.atleast_1d(t))
+    return float(c[0]) if scalar else c
+
+
+def gegenbauer_derivative(lam: float, l: int, t, k: int = 1):
+    """k-th derivative of C_l^lam at t, via d/dt C_l^lam = 2 lam C_{l-1}^{lam+1}."""
+    if k < 0:
+        raise ValueError(f"derivative order must be >= 0, got {k}")
+    t = _check_args(lam, l, t)
+    if k == 0:
+        return gegenbauer(lam, l, t)
+    if k > l:
+        return 0.0 if t.ndim == 0 else np.zeros_like(t)
+    factor = 2.0**k * _pochhammer(lam, k)
+    scalar = t.ndim == 0
+    c = _gegenbauer_last(lam + k, l - k, np.atleast_1d(t))
+    return float(factor * c[0]) if scalar else factor * c
+
+
+def gegenbauer_squared_norm(lam: float, l: int) -> float:
+    """Weighted squared norm int_{-1}^{1} C_l^lam(t)^2 (1-t^2)^(lam-1/2) dt."""
+    if lam <= 0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+    if l < 0:
+        raise ValueError(f"degree must be >= 0, got {l}")
+    return math.exp(_log_squared_norm(lam, l))
+
+
+def funk_hecke_factor(n: int, l: int) -> float:
+    """Degree-l multiplier (4 pi)^lam l! Gamma(lam) / Gamma(2 lam + l) on the n-sphere."""
+    if n < 2:
+        raise ValueError(f"sphere dimension must be >= 2, got {n}")
+    if l < 0:
+        raise ValueError(f"degree must be >= 0, got {l}")
+    lam = (n - 1) / 2
+    log = (
+        lam * math.log(4.0 * math.pi)
+        + math.lgamma(l + 1.0)
+        + math.lgamma(lam)
+        - math.lgamma(2.0 * lam + l)
+    )
+    return math.exp(log)
+
+
+# ---------------------------------------------------------------------------
+# pointwise harmonics and rotations
+
+
+def eval_harmonic(n: int, index: HarmonicIndex, point) -> complex | np.ndarray:
+    """Evaluate Y_l^k at angle tuples; accepts one point or an array (P, n)."""
+    index = HarmonicIndex(index[0], tuple(index[1]))
+    validate_index(n, index)
+    pts = np.atleast_2d(np.asarray(point, dtype=float))
+    if pts.shape[1] != n:
+        raise ValueError(f"points need {n} angles for the {n}-sphere, got {pts.shape[1]}")
+    l, k = index
+    chain = (l,) + tuple(abs(ki) for ki in k)
+    out = np.full(pts.shape[0], harmonic_normalization(n, index), dtype=complex)
+    for tau in range(1, n):
+        mu = (n - tau) / 2 + chain[tau]
+        m = chain[tau - 1] - chain[tau]
+        theta = pts[:, tau - 1]
+        t = np.cos(theta)
+        out *= gegenbauer_all(mu, m, t)[m] * np.sin(theta) ** chain[tau]
+    out *= np.exp(1j * k[-1] * pts[:, n - 1])
+    return out[0] if np.asarray(point).ndim == 1 else out
+
+
+def vector_to_angles(n: int, x) -> np.ndarray:
+    """Inverse of angles_to_vector; tolerant at the poles (phi set to 0 there)."""
+    v = np.asarray(x, dtype=float)
+    single = v.ndim == 1
+    v = np.atleast_2d(v)
+    if v.shape[-1] != n + 1:
+        raise ValueError(f"need {n + 1} coordinates, got {v.shape[-1]}")
+    out = np.empty(v.shape[:-1] + (n,))
+    for j in range(n - 1):
+        tail = np.sqrt(np.sum(v[..., j + 1 :] ** 2, axis=-1))
+        out[..., j] = np.arctan2(tail, v[..., j])
+    phi = np.arctan2(v[..., n], v[..., n - 1])
+    out[..., n - 1] = np.mod(phi, 2.0 * math.pi)
+    return out[0] if single else out
+
+
+def apply_rotation(n: int, euler, point):
+    """Rotate a point given by its angle tuple; returns the image's angles."""
+    R = rotation_matrix(n, euler)
+    return vector_to_angles(n, R @ angles_to_vector(n, point))
+
+
+# ---------------------------------------------------------------------------
+# pointwise directional wavelet
+
+
+class SpectralTruncationWarning(UserWarning):
+    """Spectral tail above tolerance at the requested truncation degree."""
+
+
+def spectral_cutoff(
+    profile: SpectralProfile, rho: float, n: int, tol: float = 1e-14, cap: int = 200_000
+) -> int:
+    """Smallest degree beyond the peak with hat(l) < tol * max hat."""
+    if rho <= 0:
+        raise ValueError(f"scale must be positive, got {rho}")
+    best = 0.0
+    l = 0
+    while l < cap:
+        v = zonal_hat(profile, rho, l, n)
+        if v > best:
+            best = v
+        elif best > 0 and v < tol * best:
+            return l
+        l += 1
+    raise RuntimeError(f"no spectral cutoff below degree {cap} at scale {rho}")
+
+
+def _eval_uv_poly(coeffs: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    out = np.zeros(np.broadcast(u, v).shape)
+    for i in range(coeffs.shape[0]):
+        for j in range(coeffs.shape[1]):
+            if coeffs[i, j] != 0.0:
+                out = out + coeffs[i, j] * u**i * v**j
+    return out
+
+
+def _zonal_derivative_series(
+    profile: SpectralProfile, rho: float, n: int, L: int, k: int, t: np.ndarray
+) -> np.ndarray:
+    """k-th derivative of the truncated zonal wavelet psi_rho at t."""
+    lam = (n - 1) / 2
+    hat = zonal_hat(profile, rho, np.arange(L + 1), n)
+    if k == 0:
+        coeffs = hat
+        order = lam
+    else:
+        if L < k:
+            return np.zeros_like(t)
+        factor = 2.0**k
+        for i in range(k):
+            factor *= lam + i
+        coeffs = hat[k:] * factor
+        order = lam + k
+    stack = gegenbauer_all(order, coeffs.size - 1, t)
+    return np.tensordot(coeffs, stack, axes=(0, 0))
+
+
+def eval_directional_wavelet_uv(
+    profile: SpectralProfile, rho: float, n: int, y1: np.ndarray, y2: np.ndarray, L: int
+) -> np.ndarray:
+    """Directional wavelet value from the two relevant coordinates y1 = x_1, y2 = x_2."""
+    d = profile.d
+    scale = rho ** (profile.tilde_exponent * d)
+    if d == 0:
+        return _zonal_derivative_series(profile, rho, n, L, 0, np.asarray(y1, float))
+    y1 = np.asarray(y1, dtype=float)
+    y2 = np.asarray(y2, dtype=float)
+    tables = _theta_derivative_tableau(d)
+    out = np.zeros(np.broadcast(y1, y2).shape)
+    for k in range(1, d + 1):
+        pk = _eval_uv_poly(tables[k - 1], y1, y2)
+        if np.any(pk != 0.0):
+            out = out + pk * _zonal_derivative_series(profile, rho, n, L, k, y1)
+    return scale * out
+
+
+def eval_directional_wavelet(
+    profile: SpectralProfile,
+    rho: float,
+    n: int,
+    point,
+    L: int,
+    check_tail: bool = True,
+) -> float | np.ndarray:
+    """Evaluate the order-d directional wavelet at angle tuples, truncated at L."""
+    if check_tail:
+        hat = zonal_hat(profile, rho, np.arange(L + 1), n)
+        peak = hat.max()
+        if peak > 0 and hat[-1] > 1e-14 * peak:
+            warnings.warn(
+                f"spectral tail at degree {L} is {hat[-1] / peak:.2e} of the peak",
+                SpectralTruncationWarning,
+                stacklevel=2,
+            )
+    pts = np.asarray(point, dtype=float)
+    single = pts.ndim == 1
+    x = angles_to_vector(n, np.atleast_2d(pts))
+    vals = eval_directional_wavelet_uv(profile, rho, n, x[:, 0], x[:, 1], L)
+    return float(vals[0]) if single else vals
+
+
+@dataclass
+class DirectionalCoefficients:
+    """Harmonic coefficients of one scale of the directional family."""
+
+    rho: float
+    d: int
+    coeffs: HarmonicCoefficients
+
+    def surviving_orders(self) -> tuple[int, ...]:
+        return tuple(range(self.d % 2, self.d + 1, 2))
+
+
+def directional_coeffs(
+    profile: SpectralProfile,
+    rho: float,
+    n: int,
+    L: int,
+    grid: SphereGrid | None = None,
+) -> DirectionalCoefficients:
+    """Analyze the directional wavelet on an exact grid and zero the vanishing orders."""
+    profile.validate_positive(L)
+    if grid is None:
+        grid = build_sphere_grid(n, L)
+    samples = eval_directional_wavelet(
+        profile, rho, n, grid.angles, L, check_tail=False
+    )
+    coeffs = analyze(samples.astype(complex), grid, L)
+    allowed = set()
+    for j in range(profile.d % 2, profile.d + 1, 2):
+        allowed.add(j)
+    scale = np.abs(coeffs.values).max()
+    tol = 1e-10 * max(scale, 1.0)
+    for i, idx in enumerate(coeffs.indices()):
+        first = abs(idx.k[0]) if idx.k else 0
+        lives = first in allowed and all(ki == 0 for ki in idx.k[1:])
+        if not lives:
+            if abs(coeffs.values[i]) > tol:
+                raise RuntimeError(
+                    f"coefficient {idx} = {coeffs.values[i]:.3e} violates the "
+                    f"vanishing pattern for derivative order {profile.d}"
+                )
+            coeffs.values[i] = 0.0
+    return DirectionalCoefficients(rho, profile.d, coeffs)
+
+
+def beta_tail_indicator(table: BetaTable) -> float:
+    """|beta(L) - beta(L/2)| / beta(L), a convergence indicator for the tail."""
+    l_hi = table.L
+    l_mid = table.L // 2
+    if l_mid <= table.m:
+        raise ValueError("table too short for a tail indicator")
+    return abs(table.values[l_hi] - table.values[l_mid]) / table.values[l_hi]

@@ -10,7 +10,16 @@ import time
 
 import numpy as np
 import pytest
-from oracles import grid_response_norms, polynomial_residual, quadrature_beta
+from oracles import (
+    beta_tail_indicator,
+    eval_directional_wavelet_uv,
+    funk_hecke_factor,
+    gegenbauer,
+    grid_response_norms,
+    polynomial_residual,
+    quadrature_beta,
+    spectral_cutoff,
+)
 
 from sphereframes.frame_verify import certify_frame, find_refinement
 from sphereframes.harmonics import (
@@ -21,20 +30,8 @@ from sphereframes.harmonics import (
     synthesize,
 )
 from sphereframes.scale_grid import epsilon_report, scale_grid_for_profile
-from sphereframes.special_functions import (
-    funk_hecke_factor,
-    gegenbauer,
-    surface_area,
-    zonal_gauss_rule,
-)
-from sphereframes.wavelet_spectra import (
-    beta_numeric,
-    beta_tail_indicator,
-    build_beta_table,
-    eval_directional_wavelet_uv,
-    make_preset,
-    spectral_cutoff,
-)
+from sphereframes.special_functions import surface_area, zonal_gauss_rule
+from sphereframes.wavelet_spectra import beta_numeric, build_beta_table, make_preset
 
 PRESETS = ("abel-poisson", "gauss-weierstrass", "poisson")
 

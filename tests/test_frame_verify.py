@@ -5,17 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sphereframes.frame_verify import (
-    certify_frame,
-    error_budget,
-    find_refinement,
-    normalize_bounds,
-)
-from sphereframes.scale_grid import (
-    build_scale_grid,
-    discrete_beta,
-    scale_grid_for_profile,
-)
+from sphereframes.frame_verify import certify_frame, find_refinement, normalize_bounds
+from sphereframes.scale_grid import discrete_beta, scale_grid_for_profile
 from sphereframes.transform import random_bandlimited
 from sphereframes.wavelet_spectra import SpectralProfile, make_preset, profile_order
 
@@ -159,20 +150,6 @@ def test_find_refinement_exhaustion():
         find_refinement(
             2, AP1, 6, 1.5, (2.0, 2.0), 2, 1, margin=0.9999, max_rounds=1
         )
-
-
-def test_error_budget_shape_and_scaling():
-    scales = build_scale_grid(1.0, 2.0, 3)
-    budget = error_budget(2, AP1, scales, (0.5, 0.25), dense=65, max_degree=256)
-    assert len(budget.per_level) == 2
-    assert budget.total == pytest.approx(sum(budget.per_level))
-    assert all(v > 0 for v in budget.per_level)
-    # each level indicator is linear in its diameter cap
-    double = error_budget(2, AP1, scales, (1.0, 0.25), dense=65, max_degree=256)
-    assert double.per_level[0] == pytest.approx(2 * budget.per_level[0], rel=1e-12)
-    assert double.per_level[1] == pytest.approx(budget.per_level[1], rel=1e-12)
-    zero = error_budget(2, AP1, scales, (0.0, 0.0), dense=65, max_degree=256)
-    assert zero.total == 0.0
-    # sup norms blow up toward small scales: the gradient dominates
-    sup_prod = np.asarray(budget.sup_wavelet) * np.asarray(budget.sup_gradient)
-    assert np.all(np.diff(sup_prod) > 0)
+    for rounds in (0, -1):
+        with pytest.raises(ValueError, match=f"got max_rounds={rounds}"):
+            find_refinement(2, AP1, 6, 1.5, (2.0, 2.0), 2, 1, max_rounds=rounds)

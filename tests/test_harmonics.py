@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import eval_harmonic, gegenbauer, vector_to_angles
 
 from sphereframes.harmonics import (
     HarmonicCoefficients,
@@ -18,16 +19,13 @@ from sphereframes.harmonics import (
     dim_harmonic,
     enumerate_indices,
     eval_degree_components,
-    eval_harmonic,
     fourier_from_gegenbauer_factor,
-    gegenbauer_coeff_from_fourier,
     harmonic_basis,
     harmonic_normalization,
     synthesize,
     validate_index,
-    vector_to_angles,
 )
-from sphereframes.special_functions import gegenbauer, surface_area, zonal_gauss_rule
+from sphereframes.special_functions import surface_area, zonal_gauss_rule
 
 
 def test_dim_harmonic_closed_forms():
@@ -297,7 +295,6 @@ def test_fourier_gegenbauer_bridge():
             assert factor == pytest.approx(
                 (lam + l) / (lam * math.sqrt(dim_harmonic(n, l))), rel=1e-14
             )
-            assert gegenbauer_coeff_from_fourier(n, l, 2.0) == pytest.approx(2 * factor)
     # n=3 zonal bridge is the identity: (1 + l) / sqrt((l+1)^2) = 1
     for l in (0, 2, 9):
         assert fourier_from_gegenbauer_factor(3, l) == pytest.approx(1.0, rel=1e-14)

@@ -1,15 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import apply_rotation
 from scipy.integrate import quad
 
 from sphereframes.harmonics import angles_to_vector
 from sphereframes.rotation_grid import (
     RotationGrid,
-    apply_rotation,
     build_rotation_grid,
     partition_sphere,
     rotation_matrix,
@@ -98,6 +99,27 @@ def test_grid_element_cap():
         build_rotation_grid(3, (1.0, 1.0, 1.0))  # 833966 > default cap
     with pytest.raises(ValueError):
         build_rotation_grid(2, (1.0,))  # wrong cap count
+    # the cap is exact: the 54 x 6 grid fits 324 elements and not 323
+    assert len(build_rotation_grid(2, (1.2, 1.2), max_elements=324)) == 324
+    with pytest.raises(ValueError, match="more than 323 elements"):
+        build_rotation_grid(2, (1.2, 1.2), max_elements=323)
+    with pytest.raises(ValueError, match="must be positive"):
+        build_rotation_grid(2, (1.2, 0.0))
+
+
+@pytest.mark.parametrize("n, deltas", [(2, (0.01, 3.0)), (3, (0.01, 0.01, 0.01))])
+def test_grid_cap_raises_before_building_partitions(n, deltas):
+    # full partitions would hold 607 743 S^2 cells for n=2, and far more
+    # for n=3; even building up to the default cap of 200 000 cells would
+    # take about 44 MB, while counting them holds none
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than 200000 elements, the cap"):
+            build_rotation_grid(n, deltas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_grid_row_composition():

@@ -28,8 +28,6 @@ def test_geometric_grid_construction():
     np.testing.assert_allclose(grid.weights, math.log(2.0), rtol=1e-15)
     assert len(grid) == 4
     assert grid.rho_max == 8.0 and grid.rho_min == 1.0
-    left = build_scale_grid(8.0, 2.0, 3, convention="left")
-    np.testing.assert_allclose(left.scales, np.array([8, 4, 2, 1.0]) / math.sqrt(2))
 
 
 def test_construction_guards():
@@ -100,13 +98,6 @@ def test_deviation_ladder_frozen():
     assert eps[1] == pytest.approx(expected[1], rel=1e-6)
     assert eps[2] <= 1e-12
     assert eps[0] > eps[1] > eps[2]
-
-
-def test_left_convention_also_converges():
-    # the offset Riemann sum enjoys the same Euler-Maclaurin collapse
-    for convention in ("midpoint", "left"):
-        grid = scale_grid_for_profile(2, AP, 1.2, 8, convention=convention)
-        assert epsilon_report(2, AP, grid, 8).epsilon_hat <= 1e-12
 
 
 def test_find_ratio_frozen():

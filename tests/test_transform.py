@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import direct_transform, table_csv
+from oracles import direct_transform, directional_coeffs, table_csv
 
 from sphereframes import transform
 from sphereframes.harmonics import HarmonicCoefficients, build_sphere_grid
@@ -18,13 +18,7 @@ from sphereframes.transform import (
     transform_energies,
     wavelet_analysis,
 )
-from sphereframes.wavelet_spectra import (
-    PRESET_NAMES,
-    build_beta_table,
-    directional_coeffs,
-    make_preset,
-    zonal_hat_all,
-)
+from sphereframes.wavelet_spectra import PRESET_NAMES, build_beta_table, make_preset
 
 
 def test_random_field_determinism():
@@ -292,11 +286,12 @@ def test_table_csv_and_alignment():
 @pytest.mark.parametrize("n", [2, 3])
 def test_filters_match_per_scale_spectra(n, monkeypatch):
     # one zonal_hat call over (scales x degrees) gives the bits of one
-    # zonal_hat_all call per scale
+    # zonal_hat call per scale
     L = 12
+    one_scale = transform.zonal_hat
 
     def per_scale(profile, rho, l, n):
-        return np.array([zonal_hat_all(profile, float(r), n, int(l[-1])) for r in rho.ravel()])
+        return np.array([one_scale(profile, float(r), l, n) for r in rho.ravel()])
 
     for name in PRESET_NAMES:
         for d in range(3):

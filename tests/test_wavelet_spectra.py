@@ -6,10 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    SpectralTruncationWarning,
+    beta_tail_indicator,
+    directional_coeffs,
+    eval_directional_wavelet,
     grid_response_norms,
     polynomial_residual,
     quadrature_beta,
     scale_quadrature,
+    spectral_cutoff,
 )
 from sphereframes.harmonics import build_sphere_grid, dim_harmonic, synthesize
 from sphereframes.scale_grid import _degree_energies, build_scale_grid, discrete_beta
@@ -17,20 +22,14 @@ from sphereframes.wavelet_spectra import (
     PRESET_NAMES,
     BetaTable,
     SpectralProfile,
-    SpectralTruncationWarning,
     beta_numeric,
-    beta_tail_indicator,
     build_beta_table,
     degree_response_norms,
-    directional_coeffs,
-    eval_directional_wavelet,
     ladder_beta,
     make_preset,
     profile_order,
-    spectral_cutoff,
     wavelet_bounds,
     zonal_hat,
-    zonal_hat_all,
 )
 
 AP = make_preset("abel-poisson", 2)
@@ -57,7 +56,6 @@ def test_zonal_hat_literal_formula():
     hats = zonal_hat(prof, rho, ls, n)
     for l in ls:
         assert hats[l] == pytest.approx(zonal_hat(prof, rho, int(l), n), rel=1e-15)
-    np.testing.assert_allclose(zonal_hat_all(prof, rho, n, 5), hats, rtol=1e-15)
 
 
 def test_zonal_hat_broadcasts_scales_against_degrees():
@@ -68,7 +66,7 @@ def test_zonal_hat_broadcasts_scales_against_degrees():
     assert hats.shape == (3, 7)
     for row, rho in zip(hats, rhos):
         # numpy's vectorized power may round rho^a apart from the scalar power
-        np.testing.assert_allclose(row, zonal_hat_all(prof, float(rho), 3, 6), rtol=1e-15)
+        np.testing.assert_allclose(row, zonal_hat(prof, float(rho), ls, 3), rtol=1e-15)
     for bad in (0.0, -0.5):
         with pytest.raises(ValueError, match=f"scale must be positive, got {bad}"):
             zonal_hat(prof, np.array([0.5, bad, 1.0])[:, None], ls, 3)
@@ -268,7 +266,7 @@ def test_spectral_cutoff():
     prof = make_preset("abel-poisson", 2)
     rho = 0.5
     L = spectral_cutoff(prof, rho, 2, tol=1e-12)
-    hats = zonal_hat_all(prof, rho, 2, L + 10)
+    hats = zonal_hat(prof, rho, np.arange(L + 11), 2)
     peak = hats.max()
     assert hats[L] <= 1e-12 * peak
     assert hats[max(L - 5, 0)] > 1e-12 * peak  # not wastefully large

@@ -22,8 +22,6 @@ import sys
 from configparser import ConfigParser
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import frame_verify, rotation_grid, scale_grid, transform, wavelet_spectra
 from .harmonics import build_sphere_grid
 from .wavelet_spectra import PRESET_NAMES, SpectralProfile, make_preset
@@ -50,7 +48,7 @@ class RunConfig:
     trials: int = 10
     tolerance: float = 0.1
     margin: float = 0.05
-    max_elements: int = 200_000
+    max_elements: int = rotation_grid._MAX_CELLS
 
     def resolved(self) -> dict:
         prof = self.profile

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonics import build_sphere_grid
-from .rotation_grid import build_rotation_grid
+from .rotation_grid import _MAX_CELLS, build_rotation_grid
 from .scale_grid import epsilon_report, scale_grid_for_profile
 from .transform import energy_identity_oracle, random_bandlimited, transform_energies
 from .wavelet_spectra import SpectralProfile, build_beta_table, profile_order, wavelet_bounds
@@ -134,7 +134,7 @@ def certify_frame(
     seed: int,
     tolerance: float = 0.1,
     margin: float = 0.05,
-    max_elements: int = 200_000,
+    max_elements: int = _MAX_CELLS,
     threads=None,
     spatial: bool | None = None,
 ) -> FrameReport:
@@ -229,7 +229,7 @@ def find_refinement(
     tolerance: float = 0.1,
     margin: float = 0.05,
     max_rounds: int = 5,
-    max_elements: int = 200_000,
+    max_elements: int = _MAX_CELLS,
     threads=None,
 ) -> FrameReport:
     """Halve one global refinement knob until certify_frame passes.

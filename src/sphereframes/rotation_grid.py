@@ -34,6 +34,10 @@ __all__ = [
     "rotation_matrix",
 ]
 
+# Most cells partition_sphere builds, and build_rotation_grid's default cap
+# on its rotations; larger requests raise before any cell is built.
+_MAX_CELLS = 200_000
+
 
 class PartitionCell(NamedTuple):
     center: tuple
@@ -77,13 +81,23 @@ def partition_sphere(J: int, delta: float) -> SpherePartition:
     delta >= pi returns the whole sphere as one cell (its diameter is pi).
     For the circle the cells are arcs; higher spheres use latitude bands of
     height <= delta / sqrt(2), each crossed with a partition of the equatorial
-    subsphere at a target shrunk by the band's largest sine.
+    subsphere at a target shrunk by the band's largest sine.  Raises, before
+    building a cell, if the partition would hold more than _MAX_CELLS cells.
     """
     if J < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {J}")
     if delta <= 0:
         raise ValueError(f"diameter cap must be positive, got {delta}")
+    if _cell_count(J, delta, _MAX_CELLS) > _MAX_CELLS:
+        raise ValueError(
+            f"partition of S^{J} at diameter cap {delta} would hold more than "
+            f"{_MAX_CELLS} cells, the cap; increase delta"
+        )
+    return _partition(J, delta)
 
+
+def _partition(J: int, delta: float) -> SpherePartition:
+    """partition_sphere without its checks, for callers that counted the cells."""
     if delta >= math.pi:
         center = (math.pi / 2,) * (J - 1) + (math.pi,)
         return SpherePartition(
@@ -100,7 +114,7 @@ def partition_sphere(J: int, delta: float) -> SpherePartition:
 
     cells = []
     for a, b, h, sin_max in _bands(delta):
-        sub = partition_sphere(J - 1, (delta - h) / sin_max)
+        sub = _partition(J - 1, (delta - h) / sin_max)
         theta_mid = 0.5 * (a + b)
         band_measure = sin_power_integral(J - 1, a, b)
         for c in sub.cells:
@@ -194,7 +208,7 @@ class RotationGrid:
 
 
 def build_rotation_grid(
-    n: int, delta_list, max_elements: int = 200_000
+    n: int, delta_list, max_elements: int = _MAX_CELLS
 ) -> RotationGrid:
     """Cartesian product of partitions of S^n, ..., S^1 with product weights.
 
@@ -220,7 +234,7 @@ def build_rotation_grid(
                 "increase the caps in delta_list or raise max_elements"
             )
         total *= count
-    parts = [partition_sphere(J, deltas[n - J]) for J in range(n, 0, -1)]
+    parts = [_partition(J, deltas[n - J]) for J in range(n, 0, -1)]
     sizes = tuple(len(p) for p in parts)
     m = n * (n + 1) // 2
     angles = np.empty((total, m))

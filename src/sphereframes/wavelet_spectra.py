@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import brentq
 
 from .harmonics import dim_harmonic, fourier_from_gegenbauer_factor
 
@@ -196,6 +195,54 @@ def degree_response_norms(n: int, d: int, L: int) -> np.ndarray:
     return np.array([_response_norm(n, d, l) for l in range(L + 1)])
 
 
+def _brent_root(f, xa: float, xb: float) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A step-for-step port of the reference C routine brentq with its default
+    tolerances (xtol 2e-12, rtol 4 eps, 100 iterations), so it returns the
+    same root to the last bit.  Raises ValueError if f(xa) and f(xb) have
+    the same sign.
+    """
+    xtol, rtol = 2e-12, 4.0 * np.finfo(float).eps
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in 100 iterations, value is {xcur}")
+
+
 def _envelope_log_range(cprime: float, tol: float = 1e-18) -> tuple[float, float]:
     """Range of s where s^(2c') e^(-2s) stays above tol times its peak value."""
     target = math.log(tol)
@@ -203,11 +250,11 @@ def _envelope_log_range(cprime: float, tol: float = 1e-18) -> tuple[float, float
     def g(s: float) -> float:
         return 2.0 * cprime * math.log(s / cprime) - 2.0 * (s - cprime) - target
 
-    lo = brentq(g, cprime * 1e-30, cprime)
+    lo = _brent_root(g, cprime * 1e-30, cprime)
     hi_guess = cprime - target
     while g(hi_guess) > 0:
         hi_guess *= 2.0
-    hi = brentq(g, cprime, hi_guess)
+    hi = _brent_root(g, cprime, hi_guess)
     return lo, hi
 
 

@@ -26,7 +26,9 @@ paths against them:
   ``SpectralTruncationWarning`` when the spectrum is cut above 1e-14 of its
   peak.  ``directional_coeffs`` analyzes it on an exact grid;
 - ``spectral_cutoff`` finds the degree where the spectrum has decayed, and
-  ``beta_tail_indicator`` measures how settled beta is at the band limit.
+  ``beta_tail_indicator`` measures how settled beta is at the band limit;
+- ``gegenbauer_roots`` refines double-precision Gauss nodes to 40-digit
+  roots of C^lam_N with mpmath.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.special import roots_legendre
 
@@ -54,7 +57,7 @@ from sphereframes.harmonics import (
 from sphereframes.rotation_grid import rotation_matrix
 from sphereframes.special_functions import (
     _check_args,
-    _gegenbauer_last,
+    _gegenbauer_pair,
     _log_squared_norm,
     _pochhammer,
     gegenbauer_all,
@@ -218,7 +221,7 @@ def gegenbauer(lam: float, l: int, t):
     """Evaluate C_l^lam(t) by the three-term recurrence; t may be an array."""
     t = _check_args(lam, l, t)
     scalar = t.ndim == 0
-    c = _gegenbauer_last(lam, l, np.atleast_1d(t))
+    c = _gegenbauer_pair(lam, l, np.atleast_1d(t))[1]
     return float(c[0]) if scalar else c
 
 
@@ -233,7 +236,7 @@ def gegenbauer_derivative(lam: float, l: int, t, k: int = 1):
         return 0.0 if t.ndim == 0 else np.zeros_like(t)
     factor = 2.0**k * _pochhammer(lam, k)
     scalar = t.ndim == 0
-    c = _gegenbauer_last(lam + k, l - k, np.atleast_1d(t))
+    c = _gegenbauer_pair(lam + k, l - k, np.atleast_1d(t))[1]
     return float(factor * c[0]) if scalar else factor * c
 
 
@@ -460,3 +463,31 @@ def beta_tail_indicator(table: BetaTable) -> float:
     if l_mid <= table.m:
         raise ValueError("table too short for a tail indicator")
     return abs(table.values[l_hi] - table.values[l_mid]) / table.values[l_hi]
+
+
+def gegenbauer_roots(lam: float, npts: int, start, dps: int = 40) -> list:
+    """Roots of C^lam_npts to dps digits, one per start value, as mpmath numbers.
+
+    Takes one Newton step at dps digits from each start value.  Each must
+    lie within 1e-14 of its root (else this raises), so the step lands within
+    about 1e-23 of it: the error squares, times |C''/(2C')| at the root, which
+    the Gegenbauer equation makes (2 lam + 1)|t| / (2(1 - t^2)), below 1e5 for
+    lam <= 3/2 at 257 nodes.
+    """
+    with mpmath.workdps(dps):
+        lam = mpmath.mpf(lam)
+        # m C_m = 2(m + lam - 1) t C_{m-1} - (m + 2 lam - 2) C_{m-2}
+        up = [2 * (m + lam - 1) / m for m in range(2, npts + 1)]
+        down = [(m + 2 * lam - 2) / m for m in range(2, npts + 1)]
+        roots = []
+        for x0 in start:
+            x = mpmath.mpf(float(x0))
+            prev, cur = mpmath.mpf(1), 2 * lam * x
+            for a, b in zip(up, down):
+                prev, cur = cur, a * x * cur - b * prev
+            # (1 - t^2) C'_N = (N + 2 lam - 1) C_{N-1} - N t C_N
+            step = cur * (1 - x * x) / ((npts + 2 * lam - 1) * prev - npts * x * cur)
+            if abs(step) > 1e-14:
+                raise ValueError(f"start {float(x0)} is not within 1e-14 of a root")
+            roots.append(x - step)
+    return roots

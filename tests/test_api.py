@@ -1,8 +1,14 @@
-"""The public surface: every exported name resolves, and names that moved to
-the test oracles or were deleted stay out of the library."""
+"""The public surface: every exported name resolves, names that moved to
+the test oracles or were deleted stay out of the library, and the library
+imports only what it uses, without scipy."""
 
+import ast
 import importlib
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -73,3 +79,54 @@ def test_scale_grid_has_one_node_rule():
         assert "convention" not in cls.__dataclass_fields__, cls.__name__
     for fn in (scale_grid.build_scale_grid, scale_grid.scale_grid_for_profile, scale_grid.find_ratio):
         assert "convention" not in inspect.signature(fn).parameters, fn.__name__
+
+
+PACKAGE_DIR = pathlib.Path(sphereframes.__file__).parent
+SOURCES = sorted(PACKAGE_DIR.glob("*.py"))
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, sphereframes, sphereframes.cli\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
+    # the child imports the same sphereframes as this process
+    path = os.pathsep.join([str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout.split()
+    assert out == [], f"importing sphereframes loads {len(out)} scipy modules: {out[:5]}"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names an import binds that the module never reads and __all__ does not list."""
+    tree = ast.parse(source)
+    bound = {}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read | exported]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_has_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_unused_import_check_flags_an_unused_name():
+    source = "from __future__ import annotations\nimport math, os\nfrom a import b as c\n__all__ = ['c']\nmath.pi\n"
+    assert _unused_imports(source) == ["os (line 2)"]

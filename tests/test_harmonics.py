@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from sphereframes.harmonics import (
     HarmonicCoefficients,
     HarmonicIndex,
     _axis_rows,
+    _log_beta_half,
     all_indices,
     analyze,
     angles_to_vector,
@@ -235,6 +237,22 @@ def test_normalized_axis_rows_stay_finite_at_band_800(kk):
     assert np.all(np.isfinite(rows))
     gram = (rows * w) @ rows.T
     assert np.max(np.abs(gram - np.eye(L + 1 - kk))) <= 1e-12
+
+
+@pytest.mark.parametrize("base", [0.5, 1.0, 1.5])
+def test_log_beta_start_matches_40_digit_reference(base):
+    kk = np.arange(801)
+    got = _log_beta_half(base, kk)
+    with mpmath.workdps(40):
+        half = mpmath.loggamma(mpmath.mpf(0.5))
+        want = [
+            mpmath.loggamma(base + k) + half - mpmath.loggamma(base + k + mpmath.mpf(0.5))
+            for k in range(kk.size)
+        ]
+        err = max(abs(float(mpmath.mpf(float(g)) - w)) for g, w in zip(got, want))
+    assert err <= 1e-14
+    # gaps in kk read the same running product
+    assert np.array_equal(_log_beta_half(base, kk[::7]), got[::7])
 
 
 def test_parseval_on_grid():

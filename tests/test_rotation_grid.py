@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import apply_rotation
 from scipy.integrate import quad
 
+from sphereframes import rotation_grid
 from sphereframes.harmonics import angles_to_vector
 from sphereframes.rotation_grid import (
     RotationGrid,
@@ -120,6 +121,27 @@ def test_grid_cap_raises_before_building_partitions(n, deltas):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("J, delta", [(2, 0.003), (3, 0.05)])
+def test_partition_cap_raises_before_building_cells(J, delta):
+    # 6 749 385 cells (about 1.5 GB) for S^2 and 12 825 223 for S^3
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than 200000 cells, the cap"):
+            partition_sphere(J, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_rotation_grid_cap_governs_its_own_partitions(monkeypatch):
+    # build_rotation_grid counts against max_elements, not the partition cap
+    monkeypatch.setattr(rotation_grid, "_MAX_CELLS", 100)
+    with pytest.raises(ValueError, match="more than 100 cells"):
+        partition_sphere(1, 0.05)
+    assert len(build_rotation_grid(1, (0.05,), max_elements=200)) == 126
 
 
 def test_grid_row_composition():

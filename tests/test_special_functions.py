@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,10 @@ from oracles import (
     funk_hecke_factor,
     gegenbauer,
     gegenbauer_derivative,
+    gegenbauer_roots,
     gegenbauer_squared_norm,
 )
-from scipy.special import eval_gegenbauer, eval_legendre
+from scipy.special import eval_gegenbauer, eval_legendre, roots_gegenbauer, roots_legendre
 
 from sphereframes.special_functions import (
     gegenbauer_all,
@@ -157,6 +159,25 @@ def test_gauss_rule_total_weight():
         _, w = zonal_gauss_rule(lam, 25)
         expect = math.sqrt(math.pi) * math.gamma(lam + 0.5) / math.gamma(lam + 1.0)
         assert float(w.sum()) == pytest.approx(expect, rel=1e-13)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
+def test_gauss_nodes_match_40_digit_roots(lam):
+    # the nodes are symmetric about 0, so the first half and its mirror
+    # image give every 40-digit root
+    for npts in (9, 65, 129, 257):
+        t, _ = zonal_gauss_rule(lam, npts)
+        assert np.array_equal(t, -t[::-1])
+        half = gegenbauer_roots(lam, npts, t[: (npts + 1) // 2])
+        ref = roots_legendre(npts)[0] if lam == 0.5 else roots_gegenbauer(npts, lam)[0]
+        with mpmath.workdps(40):
+            exact = half + [-x for x in reversed(half[: npts // 2])]
+            ours, theirs = (
+                max(abs(float(mpmath.mpf(float(x)) - r)) for x, r in zip(nodes, exact))
+                for nodes in (t, ref)
+            )
+        assert ours <= 1e-16, (lam, npts)
+        assert ours <= theirs, (lam, npts)
 
 
 def test_funk_hecke_factor_known_values():

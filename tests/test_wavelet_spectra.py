@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from oracles import (
     SpectralTruncationWarning,
@@ -20,8 +21,8 @@ from sphereframes.harmonics import build_sphere_grid, dim_harmonic, synthesize
 from sphereframes.scale_grid import _degree_energies, build_scale_grid, discrete_beta
 from sphereframes.wavelet_spectra import (
     PRESET_NAMES,
-    BetaTable,
     SpectralProfile,
+    _brent_root,
     beta_numeric,
     build_beta_table,
     degree_response_norms,
@@ -319,3 +320,44 @@ def test_hat_positive_above_order(rho, l, c):
     prof = SpectralProfile(a=1.0, b=1.0, c=c, q=(0.0, 1.0))
     assert zonal_hat(prof, rho, l, 2) > 0.0
     assert zonal_hat(prof, rho, 0, 2) == 0.0
+
+
+def _root_or_error(solve, f, a, b):
+    try:
+        return solve(f, a, b)
+    except ValueError:  # f(a), f(b) of one sign: below c' = 0.25 at tol 1e-15
+        return "same signs"
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-18])
+def test_brent_root_matches_scipy_brentq_bit_for_bit(tol):
+    # both brackets that _envelope_log_range solves, over a sweep of c'
+    target = math.log(tol)
+    for cprime in np.linspace(0.01, 50.0, 501):
+
+        def g(s, cprime=float(cprime)):
+            return 2.0 * cprime * math.log(s / cprime) - 2.0 * (s - cprime) - target
+
+        hi = cprime - target
+        while g(hi) > 0:
+            hi *= 2.0
+        for a, b in ((cprime * 1e-30, cprime), (cprime, hi)):
+            assert _root_or_error(_brent_root, g, a, b) == _root_or_error(brentq, g, a, b)
+
+
+def test_brent_root_steps_and_errors_match_scipy_brentq():
+    cases = [
+        (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),  # interpolation steps
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.expm1(60.0 * (x - 0.3)), 0.0, 1.0),  # bisection steps
+        (lambda x: math.atan(x - 0.7) - 1e-3, -3.0, 1.0),
+        (lambda x: x - 1.0, 1.0, 2.0),  # root at an end point
+    ]
+    for f, a, b in cases:
+        assert _brent_root(f, a, b) == brentq(f, a, b)
+    with pytest.raises(ValueError, match="different signs"):
+        _brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+    # the cube underflows near its root, and neither finds it in 100 steps
+    for solve in (_brent_root, brentq):
+        with pytest.raises(RuntimeError):
+            solve(lambda x: (x - 0.25) ** 3, -1.0, 2.0)

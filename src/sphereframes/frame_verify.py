@@ -143,16 +143,14 @@ def certify_frame(
     Every trial's semi-discrete energy S (scales discretized, rotations
     integrated exactly) is the reference for delta_hat = max |E - S| / O, with
     O the continuous energy.  Full spatial verification (rotation grids and
-    sphere quadrature) computes E for n = 2 by default and for n = 3 with
-    L <= 4 when ``spatial=True``.  Higher dimensions stay on the spectral side,
-    where E is S and delta_hat = 0.
+    sphere quadrature) computes E for n = 2 by default and for n = 3 when
+    ``spatial=True``.  Higher dimensions stay on the spectral side, where E is
+    S and delta_hat = 0.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if spatial is None:
         spatial = n == 2
-    if spatial and n == 3 and L > 4:
-        raise ValueError("spatial verification for n=3 is limited to L <= 4")
     if spatial and n > 3:
         raise ValueError("spatial verification is limited to n <= 3")
 

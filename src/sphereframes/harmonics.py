@@ -153,21 +153,19 @@ class SphereGrid:
     weights: np.ndarray  # (M,)
     # per polar axis, read-only rows[kk, m, node] of _axis_rows for every kk <= L
     axis_rows: list[np.ndarray]
+    cartesian: np.ndarray  # (M, n+1) read-only ambient coordinates of the nodes
 
     @property
     def size(self) -> int:
         return self.angles.shape[0]
-
-    def cartesian(self) -> np.ndarray:
-        return angles_to_vector(self.n, self.angles)
 
 
 def build_sphere_grid(n: int, L: int) -> SphereGrid:
     """Gauss rule per polar angle (weight-matched) and uniform azimuth, exact at 2L.
 
     Also computes each polar axis's normalized rows for every order kk <= L,
-    which synthesize and analyze share.  Raises before holding more than
-    _MAX_ARRAY_BYTES of them.
+    which synthesize and analyze share, and the nodes' ambient coordinates.
+    Raises before holding more than _MAX_ARRAY_BYTES of rows.
     """
     if n < 2:
         raise ValueError(f"sphere dimension must be >= 2, got {n}")
@@ -198,7 +196,11 @@ def build_sphere_grid(n: int, L: int) -> SphereGrid:
     weights = np.ones(angles.shape[0])
     for wm in wmesh:
         weights = weights * wm.reshape(-1)
-    return SphereGrid(n, L, axis_nodes, axis_weights, phi, phi_w, angles, weights, axis_rows)
+    cartesian = angles_to_vector(n, angles)
+    cartesian.flags.writeable = False
+    return SphereGrid(
+        n, L, axis_nodes, axis_weights, phi, phi_w, angles, weights, axis_rows, cartesian
+    )
 
 
 def harmonic_basis(grid: SphereGrid, L: int) -> tuple[list[HarmonicIndex], np.ndarray]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -160,33 +160,83 @@ def _cell_count(J: int, delta: float, limit: int) -> int:
     return count
 
 
+class _FlatWeights:
+    """RotationGrid.weights: the product of each rotation's cell measures,
+    built on first read.  As a data descriptor it is also a dataclass field,
+    so weights can be given, e.g. by dataclasses.replace; the flat-row
+    readers (total_weight, to_csv, frame_energy) then use those."""
+
+    def __get__(self, grid, owner=None):
+        if grid is None:
+            return self
+        if grid.__dict__.get("weights") is None:
+            grid.__dict__["weights"] = np.prod(grid._flat(grid.measures), axis=0)
+        return grid.__dict__["weights"]
+
+    def __set__(self, grid, value):
+        # the dataclass passes the descriptor itself as the field's default
+        grid.__dict__["weights"] = None if value is self else value
+
+
 @dataclass(frozen=True)
 class RotationGrid:
     """Product grid on SO(n+1): one rotation per tuple of partition cells.
 
-    Euler angles are stored outer factor first: the x^n block (n angles),
-    then x^(n-1), down to x^1, giving n(n+1)/2 angles per rotation.
+    The grid holds its factor partitions, outer sphere first: centres[k] are
+    the cell centre angles of S^(n-k), shape (cells, n - k), and measures[k]
+    their measures.  The rotations are the tuples of cells in mixed-radix
+    order, outer factor slowest, each weighted by the product of its cell
+    measures.  The flat rows, angles (outer factor's angles first, n(n+1)/2
+    per rotation) and weights, are built only on request, and refused for a
+    grid of more than max_elements rotations.
     """
 
     n: int
     delta_list: tuple
-    angles: np.ndarray
-    weights: np.ndarray
-    sizes: tuple
+    centres: tuple
+    measures: tuple
+    max_elements: int = _MAX_CELLS
+    weights: np.ndarray = field(default=_FlatWeights(), repr=False, compare=False)
 
     def __post_init__(self):
-        m = self.n * (self.n + 1) // 2
-        if self.angles.ndim != 2 or self.angles.shape[1] != m:
-            raise ValueError(f"expected angle rows of length {m}")
-        if self.weights.shape != (self.angles.shape[0],):
+        if len(self.centres) != self.n or len(self.measures) != self.n:
+            raise ValueError(f"expected {self.n} factor partitions")
+        for J, c, m in zip(range(self.n, 0, -1), self.centres, self.measures):
+            if c.shape != (m.size, J) or m.shape != (m.size,):
+                raise ValueError(f"centres of S^{J} must be rows of {J} angles, one per measure")
+        w = self.__dict__["weights"]
+        if w is not None and np.shape(w) != (len(self),):
             raise ValueError("weights must align with rotations")
 
+    @property
+    def sizes(self) -> tuple:
+        return tuple(m.size for m in self.measures)
+
     def __len__(self) -> int:
-        return int(self.weights.size)
+        return math.prod(self.sizes)
 
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
+
+    @property
+    def angles(self) -> np.ndarray:
+        return np.concatenate(self._flat(self.centres), axis=1)
+
+    def check_flat(self) -> None:
+        """Raise if the grid has more rotations than max_elements, the cap on
+        anything built with one row or column per rotation."""
+        if len(self) > self.max_elements:
+            raise ValueError(
+                f"flat rows of {len(self)} rotations: more than {self.max_elements} "
+                "elements, the cap; increase the caps in delta_list or raise max_elements"
+            )
+
+    def _flat(self, blocks) -> list:
+        """Each factor's rows repeated out to one per rotation, outer factor slowest."""
+        self.check_flat()
+        index = np.indices(self.sizes).reshape(self.n, -1)
+        return [b[i] for b, i in zip(blocks, index)]
 
     def header(self) -> dict:
         return {
@@ -210,12 +260,14 @@ class RotationGrid:
 def build_rotation_grid(
     n: int, delta_list, max_elements: int = _MAX_CELLS
 ) -> RotationGrid:
-    """Cartesian product of partitions of S^n, ..., S^1 with product weights.
+    """Product of partitions of S^n, ..., S^1 with product weights.
 
     delta_list is ordered (delta_n, ..., delta_1), outermost sphere first.
-    Raises if the product of partition sizes exceeds max_elements, before
-    any partition is built: the sizes are counted innermost first, and each
-    count stops once it passes the room the smaller spheres leave.
+    Raises, before any partition is built, if one partition, or the tuples
+    of the inner partitions S^(n-1), ..., S^1, would number more than
+    max_elements: the sizes are counted innermost first, and each count
+    stops once it passes the room the smaller spheres leave.  The grid keeps
+    max_elements as the cap on its flat rows.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -224,34 +276,25 @@ def build_rotation_grid(
         raise ValueError(f"need {n} diameter caps, got {len(deltas)}")
     if min(deltas) <= 0:
         raise ValueError(f"diameter caps must be positive, got {deltas}")
-    total = 1
+    inner = 1
     for J in range(1, n + 1):
-        room = max_elements // total
+        room = max_elements // inner if J < n else max_elements
         count = _cell_count(J, deltas[n - J], room)
         if count > room:
             raise ValueError(
-                f"rotation grid would hold more than {max_elements} elements, the cap; "
-                "increase the caps in delta_list or raise max_elements"
+                f"rotation grid would hold more than {max_elements} elements, the cap, "
+                f"in its S^{J} factor or its inner tuples; increase the caps in "
+                "delta_list or raise max_elements"
             )
-        total *= count
-    parts = [_partition(J, deltas[n - J]) for J in range(n, 0, -1)]
-    sizes = tuple(len(p) for p in parts)
-    m = n * (n + 1) // 2
-    angles = np.empty((total, m))
-    weights = np.ones(total)
-    stride = total
-    offset = 0
-    for p in parts:
-        J = p.dimension
-        stride //= len(p)
-        block = np.array([c.center for c in p.cells])
-        meas = np.array([c.measure for c in p.cells])
-        reps = total // (stride * len(p))
-        idx = np.tile(np.repeat(np.arange(len(p)), stride), reps)
-        angles[:, offset : offset + J] = block[idx]
-        weights *= meas[idx]
-        offset += J
-    return RotationGrid(n, deltas, angles, weights, sizes)
+        inner *= count
+    centres, measures = [], []
+    for J in range(n, 0, -1):
+        cells = _partition(J, deltas[n - J]).cells
+        centres.append(np.array([c.center for c in cells]))
+        measures.append(np.array([c.measure for c in cells]))
+    for a in centres + measures:
+        a.flags.writeable = False
+    return RotationGrid(n, deltas, tuple(centres), tuple(measures), max_elements)
 
 
 def _rotate(n: int, euler, v: np.ndarray) -> np.ndarray:

@@ -110,24 +110,44 @@ def zonal_gauss_rule(lam: float, npts: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule on [-1, 1] for the weight (1-t^2)^(lam-1/2); exact to degree 2 npts - 1.
 
     The nodes are the eigenvalues of the symmetric Jacobi matrix of the
-    Gegenbauer recurrence (Golub & Welsch, Math. Comp. 23, 1969), polished by
-    three Newton steps on C_npts and made symmetric about 0; they land within
-    1e-16 of the true roots.  The weights are 1 / ((1 - t^2) C'_npts(t)^2),
-    scaled to the total mass of the weight.
+    Gegenbauer recurrence (Golub & Welsch, Math. Comp. 23, 1969).  Its
+    diagonal is zero, so with the even rows first it is [[0, B], [B^T, 0]],
+    and the squares of the positive nodes are the eigenvalues of the
+    half-size tridiagonal B^T B; an odd rule adds the node 0.
     """
     if npts < 1:
         raise ValueError(f"need at least one node, got {npts}")
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    # monic recurrence t p_k = p_{k+1} + b_k^2 p_{k-1}
-    k = np.arange(1.0, npts)
+    # monic recurrence t p_k = p_{k+1} + b_k^2 p_{k-1}, b[k - 1] coupling rows k - 1, k;
+    # b[npts - 1] = 0 stands for the coupling past the last row
+    k = np.arange(1.0, npts + 1)
     b = np.sqrt(k * (k + 2.0 * lam - 1.0) / (4.0 * (k + lam) * (k + lam - 1.0)))
-    t = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
-    for _ in range(3):
+    b[-1] = 0.0
+    half = npts // 2
+    # B^T B over the odd rows 2i + 1, each coupled to the even rows 2i and 2i + 2
+    diag = b[0 : 2 * half : 2] ** 2 + b[1 : 2 * half + 1 : 2] ** 2
+    off = b[1 : 2 * half - 1 : 2] * b[2 : 2 * half : 2]
+    squares = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return _gauss_rule_from_nodes(lam, npts, np.sqrt(squares))
+
+
+def _gauss_rule_from_nodes(lam: float, npts: int, positive: np.ndarray):
+    """The Gauss rule from approximations to its npts // 2 positive nodes.
+
+    Two Newton steps on C_npts polish them, the second in extended precision
+    where the platform has it, so that each lands on the double nearest its
+    root; they are mirrored about 0, with 0 added for odd npts.  The weights
+    are 1 / ((1 - t^2) C'_npts(t)^2), scaled to the total mass of the weight.
+    """
+    t = positive
+    for dtype in (float, np.longdouble):
         # (1 - t^2) C'_N = (N + 2 lam - 1) C_{N-1} - N t C_N
-        prev, cur = _gegenbauer_pair(lam, npts, t)
-        t = t - cur * (1.0 - t) * (1.0 + t) / ((npts + 2.0 * lam - 1.0) * prev - npts * t * cur)
-    t = 0.5 * (t - t[::-1])
+        x, a = t.astype(dtype), dtype(lam)
+        prev, cur = _gegenbauer_pair(a, npts, x)
+        step = cur * (1 - x) * (1 + x) / ((npts + 2 * a - 1) * prev - npts * x * cur)
+        t = (x - step).astype(float)
+    t = np.concatenate([-t[::-1], np.zeros(npts % 2), t])
     # C'_npts = 2 lam C^{lam+1}_{npts-1}; constant factors cancel in the scaling
     slope = _gegenbauer_pair(lam + 1.0, npts - 1, t)[1]
     w = 1.0 / ((1.0 - t) * (1.0 + t) * slope * slope)

@@ -13,10 +13,14 @@ coefficients turn each one into a per-degree filter, and the pairing is
 that filter applied to the degree components of x^mu f at U = R e_1.  The
 fields are synthesized on the sphere grid, multiplied by each monomial and
 analysed once per call; the products stay within the grid rule's band, so
-the analysis is exact.  U depends only on the outer S^n angles of a
-rotation, so each outer cell evaluates the degree components once, in
-O(L^n) work, and a rotation costs only the contraction of its R e_2
-monomials against its cell's per-scale sums.
+the analysis is exact.  The rotation grid is a product of sphere
+partitions.  U depends only on a rotation's outer S^n cell, so each outer
+cell evaluates the degree components once, in O(L^n) work.  R e_2 is the
+image under the cell's T_n of a point fixed by the S^(n-1) cell, and T_n
+acts linearly on the monomials of that point; so the energy of all of a
+cell's inner rotations is a quadratic form in the cell's per-scale sums,
+with one matrix for the whole grid, and no rotation is visited.  Only the
+table of wavelet_analysis has one column per rotation.
 
 The energy identity sums beta(l) against the per-degree field energies and is
 the rotation-quadrature-free reference value for frame checks.
@@ -38,7 +42,7 @@ from .harmonics import (
     eval_degree_components,
     synthesize,
 )
-from .rotation_grid import RotationGrid, _rotate
+from .rotation_grid import RotationGrid, rotation_matrix
 from .scale_grid import ScaleGrid
 from .special_functions import _pochhammer, gegenbauer_connection, surface_area
 from .wavelet_spectra import (
@@ -130,7 +134,8 @@ class TransformTable:
 
 
 # Bytes of one chunk of outer cells: the normalized axis rows and phases at
-# their centres, their degree components and the per-scale sums.  A chunk
+# their centres, their degree components, the per-scale sums and their
+# products with the grid's quadratic form (or the chunk's table).  A chunk
 # holds at least one cell, so the real bound is max(_CHUNK_BYTES, one cell):
 # at n=2, L=128 one cell's rows are 129 x 129 x 8 B, about 130 kB.
 _CHUNK_BYTES = 8 * 2**20
@@ -154,6 +159,27 @@ def _monomials(n: int, j: int):
 def _eval_monomials(points: np.ndarray, combos) -> np.ndarray:
     """x^mu for every row x of points and every index tuple mu; one column each."""
     return np.stack([np.prod(points[:, list(c)], axis=1) for c in combos], axis=1)
+
+
+def _monomial_action(T: np.ndarray, combos, weights) -> np.ndarray:
+    """A[c] with m(T[c] v) = A[c] m(v) for every v, T of shape (cells, n+1, n+1)
+    and m(v) the weighted degree-j monomials weights[mu] v^mu, mu in combos.
+
+    (T v)^mu = prod_k (T v)_{mu_k} expands over the index sequences b =
+    (b_1 .. b_j) as prod_k T[mu_k, b_k] v_{b_k}; the sequences of one
+    multiset nu add up to the coefficient of v^nu.
+    """
+    cells, dim = T.shape[0], T.shape[1]
+    j = len(combos[0])
+    rows = np.ones((cells, len(combos), 1))
+    for k in range(j):
+        rows = rows[..., None] * T[:, [mu[k] for mu in combos], None, :]
+        rows = rows.reshape(cells, len(combos), -1)
+    position = {mu: i for i, mu in enumerate(combos)}
+    sequences = itertools.product(range(dim), repeat=j)
+    fold = np.zeros((rows.shape[2], len(combos)))
+    fold[np.arange(rows.shape[2]), [position[tuple(sorted(b))] for b in sequences]] = 1.0
+    return (rows @ fold) * (weights[:, None] / weights)
 
 
 def _filters(n: int, profile: SpectralProfile, field_L: int, scales: ScaleGrid) -> dict:
@@ -199,38 +225,45 @@ def _scan(
     threads=None,
     collect: bool = False,
 ):
-    """Shared loop over (scale, rotation) pairs for a batch of fields.
+    """Frame energies of a batch of fields over the factored rotation grid,
+    each outer cell's inner rotations summed in closed form; or, with
+    collect, the first field's transform table.
 
     W f(rho, R) = sum over the wavelet terms y2^j G_j(y1) of the pairing of
     G_j(U . x) with (V . x)^j f(x), U = R e_1 and V = R e_2.  Expanding
-    (V . x)^j over the degree-j monomials x^mu, each field is multiplied by
-    x^mu on the sphere grid and analysed once, to degree field_L - j, where
-    the grid rule is still exact for the product.  By the addition theorem
-    G_j(U . x) pairs with x^mu f as sum_l filters[j][s, l] times the degree-l
-    component of x^mu f at U.  U depends only on the outer S^n angles of a
-    rotation, so a cell evaluates those components once at its centre and
-    folds them into per-scale sums; a rotation then contracts the monomials
-    of its V against its cell's sums.  Cells run in chunks of at most
+    (V . x)^j = m_j(V) . x^mu over the degree-j monomials, with m_j(V) the
+    weighted monomials of V, each field is multiplied by x^mu on the sphere
+    grid and analysed once, to degree field_L - j, where the grid rule is
+    still exact for the product.  By the addition theorem G_j(U . x) pairs
+    with x^mu f as sum_l filters[j][s, l] times the degree-l component of
+    x^mu f at U.  The inner factors T_J, J < n, fix e_1, so U is the outer
+    cell's centre, where the components are evaluated once.  T_J, J < n - 1,
+    also fix e_2, so V = T_n(x_c) p, with p = T_(n-1)(x^(n-1)) e_2 running
+    over the S^(n-1) cells, and m(V) = A_c m(p) with A_c the action of
+    T_n(x_c) on the monomials.  So W = m(p) . B[s, c], where B[s, c] is the
+    per-scale sum of the components after A_c^T, applied before the filter.
+    Summed over a cell's inner rotations, with omega_p the S^(n-1) cell
+    measure times the total measure of the smaller factors, |W|^2 is the
+    quadratic form B^H Q0 B, Q0 = sum_p omega_p m(p) m(p)^T = H^T H, so the
+    energy is a weighted sum of |H B|^2.  Cells run in chunks of at most
     _CHUNK_BYTES or one cell, whichever is larger, which bounds memory
-    independently of the inner grid and of the thread count.  Returns
-    (energies per field, table or None); the table keeps only the first
-    field's values.
+    independently of the inner grid and of the thread count.  The table
+    has one column per rotation, in the grid's row order.
     """
     if sphere_grid.L < field_L:
         raise ValueError(
             f"sphere grid exact to band {2 * sphere_grid.L} cannot integrate "
             f"field band {field_L} against the equally truncated wavelet"
         )
-    rot_norm = rotations.weights / _haar_normalization(n)
+    if collect:
+        rotations.check_flat()
     n_fields = len(fields)
     n_scales = len(scales)
-    table = np.empty((n_scales, len(rotations)), dtype=complex) if collect else None
     filters = _filters(n, profile, field_L, scales)
 
     # moments[j]: coefficients of x^mu f to degree field_L - j, one column per
     # (mu, field); analysed one monomial at a time to keep the grid-sized
     # transients at n_fields columns
-    X = sphere_grid.cartesian()
     samples = np.stack([synthesize(f.coeffs, sphere_grid) for f in fields], axis=1)
     monomials, columns, moments = {}, {}, {}
     start = 0
@@ -241,65 +274,69 @@ def _scan(
         start += len(combos)
         parts = [
             analyze(xm[:, None] * samples, sphere_grid, field_L - j).values
-            for xm in _eval_monomials(X, combos).T
+            for xm in _eval_monomials(sphere_grid.cartesian, combos).T
         ]
         moments[j] = HarmonicCoefficients(n, field_L - j, np.stack(parts, axis=1))
     n_cols = start
 
-    cell_of = np.unique(rotations.angles[:, :n], axis=0, return_inverse=True)[1].ravel()
-    order = np.argsort(cell_of, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(cell_of))])
-    n_cells = bounds.size - 1
+    # p = T_(n-1)(x^(n-1)) e_2 over the S^(n-1) cells, and their weighted monomials
+    m = n * (n + 1) // 2
+    euler = np.zeros((rotations.sizes[1], m))
+    euler[:, n : 2 * n - 1] = rotations.centres[1]
+    p = rotation_matrix(n, euler)[:, :, 1]
+    p_mono = np.concatenate(
+        [w * _eval_monomials(p, combos) for combos, w in monomials.values()], axis=1
+    )
+    omega = rotations.measures[1] * math.prod(w.sum() for w in rotations.measures[2:])
+    H = np.linalg.qr(np.sqrt(omega)[:, None] * p_mono, mode="r")
+    centres = rotations.centres[0]
+    cell_weights = rotations.measures[0] / _haar_normalization(n)
+    n_cells = centres.shape[0]
+    inner = len(rotations) // n_cells
+    table = np.empty((n_scales, n_cells, inner), dtype=complex) if collect else None
+
     cell_bytes = 8 * (
         (n - 1) * (field_L + 1) ** 2
         + 2 * (2 * field_L + 1)
-        + 2 * (field_L + 1 + n_scales) * n_cols * n_fields
+        + 6 * (field_L + 1) * n_cols * n_fields
+        + 4 * n_scales * n_cols * n_fields
+        + (2 * n_scales * (len(p) + inner) if collect else 0)
     )
     per_chunk = max(1, _CHUNK_BYTES // cell_bytes)
-    chunks = [range(c, min(c + per_chunk, n_cells)) for c in range(0, n_cells, per_chunk)]
+    chunks = [slice(c, min(c + per_chunk, n_cells)) for c in range(0, n_cells, per_chunk)]
 
-    def cell_sums(centres: np.ndarray) -> np.ndarray:
-        """sums[s, c, col, t]: the degree components at cell centre c summed
-        against scale s's filter.  Its own function, so that the components
-        are freed before the chunk's per-rotation arrays are built."""
-        sums = np.empty((n_scales, len(centres), n_cols, n_fields), dtype=complex)
+    def scan_chunk(cells: slice):
+        n_chunk = cells.stop - cells.start
+        chunk_euler = np.zeros((n_chunk, m))
+        chunk_euler[:, :n] = centres[cells]
+        T = rotation_matrix(n, chunk_euler)
+        # B[c, col, s, (t, re/im)]: A_c^T applied to the degree components at
+        # the cell centres, then each scale's filter
+        B = np.empty((n_chunk, n_cols, n_scales, 2 * n_fields))
         for j, filt in filters.items():
-            comps = eval_degree_components(moments[j], centres)
-            part = filt @ comps.reshape(comps.shape[0], -1).view(np.float64)
-            sums[:, :, columns[j]] = part.view(complex).reshape(sums.shape[:2] + (-1, n_fields))
-        return sums
-
-    def scan_chunk(cells: range):
-        rows = order[bounds[cells.start] : bounds[cells.stop]]
-        offsets = bounds[cells.start : cells.stop + 1] - bounds[cells.start]
-        sums = cell_sums(rotations.angles[rows[offsets[:-1]], :n])
-        e2 = np.zeros((rows.size, n + 1, 1))
-        e2[:, 1] = 1.0
-        V = _rotate(n, rotations.angles[rows], e2)[..., 0]
-        Vmono = np.concatenate(
-            [w * _eval_monomials(V, combos) for combos, w in monomials.values()], axis=1
-        )
-        local_energy = np.zeros(n_fields)
-        local_rows = np.empty((n_scales, rows.size), dtype=complex) if collect else None
-        for c in range(len(cells)):
-            a, b = offsets[c], offsets[c + 1]
-            W = Vmono[a:b] @ sums[:, c]
-            local_energy += scales.weights @ (rot_norm[rows[a:b]] @ np.abs(W) ** 2)
-            if collect:
-                local_rows[:, a:b] = W[:, :, 0]
-        return rows, local_energy, local_rows
+            comps = eval_degree_components(moments[j], centres[cells]).view(np.float64)
+            x = np.ascontiguousarray(comps.transpose(1, 2, 0, 3))  # (c, mu, l, (t, re/im))
+            action = _monomial_action(T, *monomials[j])
+            y = np.swapaxes(action, 1, 2) @ x.reshape(n_chunk, x.shape[1], -1)
+            B[:, columns[j]] = filt @ y.reshape(x.shape)
+        B = B.reshape(n_chunk, n_cols, -1)
+        if collect:
+            W = (p_mono @ B).view(complex).reshape(n_chunk, len(p), n_scales, n_fields)
+            table[:, cells] = np.repeat(W[..., 0].transpose(2, 0, 1), inner // len(p), axis=2)
+            return None
+        Y = H @ B
+        Y *= Y
+        per_cell = cell_weights[cells] @ Y.reshape(n_chunk, -1)
+        return scales.weights @ per_cell.reshape(-1, n_scales, n_fields, 2).sum(axis=(0, 3))
 
     if threads and threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             results = list(ex.map(scan_chunk, chunks))
     else:
         results = [scan_chunk(cells) for cells in chunks]
-    energies = np.zeros(n_fields)
-    for rows, local_energy, local_rows in results:
-        energies += local_energy
-        if collect:
-            table[:, rows] = local_rows
-    return energies, table
+    if collect:
+        return table.reshape(n_scales, -1)
+    return np.sum(results, axis=0)
 
 
 def wavelet_analysis(
@@ -316,7 +353,7 @@ def wavelet_analysis(
     rotation's cell centre."""
     if f.n != n or sphere_grid.n != n:
         raise ValueError("field, sphere grid, and transform dimension must agree")
-    _, table = _scan(
+    table = _scan(
         n, profile, [f], f.L, scales, rotations, sphere_grid, threads, collect=True
     )
     return TransformTable(table, scales, rotations)
@@ -338,8 +375,7 @@ def transform_energies(
     for f in fields:
         if f.n != n:
             raise ValueError("field dimension mismatch")
-    energies, _ = _scan(n, profile, fields, field_L, scales, rotations, sphere_grid, threads)
-    return energies
+    return _scan(n, profile, fields, field_L, scales, rotations, sphere_grid, threads)
 
 
 def frame_energy(table: TransformTable, scales=None, rotations=None) -> float:

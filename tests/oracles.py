@@ -13,6 +13,8 @@ paths against them:
 - ``direct_transform`` evaluates the rotated wavelet on the sphere grid for
   every rotation and scale and pairs it with the weighted field;
 - ``table_csv`` formats a transform table one entry at a time;
+- ``flat_rotation_rows`` builds a rotation grid's angle rows and weights one
+  row per rotation, as the grid was once stored;
 - ``gegenbauer``, ``gegenbauer_derivative``, ``gegenbauer_squared_norm`` and
   ``funk_hecke_factor`` give single Gegenbauer values, derivatives, norms
   and the Funk-Hecke multiplier;
@@ -28,7 +30,8 @@ paths against them:
 - ``spectral_cutoff`` finds the degree where the spectrum has decayed, and
   ``beta_tail_indicator`` measures how settled beta is at the band limit;
 - ``gegenbauer_roots`` refines double-precision Gauss nodes to 40-digit
-  roots of C^lam_N with mpmath.
+  roots of C^lam_N with mpmath, and ``dense_gauss_rule`` is the Gauss rule
+  from the eigenvalues of the whole Jacobi matrix.
 """
 
 from __future__ import annotations
@@ -54,9 +57,10 @@ from sphereframes.harmonics import (
     synthesize,
     validate_index,
 )
-from sphereframes.rotation_grid import rotation_matrix
+from sphereframes.rotation_grid import _partition, rotation_matrix
 from sphereframes.special_functions import (
     _check_args,
+    _gauss_rule_from_nodes,
     _gegenbauer_pair,
     _log_squared_norm,
     _pochhammer,
@@ -211,6 +215,28 @@ def table_csv(values: np.ndarray) -> str:
             w = values[j, g]
             lines.append(f"{j},{g},{w.real:.17g},{w.imag:.17g}")
     return "\n".join(lines) + "\n"
+
+
+def flat_rotation_rows(n: int, delta_list) -> tuple[np.ndarray, np.ndarray]:
+    """Angle rows and weights of every rotation of build_rotation_grid(n,
+    delta_list), outer factor varying slowest, filled factor by factor."""
+    parts = [_partition(J, float(delta_list[n - J])) for J in range(n, 0, -1)]
+    total = math.prod(len(p) for p in parts)
+    angles = np.empty((total, n * (n + 1) // 2))
+    weights = np.ones(total)
+    stride = total
+    offset = 0
+    for p in parts:
+        J = p.dimension
+        stride //= len(p)
+        block = np.array([c.center for c in p.cells])
+        meas = np.array([c.measure for c in p.cells])
+        reps = total // (stride * len(p))
+        idx = np.tile(np.repeat(np.arange(len(p)), stride), reps)
+        angles[:, offset : offset + J] = block[idx]
+        weights *= meas[idx]
+        offset += J
+    return angles, weights
 
 
 # ---------------------------------------------------------------------------
@@ -491,3 +517,12 @@ def gegenbauer_roots(lam: float, npts: int, start, dps: int = 40) -> list:
                 raise ValueError(f"start {float(x0)} is not within 1e-14 of a root")
             roots.append(x - step)
     return roots
+
+
+def dense_gauss_rule(lam: float, npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """zonal_gauss_rule with the nodes from the eigenvalues of the whole
+    npts x npts Jacobi matrix rather than its half-size block."""
+    k = np.arange(1.0, npts)
+    b = np.sqrt(k * (k + 2.0 * lam - 1.0) / (4.0 * (k + lam) * (k + lam - 1.0)))
+    t = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
+    return _gauss_rule_from_nodes(lam, npts, t[npts - npts // 2 :])

@@ -119,7 +119,7 @@ def test_funk_hecke_and_parseval_identities():
         lam = (n - 1) / 2
         grid = build_sphere_grid(n, L)
         _, mat = harmonic_basis(grid, L)
-        y = grid.cartesian()
+        y = grid.cartesian
         # Funk-Hecke with a degree-L zonal polynomial (exact on the grid)
         f = lambda t: t**L + t ** (L - 1)
         tq, wq = zonal_gauss_rule(lam, L + 4)

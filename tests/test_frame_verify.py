@@ -135,8 +135,27 @@ def test_spectral_mode_for_higher_dimension():
     assert np.all(rep.discrepancies <= rep.epsilon_hat + rep.delta_hat)
     with pytest.raises(ValueError):
         certify_frame(4, prof4, 6, 1.2, (1.0, 1.0, 1.0, 1.0), 3, 11, spatial=True)
-    with pytest.raises(ValueError):
-        certify_frame(3, make_preset("abel-poisson", 3), 8, 1.2, (1.0, 1.0, 1.0), 3, 1, spatial=True)
+
+
+@pytest.mark.parametrize("d, delta_hat", [(1, 0.029), (0, 0.042)])
+def test_spatial_certify_on_s3(d, delta_hat):
+    # 3075 x 96 x 7 = 2 066 400 rotations, ten times the default cap, which
+    # bounds each factor and the inner tuples, not the product
+    prof = make_preset("abel-poisson", 3, d=d)
+    rep = certify_frame(3, prof, 8, 1.5, (0.9, 0.9, 0.9), 5, 2026, spatial=True)
+    assert rep.grid_info["mode"] == "spatial"
+    assert rep.grid_info["rotation_sizes"] == [3075, 96, 7]
+    assert rep.verdict
+    assert rep.delta_hat == pytest.approx(delta_hat, abs=5e-4)
+    assert np.all(rep.discrepancies <= rep.epsilon_hat + rep.delta_hat)
+    # the single-cell control fails
+    control = certify_frame(3, prof, 8, 1.5, (3.2, 3.2, 3.2), 5, 2026, spatial=True)
+    assert not control.verdict
+    assert control.delta_hat > 0.5
+    assert np.all(control.discrepancies <= control.epsilon_hat + control.delta_hat)
+    # spatial stays the default for n = 2 only
+    spectral = certify_frame(3, prof, 8, 1.5, (0.9, 0.9, 0.9), 5, 2026)
+    assert spectral.grid_info["mode"] == "spectral" and spectral.delta_hat == 0.0
 
 
 def test_find_refinement_accepts_first_passing_level():

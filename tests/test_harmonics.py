@@ -343,6 +343,10 @@ def test_grid_shapes_and_weights():
     assert float(grid.weights.sum()) == pytest.approx(surface_area(2), rel=1e-13)
     grid3 = build_sphere_grid(3, 3)
     assert float(grid3.weights.sum()) == pytest.approx(surface_area(3), rel=1e-13)
+    # the grid holds its nodes' ambient coordinates, read-only
+    for g in (grid, grid3):
+        assert g.cartesian.tobytes() == angles_to_vector(g.n, g.angles).tobytes()
+        assert not g.cartesian.flags.writeable
 
 
 def test_coefficient_table_access():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import apply_rotation
+from oracles import apply_rotation, flat_rotation_rows
 from scipy.integrate import quad
 
 from sphereframes import rotation_grid
@@ -97,15 +97,38 @@ def test_grid_frozen_sizes_s3():
 
 def test_grid_element_cap():
     with pytest.raises(ValueError):
-        build_rotation_grid(3, (1.0, 1.0, 1.0))  # 833966 > default cap
-    with pytest.raises(ValueError):
         build_rotation_grid(2, (1.0,))  # wrong cap count
-    # the cap is exact: the 54 x 6 grid fits 324 elements and not 323
-    assert len(build_rotation_grid(2, (1.2, 1.2), max_elements=324)) == 324
-    with pytest.raises(ValueError, match="more than 323 elements"):
-        build_rotation_grid(2, (1.2, 1.2), max_elements=323)
     with pytest.raises(ValueError, match="must be positive"):
         build_rotation_grid(2, (1.2, 0.0))
+    # the cap bounds each factor and the inner tuples, not the product: the
+    # 1678 x 71 x 7 = 833 966 rotations are held as 1678 + 71 + 7 cells
+    grid = build_rotation_grid(3, (1.0, 1.0, 1.0))
+    assert len(grid) == 833_966
+    with pytest.raises(ValueError, match="more than 200000 elements, the cap"):
+        grid.angles
+    with pytest.raises(ValueError, match="more than 200000 elements, the cap"):
+        build_rotation_grid(3, (3.2, 0.2, 0.01))  # 1558 x 629 inner tuples
+    # the flat cap is exact: the 54 x 6 grid fits 324 elements and not 323
+    assert build_rotation_grid(2, (1.2, 1.2), max_elements=324).angles.shape == (324, 3)
+    tight = build_rotation_grid(2, (1.2, 1.2), max_elements=323)
+    for flat in (lambda: tight.angles, lambda: tight.weights, tight.to_csv):
+        with pytest.raises(ValueError, match="more than 323 elements"):
+            flat()
+    with pytest.raises(ValueError, match="more than 53 elements"):
+        build_rotation_grid(2, (1.2, 1.2), max_elements=53)  # 54 outer cells
+
+
+@pytest.mark.parametrize("n, deltas", [(1, (0.7,)), (2, (0.9, 1.3)), (3, (1.4, 1.6, 2.1))])
+def test_flat_rows_match_the_flat_builder(n, deltas):
+    # the factored grid's rows and CSV are bit for bit those of the builder
+    # that stored every rotation
+    grid = build_rotation_grid(n, deltas)
+    angles, weights = flat_rotation_rows(n, deltas)
+    assert grid.angles.tobytes() == angles.tobytes()
+    assert grid.weights.tobytes() == weights.tobytes()
+    assert grid.total_weight == float(weights.sum())
+    rows = [",".join(f"{v:.17g}" for v in a) + f",{w:.17g}" for a, w in zip(angles, weights)]
+    assert grid.to_csv().splitlines()[2:] == rows
 
 
 @pytest.mark.parametrize("n, deltas", [(2, (0.01, 3.0)), (3, (0.01, 0.01, 0.01))])
@@ -269,7 +292,13 @@ def test_haar_mean_converges():
 
 
 def test_manual_grid_validation():
+    centres, measures = (np.zeros((4, 2)), np.zeros((2, 1))), (np.ones(4), np.ones(2))
+    assert len(RotationGrid(2, (1.0, 1.0), centres, measures)) == 8
     with pytest.raises(ValueError):
-        RotationGrid(2, (1.0, 1.0), np.zeros((4, 2)), np.zeros(4), (2, 2))
+        RotationGrid(2, (1.0, 1.0), centres[:1], measures[:1])  # one factor for n=2
     with pytest.raises(ValueError):
-        RotationGrid(2, (1.0, 1.0), np.zeros((4, 3)), np.zeros(3), (2, 2))
+        RotationGrid(2, (1.0, 1.0), (np.zeros((4, 3)), centres[1]), measures)  # S^2 rows of 3
+    with pytest.raises(ValueError):
+        RotationGrid(2, (1.0, 1.0), centres, (np.ones(3), measures[1]))  # 4 centres, 3 measures
+    with pytest.raises(ValueError):
+        RotationGrid(2, (1.0, 1.0), centres, measures, weights=np.ones(7))

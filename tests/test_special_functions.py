@@ -10,6 +10,7 @@ from oracles import (
     funk_hecke_factor,
     gegenbauer,
     gegenbauer_derivative,
+    dense_gauss_rule,
     gegenbauer_roots,
     gegenbauer_squared_norm,
 )
@@ -178,6 +179,17 @@ def test_gauss_nodes_match_40_digit_roots(lam):
             )
         assert ours <= 1e-16, (lam, npts)
         assert ours <= theirs, (lam, npts)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
+def test_half_size_gauss_rule_matches_dense(lam):
+    for npts in (1, 2, 3, 65, 513, 801):
+        t, w = zonal_gauss_rule(lam, npts)
+        t_ref, w_ref = dense_gauss_rule(lam, npts)
+        assert np.max(np.abs(t - t_ref)) <= 1e-15
+        assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-14
+        if npts % 2:
+            assert t[npts // 2] == 0.0
 
 
 def test_funk_hecke_factor_known_values():

@@ -52,10 +52,9 @@ def test_field_validation():
 
 
 def _identity_grid(n):
-    m = n * (n + 1) // 2
-    return RotationGrid(
-        n, (math.pi, 2 * math.pi), np.zeros((1, m)), np.array([1.0]), (1,) * n
-    )
+    """One rotation, the identity: a single cell at zero angles per factor."""
+    zeros = tuple(np.zeros((1, J)) for J in range(n, 0, -1))
+    return RotationGrid(n, (math.pi,) * n, zeros, (np.ones(1),) * n)
 
 
 def test_identity_rotation_matches_spectral_inner_product():
@@ -144,10 +143,29 @@ def test_thread_count_does_not_change_values():
 
 
 def _cell_sample(grid, cells):
-    """The rows of the given outer cells of a product grid, cells kept whole."""
-    inner = len(grid) // grid.sizes[0]
-    rows = np.concatenate([np.arange(c * inner, (c + 1) * inner) for c in cells])
-    return RotationGrid(grid.n, grid.delta_list, grid.angles[rows], grid.weights[rows], grid.sizes)
+    """The given outer cells of a product grid, in the given order, each with
+    all of its inner rotations."""
+    cells = list(cells)
+    return RotationGrid(
+        grid.n,
+        grid.delta_list,
+        (grid.centres[0][cells],) + grid.centres[1:],
+        (grid.measures[0][cells],) + grid.measures[1:],
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_monomial_action_moves_weighted_monomials(n):
+    # m(T v) = A m(v) for the weighted monomials m of each degree, any T
+    rng = np.random.default_rng(n)
+    T = rng.standard_normal((5, n + 1, n + 1))
+    v = rng.standard_normal((5, n + 1))
+    for j in range(4):
+        combos, w = transform._monomials(n, j)
+        A = transform._monomial_action(T, combos, w)
+        moved = w * transform._eval_monomials(np.einsum("cab,cb->ca", T, v), combos)
+        want = np.einsum("cab,cb->ca", A, w * transform._eval_monomials(v, combos))
+        np.testing.assert_allclose(moved, want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -159,15 +177,12 @@ def test_transform_matches_direct_oracle(n, d):
     sphere = build_sphere_grid(n, L)
     scales = build_scale_grid(1.5, 1.5, 4)
     full = build_rotation_grid(n, (1.6,) * n if n == 2 else (2.5,) * n)
-    grid = _cell_sample(full, (0, 7, 19, 31) if n == 2 else (0, 57, 173))
-    # rows shuffled, so that no outer cell is contiguous
-    perm = np.random.default_rng(d).permutation(len(grid))
-    shuffled = RotationGrid(n, grid.delta_list, grid.angles[perm], grid.weights[perm], grid.sizes)
-    identity = RotationGrid(
-        n, (math.pi,) * n, np.zeros((1, n * (n + 1) // 2)), np.array([1.0]), (1,) * n
-    )
+    cells = (0, 7, 19, 31) if n == 2 else (0, 57, 173)
+    grid = _cell_sample(full, cells)
+    # the outer factor permuted, so that the cells are not in partition order
+    shuffled = _cell_sample(full, np.random.default_rng(d).permutation(cells))
     fields = [random_bandlimited(n, L, 0, s) for s in (1, 2)]
-    for rot in (grid, shuffled, identity):
+    for rot in (grid, shuffled, _identity_grid(n)):
         expect = [direct_transform(n, prof, f, scales, rot, sphere) for f in fields]
         table = wavelet_analysis(n, prof, fields[0], scales, rot, sphere)
         scale = np.max(np.abs(expect[0]))
@@ -176,6 +191,7 @@ def test_transform_matches_direct_oracle(n, d):
         for e, values in zip(energies, expect):
             want = frame_energy(TransformTable(values, scales, rot))
             assert e == pytest.approx(want, rel=1e-12)
+        assert energies[0] == pytest.approx(frame_energy(table), rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -1,6 +1,6 @@
 """Wavelet frames on the n-sphere: spectral profiles, discretization, verification."""
 
-from .frame_verify import FrameReport, certify_frame, find_refinement, normalize_bounds
+from .frame_verify import FrameReport, certify_frame, find_refinement
 from .harmonics import (
     HarmonicCoefficients,
     HarmonicIndex,
@@ -80,7 +80,6 @@ __all__ = [
     "find_refinement",
     "frame_energy",
     "make_preset",
-    "normalize_bounds",
     "partition_sphere",
     "random_bandlimited",
     "rotation_matrix",

@@ -23,7 +23,6 @@ from configparser import ConfigParser
 from dataclasses import dataclass
 
 from . import frame_verify, rotation_grid, scale_grid, transform, wavelet_spectra
-from .harmonics import build_sphere_grid
 from .wavelet_spectra import PRESET_NAMES, SpectralProfile, make_preset
 
 log = logging.getLogger("sphereframes")
@@ -245,9 +244,8 @@ def cmd_transform(cfg: RunConfig) -> int:
     field = transform.random_bandlimited(cfg.n, cfg.band_limit, m, cfg.seed)
     scales = _scale_grid_from(cfg)
     rotations = rotation_grid.build_rotation_grid(cfg.n, cfg.delta, cfg.max_elements)
-    sphere = build_sphere_grid(cfg.n, cfg.band_limit)
     table = transform.wavelet_analysis(
-        cfg.n, cfg.profile, field, scales, rotations, sphere, cfg.worker_threads()
+        cfg.n, cfg.profile, field, scales, rotations, threads=cfg.worker_threads()
     )
     _write(cfg, "transform.csv", _config_comment(cfg) + "\n" + table.to_csv())
     beta = wavelet_spectra.build_beta_table(cfg.n, cfg.profile, cfg.band_limit)

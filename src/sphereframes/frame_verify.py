@@ -22,17 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import build_sphere_grid
 from .rotation_grid import _MAX_CELLS, build_rotation_grid
 from .scale_grid import epsilon_report, scale_grid_for_profile
-from .transform import energy_identity_oracle, random_bandlimited, transform_energies
+from .transform import _scan, energy_identity_oracle, random_bandlimited
 from .wavelet_spectra import SpectralProfile, build_beta_table, profile_order, wavelet_bounds
 
 __all__ = [
     "FrameReport",
     "certify_frame",
     "find_refinement",
-    "normalize_bounds",
 ]
 
 
@@ -55,7 +53,6 @@ class FrameReport:
     discrepancies: np.ndarray
     verdict: bool
     grid_info: dict
-    normalization: float = 1.0
 
     @property
     def ratios(self) -> np.ndarray:
@@ -101,7 +98,6 @@ class FrameReport:
             "band_limit": self.L,
             "profile": self.profile_summary,
             "grid": self.grid_info,
-            "normalization": self.normalization,
             "trials": self.trials(),
         }
         if extra:
@@ -142,10 +138,10 @@ def certify_frame(
 
     Every trial's semi-discrete energy S (scales discretized, rotations
     integrated exactly) is the reference for delta_hat = max |E - S| / O, with
-    O the continuous energy.  Full spatial verification (rotation grids and
-    sphere quadrature) computes E for n = 2 by default and for n = 3 when
-    ``spatial=True``.  Higher dimensions stay on the spectral side, where E is
-    S and delta_hat = 0.
+    O the continuous energy.  Full spatial verification (the discrete
+    transform over the rotation grid, computed in coefficient space) computes
+    E for n = 2 by default and for n = 3 when ``spatial=True``.  Higher
+    dimensions stay on the spectral side, where E is S and delta_hat = 0.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -168,9 +164,7 @@ def certify_frame(
     oracles = np.array(
         [energy_identity_oracle(n, profile, f, beta) for f in fields]
     )
-    power = np.array(
-        [[f.coeffs.degree_energy(l) for l in range(L + 1)] for f in fields]
-    )
+    power = np.array([f.coeffs.degree_energies() for f in fields])
     semi = power @ disc
 
     grid_info = {
@@ -183,8 +177,9 @@ def certify_frame(
     if spatial:
         deltas = tuple(float(x) for x in delta_list)
         rot = build_rotation_grid(n, deltas, max_elements)
-        sphere = build_sphere_grid(n, L)
-        energies = transform_energies(n, profile, fields, scales, rot, sphere, threads)
+        # the kernel of transform_energies, without the sphere_grid argument
+        # that it ignores and perfbench's tracer reads
+        energies = _scan(n, profile, fields, L, scales, rot, threads)
         grid_info.update({"delta": list(deltas), "rotation_sizes": list(rot.sizes)})
     else:
         energies = semi
@@ -261,22 +256,3 @@ def find_refinement(
         f"last deviations eps={report.epsilon_hat:.3g}, delta={report.delta_hat:.3g}"
     )
 
-
-def normalize_bounds(report: FrameReport) -> FrameReport:
-    """Rescale the family by 2/(A+B) so the window becomes (1-eps, 1+eps).
-
-    Energies, and with them the ratios, scale along with the bounds, so the
-    verdict carries over unchanged; eps here is (B-A)/(A+B), the tightness of
-    the rescaled frame, not the grid deviation.
-    """
-    if report.A <= 0 or report.B <= 0:
-        raise ValueError("frame bounds must be positive to normalize")
-    s = 2.0 / (report.A + report.B)
-    return dataclasses.replace(
-        report,
-        A=report.A * s,
-        B=report.B * s,
-        energies=report.energies * s,
-        oracles=report.oracles * s,
-        normalization=report.normalization * s,
-    )

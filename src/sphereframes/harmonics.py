@@ -19,7 +19,11 @@ at n=2 the largest grid is L=511).  synthesize and analyze at a band below
 the grid's take a slice of them; besides the rows, their working memory is
 a few arrays the size of the grid.  eval_degree_components evaluates a
 coefficient table at scattered points, one degree at a time, from rows of
-the same recurrence at those points.
+the same recurrence at those points.  multiply_coordinates multiplies a
+coefficient table by each ambient coordinate without any grid: on each
+polar axis, cos and sin move the chain index by +-1 with closed-form
+coefficients of the normalized rows (the three-term recurrence and the
+order-raising identity), and e^(+-i phi) moves the signed last index.
 harmonic_basis keeps the dense matrix of every harmonic on the grid as the
 reference the tests compare against.
 """
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -54,6 +59,7 @@ __all__ = [
     "analyze",
     "synthesize",
     "eval_degree_components",
+    "multiply_coordinates",
     "fourier_from_gegenbauer_factor",
     "angles_to_vector",
 ]
@@ -153,7 +159,6 @@ class SphereGrid:
     weights: np.ndarray  # (M,)
     # per polar axis, read-only rows[kk, m, node] of _axis_rows for every kk <= L
     axis_rows: list[np.ndarray]
-    cartesian: np.ndarray  # (M, n+1) read-only ambient coordinates of the nodes
 
     @property
     def size(self) -> int:
@@ -164,8 +169,7 @@ def build_sphere_grid(n: int, L: int) -> SphereGrid:
     """Gauss rule per polar angle (weight-matched) and uniform azimuth, exact at 2L.
 
     Also computes each polar axis's normalized rows for every order kk <= L,
-    which synthesize and analyze share, and the nodes' ambient coordinates.
-    Raises before holding more than _MAX_ARRAY_BYTES of rows.
+    which synthesize and analyze share.  Raises before holding more than _MAX_ARRAY_BYTES of rows.
     """
     if n < 2:
         raise ValueError(f"sphere dimension must be >= 2, got {n}")
@@ -196,11 +200,7 @@ def build_sphere_grid(n: int, L: int) -> SphereGrid:
     weights = np.ones(angles.shape[0])
     for wm in wmesh:
         weights = weights * wm.reshape(-1)
-    cartesian = angles_to_vector(n, angles)
-    cartesian.flags.writeable = False
-    return SphereGrid(
-        n, L, axis_nodes, axis_weights, phi, phi_w, angles, weights, axis_rows, cartesian
-    )
+    return SphereGrid(n, L, axis_nodes, axis_weights, phi, phi_w, angles, weights, axis_rows)
 
 
 def harmonic_basis(grid: SphereGrid, L: int) -> tuple[list[HarmonicIndex], np.ndarray]:
@@ -319,6 +319,114 @@ def _chain_coords(n: int, L: int) -> tuple[np.ndarray, ...]:
     return coords[:-1] + (coords[-1] - L,)
 
 
+def _chain_offsets(n: int, L: int) -> list[np.ndarray]:
+    """offsets[tau][kk]: how many index chains come before kk_tau = kk among
+    those that agree with a chain before tau, for kk <= L.
+
+    The position of (l, k_1, ..., k_{n-1}) in all_indices is then the sum of
+    offsets[tau][kk_tau] for tau < n - 1, plus kk_{n-2} + k_{n-1}; it does
+    not depend on the band, since all_indices(n, L) is a prefix of every
+    larger band's list.
+    """
+    # tails[kk]: chains (kk_{tau+1}, ..., k_{n-1}) below kk_tau = kk, from
+    # 2 kk + 1 signed last indices inwards
+    tails = 2 * np.arange(L + 1) + 1
+    offsets = []
+    for _ in range(n - 1):
+        offsets.append(np.concatenate(([0], np.cumsum(tails)[:-1])))
+        tails = np.cumsum(tails)
+    return offsets[::-1]
+
+
+def _ladder(base: float, a: np.ndarray, b: np.ndarray, da, db) -> np.ndarray:
+    """<P_{a+da, b+db}, g P_{a,b}> on one polar axis: g = cos(theta) when db
+    is the scalar 0, else sin(theta), with db the array of +-1 moves of b.
+
+    P_{a,b} = h(mu, m)^(-1/2) C_m^mu(t) sin^b(theta), mu = base + b and
+    m = a - b, are the orthonormal rows of _axis_rows under the axis weight
+    (1 - t^2)^(base - 1/2).  cos is the Jacobi matrix of the normalized
+    C^mu, t p_m = b_(m+1) p_(m+1) + b_m p_(m-1), whose b is the off-diagonal
+    of zonal_gauss_rule; sin raises mu through
+    C_m^mu = mu / (m + mu) (C_m^(mu+1) - C_(m-2)^(mu+1)), and lowers it by
+    the adjoint of that raise.  Every case is
+    sign * sqrt(num / (4 (m + mu) (m + mu + da))), num a product of two
+    factors linear in m and mu.  Where the target chain is invalid the
+    value may be nan or inf; callers mask those entries.
+    """
+    mu = base + b
+    m = a - b
+    if np.isscalar(db):
+        num = (m + (1 + da) // 2) * (m + 2 * mu - (1 - da) // 2)
+        sign = 1
+    else:
+        x = np.where(db == da, m + 2 * mu - 1 + db, m - db)
+        num = x * (x + 1)
+        sign = da * db
+    return sign * np.sqrt(num / (4.0 * (m + mu) * (m + mu + da)))
+
+
+def multiply_coordinates(coeffs: "HarmonicCoefficients", L: int) -> "HarmonicCoefficients":
+    """Coefficients of x_c times the expanded function for every ambient
+    coordinate c = 0..n, to degree L; values[:, c] holds x_c's product, and
+    the trailing axes of coeffs.values follow it.
+
+    Exact, without a grid.  x_c, c <= n - 2, is cos(theta) on polar axis c
+    times sin(theta) on the axes before it; x_(n-1) and x_n are sin(theta)
+    on every polar axis times cos(phi) and sin(phi), so they share one pass
+    that moves the signed last index by e^(+-i phi).  Each factor moves its
+    axis's chain index by +-1 with the closed-form _ladder coefficients, so
+    each output coefficient gathers one input coefficient per choice of
+    those moves, 2^(affected axes) of them, scales and adds them.
+    """
+    n = coeffs.n
+    if L < 0:
+        raise ValueError(f"band limit must be >= 0, got {L}")
+    columns = coeffs.values.shape[1:]
+    # sources above degree L + 1 reach no degree <= L
+    top = min(coeffs.L, L + 1)
+    count = coefficient_count(n, top)
+    values = np.ascontiguousarray(coeffs.values[:count].reshape(count, -1)).view(np.float64)
+    offsets = _chain_offsets(n, top)
+    *kk, k = _chain_coords(n, L)
+    new = kk + [np.abs(k)]
+    out = np.empty((k.size, n + 1, values.shape[1] // 2), dtype=complex)
+    for axis in range(n):
+        # polar axis p couples a = kk[p] with b = kk[p + 1]; cos acts on axis
+        # `axis` and sin on the axes before it, or sin on every axis when phi
+        # moves.  One row per choice of moves: of phi's k first, then of
+        # those axes' a; old holds the source chain of each output chain.
+        inner = min(axis, n - 2)
+        moves_phi = axis == n - 1
+        shifts = np.array(list(itertools.product((1, -1), repeat=moves_phi + inner + 1)))
+        shifts = shifts[:, ::-1, None]
+        old_k = k - shifts[:, -1] if moves_phi else k
+        old = [kk[p] - shifts[:, p] if p <= inner else kk[p] for p in range(n - 1)]
+        old.append(np.abs(old_k))
+        live = old[0] <= top
+        for a, b in zip(old, old[1:]):
+            live = live & (a >= b)
+        factor = 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for p in range(inner + 1):
+                db = 0 if p == axis else new[p + 1] - old[p + 1]
+                factor = factor * _ladder((n - 1 - p) / 2, old[p], old[p + 1], shifts[:, p], db)
+        # a source outside the table has scale 0 and reads any row
+        scale = np.where(live, factor, 0.0)
+        source = old[-2] + old_k + sum(offsets[p].take(old[p], mode="clip") for p in range(n - 1))
+        terms = values.take(np.where(live, source, 0), axis=0)
+        if not moves_phi:
+            out[:, axis] = np.einsum("pn,pnw->nw", scale, terms).view(complex)
+            continue
+        # cos(phi) = (e^(i phi) + e^(-i phi)) / 2, sin(phi) = -i (e^(i phi) - e^(-i phi)) / 2;
+        # the first half of the rows raise k, the second half lower it
+        half = len(shifts) // 2
+        raised = np.einsum("pn,pnw->nw", scale[:half], terms[:half]).view(complex)
+        lowered = np.einsum("pn,pnw->nw", scale[half:], terms[half:]).view(complex)
+        out[:, n - 1] = 0.5 * (raised + lowered)
+        out[:, n] = -0.5j * (raised - lowered)
+    return HarmonicCoefficients(n, L, out.reshape((k.size, n + 1) + columns))
+
+
 def _chain_positions(n: int, L: int) -> np.ndarray:
     """Positions of all_indices(n, L) in the dense (l, kk_1, ..., kk_{n-1}, sign) array.
 
@@ -380,6 +488,12 @@ class HarmonicCoefficients:
     def degree_energy(self, l: int) -> float:
         v = self._single()[self.degree_slice(l)]
         return float(np.vdot(v, v).real)
+
+    def degree_energies(self) -> np.ndarray:
+        """degree_energy(l) for every l <= L, from one pass over the values."""
+        v = self._single()
+        # the degree-l block starts after the chains of lower degree
+        return np.add.reduceat(v.real**2 + v.imag**2, _chain_offsets(self.n, self.L)[0])
 
     def norm(self) -> float:
         v = self._single()
@@ -514,8 +628,9 @@ def eval_degree_components(coeffs: HarmonicCoefficients, points) -> np.ndarray:
     rows = [_axis_rows((n - tau) / 2, np.cos(pts[:, tau - 1]), L, every) for tau in range(1, n)]
     phase = np.exp(1j * np.arange(-L, L + 1)[:, None] * pts[:, n - 1])
     out = np.empty((L + 1, pts.shape[0], values.shape[1]), dtype=complex)
+    starts = _chain_offsets(n, L + 1)[0]
     for l in range(L + 1):
-        block = slice(coefficient_count(n, l - 1), coefficient_count(n, l))
+        block = slice(starts[l], starts[l + 1])
         Y = phase[coords[-1][block] + L]
         for tau in range(1, n):
             kk = chain[tau][block]

@@ -138,7 +138,11 @@ def _gauss_rule_from_nodes(lam: float, npts: int, positive: np.ndarray):
     Two Newton steps on C_npts polish them, the second in extended precision
     where the platform has it, so that each lands on the double nearest its
     root; they are mirrored about 0, with 0 added for odd npts.  The weights
-    are 1 / ((1 - t^2) C'_npts(t)^2), scaled to the total mass of the weight.
+    are 1 / ((1 - t^2) C'_npts(t)^2) at the roots, scaled to the total mass of
+    the weight.  They are evaluated, in extended precision where available,
+    as 1 / ((1 - t^2) C'^2 - 4 lam t C C'): equal at a root and, by the
+    Gegenbauer equation, stationary there, so the rounding of a node moves
+    its weight only to second order.
     """
     t = positive
     for dtype in (float, np.longdouble):
@@ -148,9 +152,10 @@ def _gauss_rule_from_nodes(lam: float, npts: int, positive: np.ndarray):
         step = cur * (1 - x) * (1 + x) / ((npts + 2 * a - 1) * prev - npts * x * cur)
         t = (x - step).astype(float)
     t = np.concatenate([-t[::-1], np.zeros(npts % 2), t])
-    # C'_npts = 2 lam C^{lam+1}_{npts-1}; constant factors cancel in the scaling
-    slope = _gegenbauer_pair(lam + 1.0, npts - 1, t)[1]
-    w = 1.0 / ((1.0 - t) * (1.0 + t) * slope * slope)
+    x, a = t.astype(np.longdouble), np.longdouble(lam)
+    prev, cur = _gegenbauer_pair(a, npts, x)
+    slope = (npts + 2 * a - 1) * prev - npts * x * cur  # (1 - t^2) C'_npts
+    w = ((1 - x) * (1 + x) / (slope * (slope - 4 * a * x * cur))).astype(float)
     mass = math.sqrt(math.pi) * math.exp(math.lgamma(lam + 0.5) - math.lgamma(lam + 1.0))
     return t, w * (mass / w.sum())
 

@@ -11,9 +11,9 @@ a sum of zonal kernels in y1 paired with x^mu f.  A zonal kernel acts
 diagonally in degree (Funk-Hecke): closed-form Gegenbauer connection
 coefficients turn each one into a per-degree filter, and the pairing is
 that filter applied to the degree components of x^mu f at U = R e_1.  The
-fields are synthesized on the sphere grid, multiplied by each monomial and
-analysed once per call; the products stay within the grid rule's band, so
-the analysis is exact.  The rotation grid is a product of sphere
+coefficients of x^mu f come from the fields' coefficients through the
+exact ladder recurrences of multiply_coordinates, once per call, so the
+transform reads no sphere grid.  The rotation grid is a product of sphere
 partitions.  U depends only on a rotation's outer S^n cell, so each outer
 cell evaluates the degree components once, in O(L^n) work.  R e_2 is the
 image under the cell's T_n of a point fixed by the S^(n-1) cell, and T_n
@@ -37,10 +37,9 @@ import numpy as np
 
 from .harmonics import (
     HarmonicCoefficients,
-    analyze,
     coefficient_count,
     eval_degree_components,
-    synthesize,
+    multiply_coordinates,
 )
 from .rotation_grid import RotationGrid, rotation_matrix
 from .scale_grid import ScaleGrid
@@ -182,6 +181,31 @@ def _monomial_action(T: np.ndarray, combos, weights) -> np.ndarray:
     return (rows @ fold) * (weights[:, None] / weights)
 
 
+def _monomial_moments(n: int, values: np.ndarray, field_L: int, degrees) -> dict:
+    """moments[j]: coefficients of x^mu f to degree field_L - j for the
+    degree-j monomials mu of _monomials, one column per (mu, field), for each
+    j <= field_L in degrees.  values holds the fields' coefficients to
+    field_L, one column each.
+
+    x^mu f = x_c x^nu f for c the last index of mu, and the degrees of
+    x^nu f above field_L - j + 1 reach none at or below field_L - j, so each
+    degree's products come from the last degree's, all within field_L.
+    """
+    moments = {}
+    level = values[:, None]  # the degree-0 monomial
+    for j in range(max(degrees) + 1):
+        if j:
+            parents = {nu: i for i, nu in enumerate(_monomials(n, j - 1)[0])}
+            combos = _monomials(n, j)[0]
+            moved = multiply_coordinates(
+                HarmonicCoefficients(n, field_L - j + 1, level), field_L - j
+            ).values
+            level = moved[:, [mu[-1] for mu in combos], [parents[mu[:-1]] for mu in combos]]
+        if j in degrees:
+            moments[j] = HarmonicCoefficients(n, field_L - j, level)
+    return moments
+
+
 def _filters(n: int, profile: SpectralProfile, field_L: int, scales: ScaleGrid) -> dict:
     """filters[j][s, l]: the Funk-Hecke multiplier of degree l, at scale s, of
     the wavelet terms that carry y2^j.
@@ -221,7 +245,6 @@ def _scan(
     field_L: int,
     scales: ScaleGrid,
     rotations: RotationGrid,
-    sphere_grid,
     threads=None,
     collect: bool = False,
 ):
@@ -232,15 +255,15 @@ def _scan(
     W f(rho, R) = sum over the wavelet terms y2^j G_j(y1) of the pairing of
     G_j(U . x) with (V . x)^j f(x), U = R e_1 and V = R e_2.  Expanding
     (V . x)^j = m_j(V) . x^mu over the degree-j monomials, with m_j(V) the
-    weighted monomials of V, each field is multiplied by x^mu on the sphere
-    grid and analysed once, to degree field_L - j, where the grid rule is
-    still exact for the product.  By the addition theorem G_j(U . x) pairs
-    with x^mu f as sum_l filters[j][s, l] times the degree-l component of
-    x^mu f at U.  The inner factors T_J, J < n, fix e_1, so U is the outer
-    cell's centre, where the components are evaluated once.  T_J, J < n - 1,
-    also fix e_2, so V = T_n(x_c) p, with p = T_(n-1)(x^(n-1)) e_2 running
-    over the S^(n-1) cells, and m(V) = A_c m(p) with A_c the action of
-    T_n(x_c) on the monomials.  So W = m(p) . B[s, c], where B[s, c] is the
+    weighted monomials of V, the coefficients of x^mu f to degree
+    field_L - j come once from _monomial_moments, in coefficient space.  By
+    the addition theorem G_j(U . x) pairs with x^mu f as sum_l
+    filters[j][s, l] times the degree-l component of x^mu f at U.  The inner
+    factors T_J, J < n, fix e_1, so U is the outer cell's centre, where the
+    components are evaluated once.  T_J, J < n - 1, also fix e_2, so
+    V = T_n(x_c) p, with p = T_(n-1)(x^(n-1)) e_2 running over the S^(n-1)
+    cells, and m(V) = A_c m(p) with A_c the action of T_n(x_c) on the
+    monomials.  So W = m(p) . B[s, c], where B[s, c] is the
     per-scale sum of the components after A_c^T, applied before the filter.
     Summed over a cell's inner rotations, with omega_p the S^(n-1) cell
     measure times the total measure of the smaller factors, |W|^2 is the
@@ -250,33 +273,22 @@ def _scan(
     independently of the inner grid and of the thread count.  The table
     has one column per rotation, in the grid's row order.
     """
-    if sphere_grid.L < field_L:
-        raise ValueError(
-            f"sphere grid exact to band {2 * sphere_grid.L} cannot integrate "
-            f"field band {field_L} against the equally truncated wavelet"
-        )
     if collect:
         rotations.check_flat()
     n_fields = len(fields)
     n_scales = len(scales)
     filters = _filters(n, profile, field_L, scales)
 
-    # moments[j]: coefficients of x^mu f to degree field_L - j, one column per
-    # (mu, field); analysed one monomial at a time to keep the grid-sized
-    # transients at n_fields columns
-    samples = np.stack([synthesize(f.coeffs, sphere_grid) for f in fields], axis=1)
-    monomials, columns, moments = {}, {}, {}
+    values = np.zeros((coefficient_count(n, field_L), n_fields), dtype=complex)
+    for i, f in enumerate(fields):
+        values[: f.coeffs.values.size, i] = f.coeffs.values
+    moments = _monomial_moments(n, values, field_L, filters)
+    monomials, columns = {}, {}
     start = 0
     for j in sorted(filters):
-        combos, weights = _monomials(n, j)
-        monomials[j] = (combos, weights)
-        columns[j] = slice(start, start + len(combos))
-        start += len(combos)
-        parts = [
-            analyze(xm[:, None] * samples, sphere_grid, field_L - j).values
-            for xm in _eval_monomials(sphere_grid.cartesian, combos).T
-        ]
-        moments[j] = HarmonicCoefficients(n, field_L - j, np.stack(parts, axis=1))
+        monomials[j] = _monomials(n, j)
+        columns[j] = slice(start, start + len(monomials[j][0]))
+        start = columns[j].stop
     n_cols = start
 
     # p = T_(n-1)(x^(n-1)) e_2 over the S^(n-1) cells, and their weighted monomials
@@ -345,17 +357,15 @@ def wavelet_analysis(
     f: TestField,
     scales: ScaleGrid,
     rotations: RotationGrid,
-    sphere_grid,
+    sphere_grid=None,
     threads=None,
 ) -> TransformTable:
     """W f(rho_j, R_g) for every grid pair: each scale's Funk-Hecke filters
     applied to the degree components of the monomial-weighted field at the
     rotation's cell centre."""
-    if f.n != n or sphere_grid.n != n:
-        raise ValueError("field, sphere grid, and transform dimension must agree")
-    table = _scan(
-        n, profile, [f], f.L, scales, rotations, sphere_grid, threads, collect=True
-    )
+    if f.n != n:
+        raise ValueError("field and transform dimension must agree")
+    table = _scan(n, profile, [f], f.L, scales, rotations, threads, collect=True)
     return TransformTable(table, scales, rotations)
 
 
@@ -365,7 +375,7 @@ def transform_energies(
     fields,
     scales: ScaleGrid,
     rotations: RotationGrid,
-    sphere_grid,
+    sphere_grid=None,
     threads=None,
 ) -> np.ndarray:
     """Discrete frame energies of several fields, sharing the wavelet rows."""
@@ -375,7 +385,7 @@ def transform_energies(
     for f in fields:
         if f.n != n:
             raise ValueError("field dimension mismatch")
-    return _scan(n, profile, fields, field_L, scales, rotations, sphere_grid, threads)
+    return _scan(n, profile, fields, field_L, scales, rotations, threads)
 
 
 def frame_energy(table: TransformTable, scales=None, rotations=None) -> float:
@@ -397,6 +407,4 @@ def energy_identity_oracle(
         raise ValueError(f"beta table is for n={beta.n}, not {n}")
     if beta.L < f.L:
         raise ValueError(f"beta table to degree {beta.L} cannot cover a field at {f.L}")
-    return float(
-        sum(beta.values[l] * f.coeffs.degree_energy(l) for l in range(f.L + 1))
-    )
+    return math.fsum(beta.values[: f.L + 1] * f.coeffs.degree_energies())

@@ -12,6 +12,9 @@ paths against them:
   composite Gauss-Legendre panels, twice, and requires the two to agree;
 - ``direct_transform`` evaluates the rotated wavelet on the sphere grid for
   every rotation and scale and pairs it with the weighted field;
+- ``grid_monomial_moments`` multiplies fields by the monomials x^mu on the
+  sphere grid and analyses the products, the reference for the
+  coefficient-space products of ``transform._monomial_moments``;
 - ``table_csv`` formats a transform table one entry at a time;
 - ``flat_rotation_rows`` builds a rotation grid's angle rows and weights one
   row per rotation, as the grid was once stored;
@@ -30,8 +33,9 @@ paths against them:
 - ``spectral_cutoff`` finds the degree where the spectrum has decayed, and
   ``beta_tail_indicator`` measures how settled beta is at the band limit;
 - ``gegenbauer_roots`` refines double-precision Gauss nodes to 40-digit
-  roots of C^lam_N with mpmath, and ``dense_gauss_rule`` is the Gauss rule
-  from the eigenvalues of the whole Jacobi matrix.
+  roots of C^lam_N with mpmath, ``gauss_weights`` gives the Gauss weights
+  at those roots to about 40 digits, and ``dense_gauss_rule`` is the Gauss
+  rule from the eigenvalues of the whole Jacobi matrix.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from sphereframes.special_functions import (
     surface_area,
     zonal_gauss_rule,
 )
+from sphereframes.transform import _eval_monomials, _monomials
 from sphereframes.wavelet_spectra import (
     BetaTable,
     SpectralProfile,
@@ -205,6 +210,26 @@ def direct_transform(n: int, profile, field, scales, rotations, sphere) -> np.nd
             psi = eval_directional_wavelet_uv(profile, float(rho), n, y1, y2, field.L)
             out[j, g] = psi @ weighted
     return out
+
+
+def grid_monomial_moments(fields, field_L: int, degrees, sphere: SphereGrid) -> dict:
+    """moments[j]: coefficients of x^mu f to degree field_L - j for the
+    degree-j monomials mu of transform._monomials, one column per (mu,
+    field), through the sphere grid: every field (a one-column coefficient
+    table) is synthesized, multiplied by each monomial at the nodes and
+    analysed.  The grid integrates x^mu f Y exactly when its band is at
+    least field_L and the fields' bands."""
+    n = sphere.n
+    samples = np.stack([synthesize(f, sphere) for f in fields], axis=1)
+    moments = {}
+    for j in degrees:
+        combos, _ = _monomials(n, j)
+        parts = [
+            analyze(xm[:, None] * samples, sphere, field_L - j).values
+            for xm in _eval_monomials(angles_to_vector(n, sphere.angles), combos).T
+        ]
+        moments[j] = HarmonicCoefficients(n, field_L - j, np.stack(parts, axis=1))
+    return moments
 
 
 def table_csv(values: np.ndarray) -> str:
@@ -517,6 +542,59 @@ def gegenbauer_roots(lam: float, npts: int, start, dps: int = 40) -> list:
                 raise ValueError(f"start {float(x0)} is not within 1e-14 of a root")
             roots.append(x - step)
     return roots
+
+
+def _fixed_point_pair(two_lam: int, npts: int, x: int, bits: int) -> tuple[int, int]:
+    """(C_{npts-1}, C_npts) of C^lam at x / 2^bits, in integers scaled by 2^bits.
+
+    m C_m = (2m + 2 lam - 2) t C_{m-1} - (m + 2 lam - 2) C_{m-2} has integer
+    coefficients for integer 2 lam, so the recurrence runs in exact integer
+    arithmetic apart from one floor per product and division.
+    """
+    one = 1 << bits
+    prev, cur = one, two_lam * x
+    for m in range(2, npts + 1):
+        prev, cur = cur, ((2 * m + two_lam - 2) * x * cur // one - (m + two_lam - 2) * prev) // m
+    return prev, cur
+
+
+def gauss_weights(lam: float, npts: int, start, bits: int = 160) -> list:
+    """Gauss weights for (1 - t^2)^(lam - 1/2) at the roots of C^lam_npts,
+    one per start value, to about 40 digits, as mpmath numbers.
+
+    Each start, within 1e-14 of its root (else this raises), takes one
+    Newton step, as in gegenbauer_roots; the weight at the root r is
+    pi 2^(2 - 2 lam) Gamma(npts + 2 lam) / (Gamma(lam)^2 npts!) times
+    (1 - r^2) / ((npts + 2 lam - 1) C_{npts-1}(r))^2, since there
+    (1 - t^2) C'_npts = (npts + 2 lam - 1) C_{npts-1}.  The recurrences run
+    in integers scaled by 2^bits (_fixed_point_pair), so 2 lam must be an
+    integer; that is far faster than mpmath numbers at 800 nodes.
+    """
+    two_lam = round(2 * lam)
+    if two_lam != 2 * lam:
+        raise ValueError(f"needs an integer 2 lam, got lam={lam}")
+    one = 1 << bits
+    with mpmath.workdps(45):
+        lam = mpmath.mpf(lam)
+        top = npts + 2 * lam - 1
+        const = (
+            mpmath.pi
+            * 2 ** (2 - 2 * lam)
+            * mpmath.gamma(npts + 2 * lam)
+            / (mpmath.gamma(lam) ** 2 * mpmath.factorial(npts))
+        )
+        weights = []
+        for x0 in start:
+            x = mpmath.mpf(float(x0))
+            pair = _fixed_point_pair(two_lam, npts, int(x * one), bits)
+            prev, cur = (mpmath.mpf(c) / one for c in pair)
+            step = cur * (1 - x * x) / (top * prev - npts * x * cur)
+            if abs(step) > 1e-14:
+                raise ValueError(f"start {float(x0)} is not within 1e-14 of a root")
+            r = x - step
+            prev = mpmath.mpf(_fixed_point_pair(two_lam, npts, int(r * one), bits)[0]) / one
+            weights.append(const * (1 - r * r) / (top * prev) ** 2)
+    return weights
 
 
 def dense_gauss_rule(lam: float, npts: int) -> tuple[np.ndarray, np.ndarray]:

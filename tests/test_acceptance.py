@@ -24,6 +24,7 @@ from oracles import (
 from sphereframes.frame_verify import certify_frame, find_refinement
 from sphereframes.harmonics import (
     HarmonicCoefficients,
+    angles_to_vector,
     build_sphere_grid,
     dim_harmonic,
     harmonic_basis,
@@ -119,7 +120,7 @@ def test_funk_hecke_and_parseval_identities():
         lam = (n - 1) / 2
         grid = build_sphere_grid(n, L)
         _, mat = harmonic_basis(grid, L)
-        y = grid.cartesian
+        y = angles_to_vector(n, grid.angles)
         # Funk-Hecke with a degree-L zonal polynomial (exact on the grid)
         f = lambda t: t**L + t ** (L - 1)
         tq, wq = zonal_gauss_rule(lam, L + 4)

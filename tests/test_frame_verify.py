@@ -124,6 +124,16 @@ def test_spectral_mode_for_higher_dimension():
         certify_frame(4, prof4, 6, 1.2, (1.0, 1.0, 1.0, 1.0), 3, 11, spatial=True)
 
 
+def test_spectral_discrepancy_within_certificate_for_tight_family():
+    # at n=4, L=6, ratio 1.2 the zonal family has beta = 1/4 at every degree
+    # and eps_hat is 1.5 ulp, so E - O must be summed per degree: two
+    # separately rounded sums break the bound for seeds 83, 134 and 146
+    prof4 = make_preset("abel-poisson", 4)
+    for seed in range(300):
+        rep = certify_frame(4, prof4, 6, 1.2, None, 3, seed)
+        assert np.all(rep.discrepancies <= rep.epsilon_hat + rep.delta_hat), seed
+
+
 @pytest.mark.parametrize("d, delta_hat", [(1, 0.029), (0, 0.042)])
 def test_spatial_certify_on_s3(d, delta_hat):
     # 3075 x 96 x 7 = 2 066 400 rotations, ten times the default cap, which

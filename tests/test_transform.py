@@ -3,7 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import direct_transform, directional_coeffs, grid_monomial_moments, table_csv
+from oracles import (
+    direct_transform,
+    directional_coeffs,
+    grid_monomial_moments,
+    per_scale_energies,
+    table_csv,
+)
 
 from sphereframes import transform
 from sphereframes.harmonics import HarmonicCoefficients, build_sphere_grid, coefficient_count
@@ -262,6 +268,67 @@ def test_transform_memory_at_band_64():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+# (preset, n, d, L, rotation caps)
+ORACLE_CONFIGS = (
+    [
+        ("abel-poisson", 2, d, L, (0.45, 0.45) if L == 8 else (1.6, 1.6))
+        for d in range(3)
+        for L in (8, 16, 64)
+    ]
+    + [(name, 2, d, 8, (0.6, 0.6)) for name in PRESET_NAMES[1:] for d in range(3)]
+    + [("abel-poisson", 3, d, 8, (1.6, 1.6, 1.6)) for d in range(3)]
+    + [("abel-poisson", 2, 1, 8, (math.pi, 2 * math.pi)), ("poisson", 3, 2, 8, (3.2, 3.2, 3.2))]
+)
+
+
+@pytest.mark.parametrize("name, n, d, L, deltas", ORACLE_CONFIGS)
+def test_energies_match_per_scale_oracle(name, n, d, L, deltas):
+    # one triangular operator over (scale, inner point) against filtering,
+    # multiplying by H and squaring one scale at a time; the last two grids
+    # have a single outer cell
+    prof = make_preset(name, n, d=d)
+    scales = scale_grid_for_profile(n, prof, 1.5, L)
+    rot = build_rotation_grid(n, deltas)
+    fields = [random_bandlimited(n, L, 0, s) for s in np.random.SeedSequence(L + d).spawn(3)]
+    got = transform_energies(n, prof, fields, scales, rot)
+    want = per_scale_energies(n, prof, fields, scales, rot)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n, L, deltas", [(2, 16, (0.6, 0.6)), (3, 8, (2.0, 2.0, 2.0))])
+def test_table_energy_matches_energies(n, L, deltas):
+    # the table's operator and the energies' triangular factor share Z
+    prof = make_preset("abel-poisson", n, d=2)
+    scales = scale_grid_for_profile(n, prof, 1.5, L)
+    rot = build_rotation_grid(n, deltas)
+    fields = [random_bandlimited(n, L, 0, s) for s in (11, 12)]
+    energies = transform_energies(n, prof, fields, scales, rot)
+    for f, e in zip(fields, energies):
+        table = wavelet_analysis(n, prof, f, scales, rot)
+        assert frame_energy(table) == pytest.approx(e, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize(
+    "n, L, delta, d", [(2, 8, 0.45, 1), (2, 16, 0.3, 2), (3, 8, 0.9, 1), (2, 64, 0.6, 1)]
+)
+def test_chunk_budget_bounds_memory(n, L, delta, d, monkeypatch):
+    # the chunk's arrays stay within the budget, so the call's peak exceeds
+    # it by no more than the per-call moments and operator
+    budget = 4 * 2**20
+    monkeypatch.setattr(transform, "_CHUNK_BYTES", budget)
+    prof = make_preset("abel-poisson", n, d=d)
+    scales = scale_grid_for_profile(n, prof, 1.5, L)
+    rot = build_rotation_grid(n, (delta,) * n)
+    fields = [random_bandlimited(n, L, 0, s) for s in np.random.SeedSequence(4).spawn(4)]
+    tracemalloc.start()
+    try:
+        transform_energies(n, prof, fields, scales, rot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * budget
 
 
 def test_transform_memory_does_not_grow_with_inner_cells():

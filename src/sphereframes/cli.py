@@ -306,21 +306,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sphereframes",
         description="Construct and verify wavelet frames on the n-sphere.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--threads", type=int, help="worker threads")
-        p.add_argument("--preset", help=f"profile preset, one of {sorted(PRESET_NAMES)}")
-        p.add_argument("--n", type=int, help="sphere dimension")
-        p.add_argument("--band-limit", type=int, dest="band_limit")
-        p.add_argument("--delta", type=float, nargs="+", help="rotation caps, outer first")
-        p.add_argument("--ratio", type=float, help="scale grid ratio X0")
-        p.add_argument("--scales", type=int, help="scale step count")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--tolerance", type=float)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="key=value config file")
+    parser.add_argument("--out", help="output directory (default .)")
+    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--threads", type=int, help="worker threads")
+    parser.add_argument("--preset", help=f"profile preset, one of {sorted(PRESET_NAMES)}")
+    parser.add_argument("--n", type=int, help="sphere dimension")
+    parser.add_argument("--band-limit", type=int, dest="band_limit")
+    parser.add_argument("--delta", type=float, nargs="+", help="rotation caps, outer first")
+    parser.add_argument("--ratio", type=float, help="scale grid ratio X0")
+    parser.add_argument("--scales", type=int, help="scale step count")
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--tolerance", type=float)
     return parser
 
 

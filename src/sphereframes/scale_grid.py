@@ -6,6 +6,9 @@ by a log-uniform Riemann sum on a geometric sequence rho_j = rho_max * X0^-j
 with weights ln X0.  The maximal relative deviation eps_hat between the two
 quantifies the discretization: A(1 - eps_hat) and B(1 + eps_hat) bound the
 semi-discrete system whenever A, B bound the continuous one.
+
+Both sums read the energies of all their degrees from the one spectrum
+evaluator of ``wavelet_spectra``, over a (scales x degrees) array.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import dim_harmonic
 from .wavelet_spectra import (
     SpectralProfile,
-    _response_norm,
+    _degree_means,
+    _scale_energies,
     _scale_log_range,
     beta_numeric,
     profile_order,
@@ -97,42 +100,29 @@ def build_scale_grid(rho_max: float, ratio: float, count: int) -> ScaleGrid:
     return ScaleGrid(scales, weights, ratio)
 
 
-def _degree_energies(n: int, profile: SpectralProfile, l: int, scales: np.ndarray):
-    """Vectorized sum_kappa |a_l^kappa(Psi_rho)|^2 over a scale array."""
-    lam = (n - 1) / 2
-    q = float(profile.q_eval(l))
-    if q <= 0.0:
-        if l >= 1:
-            raise ValueError(f"q({l}) <= 0 inside the requested range")
-        return np.zeros_like(np.asarray(scales, dtype=float))
-    R = _response_norm(n, profile.d, l)
-    scales = np.asarray(scales, dtype=float)
-    s = scales**profile.a * q**profile.b
-    hat = profile.amplitude * s**profile.c * np.exp(-s) * (l + lam) / lam
-    return scales ** (2.0 * profile.tilde_exponent * profile.d) * hat * hat * R
-
-
-def discrete_beta(n: int, profile: SpectralProfile, grid: ScaleGrid, l: int) -> float:
+def discrete_beta(n: int, profile: SpectralProfile, grid: ScaleGrid, l) -> float | np.ndarray:
     """Riemann-sum counterpart of beta(l) on the given scale grid.
 
-    Warns when the integrand at either end of the grid exceeds 1e-12 of its
-    peak, i.e. when the grid range truncates the scale integral noticeably.
+    l is an int (giving a float) or an integer array of degrees, whose
+    energies at every scale come from one (scales x degrees) evaluation.
+    Warns, once per degree, when the integrand at either end of the grid
+    exceeds 1e-12 of its peak, i.e. when the grid truncates its integral.
     """
-    if l < 0:
-        raise ValueError(f"degree must be >= 0, got {l}")
-    if l == 0 and (profile.d >= 1 or profile.q_eval(0) == 0.0):
-        return 0.0
-    energies = _degree_energies(n, profile, l, grid.scales)
-    peak = energies.max()
-    if peak > 0 and max(energies[0], energies[-1]) > 1e-12 * peak:
-        warnings.warn(
-            f"scale grid [{grid.rho_min:.3g}, {grid.rho_max:.3g}] truncates the "
-            f"degree-{l} integrand (endpoint/peak = "
-            f"{max(energies[0], energies[-1]) / peak:.2e})",
-            ScaleCoverageWarning,
-            stacklevel=2,
-        )
-    return float(np.dot(grid.weights, energies)) / dim_harmonic(n, l)
+
+    def riemann_sums(ls: np.ndarray) -> np.ndarray:
+        energies = _scale_energies(n, profile, grid.scales[:, None], ls)
+        peak = energies.max(axis=0)
+        ends = np.maximum(energies[0], energies[-1])
+        for i in np.flatnonzero((peak > 0) & (ends > 1e-12 * peak)):
+            warnings.warn(
+                f"scale grid [{grid.rho_min:.3g}, {grid.rho_max:.3g}] truncates the "
+                f"degree-{ls[i]} integrand (endpoint/peak = {ends[i] / peak[i]:.2e})",
+                ScaleCoverageWarning,
+                stacklevel=4,  # the caller of discrete_beta
+            )
+        return grid.weights @ energies
+
+    return _degree_means(n, profile, l, riemann_sums)
 
 
 def scale_grid_for_profile(n: int, profile: SpectralProfile, ratio: float, L: int) -> ScaleGrid:
@@ -146,9 +136,8 @@ def scale_grid_for_profile(n: int, profile: SpectralProfile, ratio: float, L: in
     """
     if L < 1:
         raise ValueError(f"band limit must be >= 1, got {L}")
-    u_lo_L, _ = _scale_log_range(profile, L, 1e-15)
-    _, u_hi = _scale_log_range(profile, profile_order(profile) + 1, 1e-15)
-    count = max(1, math.ceil((u_hi - u_lo_L) / math.log(ratio)))
+    u_lo, u_hi = _scale_log_range(profile, profile_order(profile) + 1, L, 1e-15)
+    count = max(1, math.ceil((u_hi - u_lo) / math.log(ratio)))
     return build_scale_grid(math.exp(u_hi), ratio, count)
 
 
@@ -195,8 +184,8 @@ def epsilon_report(n: int, profile: SpectralProfile, grid: ScaleGrid, L: int) ->
     if L < 1:
         raise ValueError(f"band limit must be >= 1, got {L}")
     degrees = np.arange(profile_order(profile) + 1, L + 1)
-    cont = np.array([beta_numeric(n, profile, int(l)) for l in degrees])
-    disc = np.array([discrete_beta(n, profile, grid, int(l)) for l in degrees])
+    cont = beta_numeric(n, profile, degrees)
+    disc = discrete_beta(n, profile, grid, degrees)
     rel = np.abs(disc - cont) / cont
     return EpsilonReport(
         degrees,

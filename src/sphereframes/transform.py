@@ -50,8 +50,8 @@ from .special_functions import _pochhammer, gegenbauer_connection, surface_area
 from .wavelet_spectra import (
     BetaTable,
     SpectralProfile,
+    _directional_hat,
     _theta_derivative_tableau,
-    zonal_hat,
 )
 
 __all__ = [
@@ -227,8 +227,7 @@ def _filters(n: int, profile: SpectralProfile, field_L: int, scales: ScaleGrid) 
     tables = {0: np.ones((1, 1))} if d == 0 else dict(
         enumerate(_theta_derivative_tableau(d), start=1)
     )
-    hats = zonal_hat(profile, scales.scales[:, None], np.arange(field_L + 1), n)
-    hats *= (scales.scales ** (profile.tilde_exponent * d))[:, None]
+    hats = _directional_hat(profile, scales.scales[:, None], np.arange(field_L + 1), n)
     filters = {}
     for k, tab in tables.items():
         if k > field_L:

@@ -102,11 +102,9 @@ def make_preset(name: str, n: int, d: int = 0, order: int = 2) -> SpectralProfil
 def zonal_hat(profile: SpectralProfile, rho: float | np.ndarray, l, n: int):
     """Spectrum value hat Psi_rho(l); the scales rho and the integer degrees l
     may be arrays that broadcast together.  A float when both are scalars."""
-    # [()] leaves a scalar rho as np.float64, whose ** is the C library's pow
-    # like a Python float's; the other powers go through np.power on arrays
-    rho = np.asarray(rho, dtype=float)[()]
+    rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0):
-        bad = np.asarray(rho)[rho <= 0].flat[0]
+        bad = rho[rho <= 0].flat[0]
         raise ValueError(f"scale must be positive, got {bad}")
     lam = (n - 1) / 2
     larr = np.asarray(l)
@@ -118,6 +116,12 @@ def zonal_hat(profile: SpectralProfile, rho: float | np.ndarray, l, n: int):
     val = np.where(pos, np.power(s, profile.c) * np.exp(-s), 0.0)
     out = profile.amplitude * val * (larr + lam) / lam
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _directional_hat(profile: SpectralProfile, rho, l, n: int):
+    """rho^(ed) hat Psi_rho(l), e = a/(gamma b): the spectrum of the scale-rho
+    member with its directional scaling; rho an array that broadcasts with l."""
+    return zonal_hat(profile, rho, l, n) * rho ** (profile.tilde_exponent * profile.d)
 
 
 # ---------------------------------------------------------------------------
@@ -175,24 +179,28 @@ def ladder_beta(lam: float, l: int, iota: int) -> float:
 # per-degree response and the admissibility function
 
 
-def _response_norm(n: int, d: int, l: int) -> float:
-    """sum_kappa |a_l^kappa(D^d[C_l kernel])|^2 = ||T_l^d e_0||^2 / (A_l^0)^2, with
-    T_l the antisymmetric tridiagonal coupling matrix of degree l.
+def _response_norms(n: int, d: int, ls: np.ndarray) -> np.ndarray:
+    """R(l) = sum_kappa |a_l^kappa(D^d[C_l kernel])|^2 at the integer degrees ls.
 
-    The d-th rotation derivative moves order 0 along the ladder through orders
-    <= min(d, l), so the leading block of T_l suffices.
+    R(l) = ||T_l^d e_0||^2 / (A_l^0)^2, T_l the antisymmetric tridiagonal
+    coupling matrix of degree l, of which D^d reaches the orders <= min(d, l):
+    each degree's leading (d+1)-block is one matrix of a stack.
     """
     lam = (n - 1) / 2
-    links = [ladder_beta(lam, l, i) for i in range(min(d, l))]
-    T = np.diag(links, -1) - np.diag(links, 1)
-    v = np.linalg.matrix_power(T, d)[:, 0]
-    return float(v @ v) / fourier_from_gegenbauer_factor(n, l) ** 2
+    T = np.zeros((len(ls), d + 1, d + 1))
+    for k, l in enumerate(ls.tolist()):
+        for i in range(min(d, l)):
+            T[k, i + 1, i] = ladder_beta(lam, l, i)
+    v = np.linalg.matrix_power(T - T.transpose(0, 2, 1), d)[:, :, 0]
+    bridge = [fourier_from_gegenbauer_factor(n, l) ** 2 for l in ls.tolist()]
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0] / bridge
 
 
 def degree_response_norms(n: int, d: int, L: int) -> np.ndarray:
     """R[l] = sum_kappa |a_l^kappa(D^d[C_l kernel])|^2 for l <= L, D the rotation
-    derivative in the (x_1, x_2) plane (admissibility is axis-independent)."""
-    return np.array([_response_norm(n, d, l) for l in range(L + 1)])
+    derivative in the (x_1, x_2) plane (admissibility is axis-independent),
+    from one stack of ladder blocks, as the admissibility energies read it."""
+    return _response_norms(n, d, np.arange(L + 1))
 
 
 def _brent_root(f, xa: float, xb: float) -> float:
@@ -243,36 +251,62 @@ def _brent_root(f, xa: float, xb: float) -> float:
     raise RuntimeError(f"Brent's method did not converge in 100 iterations, value is {xcur}")
 
 
-def _envelope_log_range(cprime: float, tol: float = 1e-18) -> tuple[float, float]:
-    """Range of s where s^(2c') e^(-2s) stays above tol times its peak value."""
-    target = math.log(tol)
+def _cprime(profile: SpectralProfile) -> float:
+    """c' = c + d/(gamma b): E_l(rho) is a multiple of s^(2c') e^(-2s)."""
+    return profile.c + profile.d / (profile.gamma * profile.b)
+
+
+def _scale_log_range(
+    profile: SpectralProfile, first: int, last: int, tol: float = 1e-18
+) -> tuple[float, float]:
+    """log-rho interval outside which the scale integrands of the degrees
+    first..last, q increasing on them, stay below tol times their peak.
+
+    Each integrand is the envelope s^(2c') e^(-2s) of s = rho^a q(l)^b: its
+    range in s is solved once, then shifted by -b log q(l) / a to the last
+    degree's lower end and the first degree's upper end.
+    """
+    cprime, target = _cprime(profile), math.log(tol)
 
     def g(s: float) -> float:
         return 2.0 * cprime * math.log(s / cprime) - 2.0 * (s - cprime) - target
 
-    lo = _brent_root(g, cprime * 1e-30, cprime)
     hi_guess = cprime - target
     while g(hi_guess) > 0:
         hi_guess *= 2.0
-    hi = _brent_root(g, cprime, hi_guess)
-    return lo, hi
+    s_lo, s_hi = _brent_root(g, cprime * 1e-30, cprime), _brent_root(g, cprime, hi_guess)
+    ends = []
+    for s, l in ((s_lo, last), (s_hi, first)):
+        q = float(profile.q_eval(l))
+        if q <= 0.0:
+            raise ValueError(f"q({l}) <= 0: degree {l} has no scale range")
+        ends.append((math.log(s) - profile.b * math.log(q)) / profile.a)
+    return ends[0], ends[1]
 
 
-def _scale_log_range(
-    profile: SpectralProfile, l: int, tol: float = 1e-18
-) -> tuple[float, float]:
-    """log-rho interval outside which the degree-l scale integrand is negligible."""
-    q = float(profile.q_eval(l))
-    if q <= 0.0:
-        raise ValueError(f"q({l}) <= 0: degree {l} has no scale range")
-    cprime = profile.c + profile.d / (profile.gamma * profile.b)
-    s_lo, s_hi = _envelope_log_range(cprime, tol)
-    u_lo = (math.log(s_lo) - profile.b * math.log(q)) / profile.a
-    u_hi = (math.log(s_hi) - profile.b * math.log(q)) / profile.a
-    return u_lo, u_hi
+def _scale_energies(n: int, profile: SpectralProfile, rho, l: np.ndarray) -> np.ndarray:
+    """E_l(rho) = sum_kappa |a_l^kappa(Psi_rho)|^2 = (rho^(ed) hat_rho(l))^2 R(l),
+    the scales rho broadcast against the integer degree array l."""
+    hat = _directional_hat(profile, rho, l, n)
+    return hat * hat * _response_norms(n, profile.d, l)
 
 
-def beta_numeric(n: int, profile: SpectralProfile, l: int) -> float:
+def _degree_means(n: int, profile: SpectralProfile, l, totals) -> float | np.ndarray:
+    """totals(degrees) / N(n, l) at the degrees l above the profile order, and
+    0 at or below it.  l is an int or an integer array, checked once; the
+    result is a float for an int."""
+    ls = np.asarray(l)
+    if np.any(ls < 0):
+        raise ValueError(f"degree must be >= 0, got {ls[ls < 0].flat[0]}")
+    out = np.zeros(ls.shape)
+    above = ls > profile_order(profile)
+    if above.any():
+        ls = ls[above]
+        out[above] = totals(ls) / [dim_harmonic(n, l) for l in ls.tolist()]
+    return float(out) if out.ndim == 0 else out
+
+
+def beta_numeric(n: int, profile: SpectralProfile, l) -> float | np.ndarray:
     """Admissibility beta(l) = (1/N(n,l)) int E_l(rho) drho/rho, in closed form.
 
     The degree-l energy E_l(rho) = rho^(2ed) hat_rho(l)^2 R(l) is a multiple of
@@ -280,26 +314,19 @@ def beta_numeric(n: int, profile: SpectralProfile, l: int) -> float:
     shape integrates over log rho to Gamma(2c') / (a 4^c').  Reading the
     multiple at s = 1 gives beta(l) = e^2 Gamma(2c') / (a 4^c') E_l(rho_1) / N,
     which equals amp^2 Gamma(2c') / (a 4^c') q(l)^(-2d/gamma) ||T_l^d e_0||^2.
-    Reading E_l through ``zonal_hat`` keeps the amplitude and the (l + lam)/lam
-    normalization of the spectrum defined in one place.
+    The energies of all the degrees come from one ``zonal_hat`` call, so the
+    spectrum is defined in one place.  l is an int or an integer array, like
+    ``zonal_hat``'s; the profile is validated once, and an int gives a float.
     """
-    if l < 0:
-        raise ValueError(f"degree must be >= 0, got {l}")
-    if l <= profile_order(profile):
-        return 0.0
-    profile.validate_positive(max(l, 1))
-    q = float(profile.q_eval(l))
-    rho = q ** (-profile.b / profile.a)  # the scale with s = 1
-    hat = zonal_hat(profile, rho, l, n)
-    energy = (
-        rho ** (2.0 * profile.tilde_exponent * profile.d)
-        * hat
-        * hat
-        * _response_norm(n, profile.d, l)
-    )
-    cprime = profile.c + profile.d / (profile.gamma * profile.b)
-    shape = math.e**2 * math.gamma(2.0 * cprime) / (profile.a * 4.0**cprime)
-    return shape * energy / dim_harmonic(n, l)
+
+    def integrals(ls: np.ndarray) -> np.ndarray:
+        profile.validate_positive(max(int(ls.max()), 1))
+        rho = profile.q_eval(ls) ** (-profile.b / profile.a)  # the scales with s = 1
+        cprime = _cprime(profile)
+        shape = math.e**2 * math.gamma(2.0 * cprime) / (profile.a * 4.0**cprime)
+        return shape * _scale_energies(n, profile, rho, ls)
+
+    return _degree_means(n, profile, l, integrals)
 
 
 def profile_order(profile: SpectralProfile) -> int:

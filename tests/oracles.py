@@ -8,8 +8,10 @@ paths against them:
 - ``grid_response_norms`` analyzes the directional derivative of each
   Gegenbauer kernel on an exact product grid and sums the squared
   coefficients of the surviving harmonics;
-- ``quadrature_beta`` integrates the degree-l energy over log-scale with
-  composite Gauss-Legendre panels, twice, and requires the two to agree;
+- ``literal_energies`` evaluates the degree-l energy at given scales from the
+  literal spectrum; ``quadrature_beta`` integrates it over log-scale with
+  composite Gauss-Legendre panels, twice, and requires the two to agree, and
+  ``riemann_beta`` sums it on a scale grid one degree at a time;
 - ``direct_transform`` evaluates the rotated wavelet on the sphere grid for
   every rotation and scale and pairs it with the weighted field;
 - ``grid_monomial_moments`` multiplies fields by the monomials x^mu on the
@@ -169,7 +171,7 @@ def grid_response_norms(n: int, d: int, L: int) -> np.ndarray:
 
 def scale_quadrature(profile, l: int, panels: int, order: int = 16):
     """Composite Gauss-Legendre scales/weights over the log-rho support of degree l >= 1."""
-    u_lo, u_hi = _scale_log_range(profile, l)
+    u_lo, u_hi = _scale_log_range(profile, l, l)
     x, w = roots_legendre(order)
     edges = np.linspace(u_lo, u_hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -179,19 +181,31 @@ def scale_quadrature(profile, l: int, panels: int, order: int = 16):
     return np.exp(nodes), weights
 
 
+def literal_energies(n: int, profile, l: int, rhos, response: float) -> np.ndarray:
+    """E_l(rho) = rho^(2ed) hat_rho(l)^2 R(l) at the scales rhos, from the literal
+    spectrum s^c e^(-s) (l + lam) / lam, s = rho^a q(l)^b, with R(l) = ``response``."""
+    lam = (n - 1) / 2
+    q = float(profile.q_eval(l))
+    s = rhos**profile.a * q**profile.b
+    hat = profile.amplitude * s**profile.c * np.exp(-s) * (l + lam) / lam
+    return rhos ** (2.0 * profile.tilde_exponent * profile.d) * hat**2 * response
+
+
+def riemann_beta(n: int, profile, scales, l: int, response: float) -> float:
+    """The scale grid's Riemann sum (1/N(n,l)) sum_j w_j E_l(rho_j), one degree at
+    a time from ``literal_energies``, with R(l) = ``response``."""
+    energy = literal_energies(n, profile, l, scales.scales, response)
+    return float(np.dot(scales.weights, energy)) / dim_harmonic(n, l)
+
+
 def quadrature_beta(n: int, profile, l: int, response: float, rtol: float = 1e-9) -> float:
     """beta(l) = (1/N(n,l)) int rho^(2ed) hat_rho(l)^2 R(l) drho/rho, degree l >= 1,
     with R(l) = ``response``; the panel count is doubled once to confirm convergence."""
-    lam = (n - 1) / 2
-    q = float(profile.q_eval(l))
-    u_lo, u_hi = _scale_log_range(profile, l)
+    u_lo, u_hi = _scale_log_range(profile, l, l)
     panels = max(8, math.ceil(u_hi - u_lo))
 
     def integral(rhos, wts):
-        # the literal spectrum s^c e^(-s) (l + lam) / lam, s = rho^a q(l)^b
-        s = rhos**profile.a * q**profile.b
-        hat = profile.amplitude * s**profile.c * np.exp(-s) * (l + lam) / lam
-        energy = rhos ** (2.0 * profile.tilde_exponent * profile.d) * hat**2 * response
+        energy = literal_energies(n, profile, l, rhos, response)
         return float(np.dot(energy, wts)) / dim_harmonic(n, l)
 
     coarse = integral(*scale_quadrature(profile, l, panels))

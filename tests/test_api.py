@@ -43,7 +43,9 @@ GONE = {
     ),
     "harmonics": ("eval_harmonic", "gegenbauer_coeff_from_fourier", "vector_to_angles"),
     "rotation_grid": ("apply_rotation",),
+    "scale_grid": ("_degree_energies",),
     "wavelet_spectra": (
+        "_response_norm",
         "SpectralTruncationWarning",
         "DirectionalCoefficients",
         "directional_coeffs",

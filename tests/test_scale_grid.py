@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,7 +17,14 @@ from sphereframes.scale_grid import (
     find_ratio,
     scale_grid_for_profile,
 )
-from sphereframes.wavelet_spectra import SpectralProfile, beta_numeric, make_preset
+from sphereframes.wavelet_spectra import (
+    PRESET_NAMES,
+    SpectralProfile,
+    _scale_log_range,
+    beta_numeric,
+    make_preset,
+    profile_order,
+)
 
 AP = make_preset("abel-poisson", 2)
 AP1 = make_preset("abel-poisson", 2, d=1)
@@ -67,9 +75,20 @@ def test_discrete_matches_continuous_when_covered():
 
 def test_coverage_warning_for_off_peak_grid():
     off = build_scale_grid(40.0, 1.1, 7)  # rho in [20.5, 40] misses the l=1 peak
-    with pytest.warns(ScaleCoverageWarning):
+    with pytest.warns(ScaleCoverageWarning) as record:
         val = discrete_beta(2, AP, off, 1)
     assert val < 1e-10  # nearly all the energy lies outside the grid
+    assert record[0].filename == __file__  # attributed to the caller
+
+
+def test_coverage_warning_names_each_truncated_degree():
+    off = build_scale_grid(40.0, 1.1, 7)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        epsilon_report(2, AP1, off, 8)
+    assert [w.category for w in caught] == [ScaleCoverageWarning] * 8
+    named = [re.search(r"degree-(\d+) integrand", str(w.message)).group(1) for w in caught]
+    assert named == [str(l) for l in range(1, 9)]
 
 
 def test_epsilon_report_contents():
@@ -125,6 +144,18 @@ def test_profile_grid_covers_declared_range():
         warnings.simplefilter("error", ScaleCoverageWarning)
         for l in (1, 6, 12):
             discrete_beta(2, AP1, grid, l)
+
+
+def test_profile_range_is_the_union_of_degree_ranges():
+    # one envelope solve, shifted per degree, gives the bits of a solve per degree
+    for name in PRESET_NAMES:
+        for d in range(3):
+            prof = make_preset(name, 2, d=d)
+            first = profile_order(prof) + 1
+            for L in (8, 64):
+                ranges = [_scale_log_range(prof, l, l, 1e-15) for l in range(first, L + 1)]
+                union = (min(r[0] for r in ranges), max(r[1] for r in ranges))
+                assert _scale_log_range(prof, first, L, 1e-15) == union
 
 
 def test_degree_zero_is_covered_when_q0_positive():

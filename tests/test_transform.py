@@ -11,7 +11,7 @@ from oracles import (
     table_csv,
 )
 
-from sphereframes import transform
+from sphereframes import transform, wavelet_spectra
 from sphereframes.harmonics import HarmonicCoefficients, build_sphere_grid, coefficient_count
 from sphereframes.rotation_grid import RotationGrid, build_rotation_grid
 from sphereframes.scale_grid import build_scale_grid, scale_grid_for_profile
@@ -404,7 +404,7 @@ def test_filters_match_per_scale_spectra(n, monkeypatch):
     # one zonal_hat call over (scales x degrees) gives the bits of one
     # zonal_hat call per scale
     L = 12
-    one_scale = transform.zonal_hat
+    one_scale = wavelet_spectra.zonal_hat
 
     def per_scale(profile, rho, l, n):
         return np.array([one_scale(profile, float(r), l, n) for r in rho.ravel()])
@@ -415,7 +415,7 @@ def test_filters_match_per_scale_spectra(n, monkeypatch):
             scales = scale_grid_for_profile(n, prof, 1.5, L)
             whole = transform._filters(n, prof, L, scales)
             with monkeypatch.context() as m:
-                m.setattr(transform, "zonal_hat", per_scale)
+                m.setattr(wavelet_spectra, "zonal_hat", per_scale)
                 stacked = transform._filters(n, prof, L, scales)
             assert whole.keys() == stacked.keys()
             for j in whole:

@@ -14,15 +14,17 @@ from oracles import (
     grid_response_norms,
     polynomial_residual,
     quadrature_beta,
+    riemann_beta,
     scale_quadrature,
     spectral_cutoff,
 )
 from sphereframes.harmonics import build_sphere_grid, dim_harmonic, synthesize
-from sphereframes.scale_grid import _degree_energies, build_scale_grid, discrete_beta
+from sphereframes.scale_grid import build_scale_grid, discrete_beta, scale_grid_for_profile
 from sphereframes.wavelet_spectra import (
     PRESET_NAMES,
     SpectralProfile,
     _brent_root,
+    _scale_energies,
     beta_numeric,
     build_beta_table,
     degree_response_norms,
@@ -209,7 +211,7 @@ def test_beta_numeric_quadrature_consistency():
     prof = make_preset("gauss-weierstrass", 2, d=1)
     l = 3
     rhos, wts = scale_quadrature(prof, l, panels=64)
-    total = float(np.dot(wts, _degree_energies(2, prof, l, rhos)))
+    total = float(np.dot(wts, _scale_energies(2, prof, rhos[:, None], np.array([l]))[:, 0]))
     assert total / dim_harmonic(2, l) == pytest.approx(
         beta_numeric(2, prof, l), rel=1e-12
     )
@@ -217,6 +219,39 @@ def test_beta_numeric_quadrature_consistency():
     assert quadrature_beta(2, prof, l, R) == pytest.approx(
         beta_numeric(2, prof, l), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("n,d,L", [(n, d, L) for n in (2, 3, 4) for d in range(3) for L in (8, 64)])
+def test_degree_arrays_match_oracles_and_scalar_calls(n, d, L):
+    # one call over every degree above the order agrees with the literal
+    # spectrum taken one degree at a time: beta_numeric with its scale
+    # quadrature, discrete_beta with its Riemann sum on the profile's grid
+    R = degree_response_norms(n, d, L)
+    for prof in oracle_profiles(n, d):
+        ls = np.arange(profile_order(prof) + 1, L + 1)
+        grid = scale_grid_for_profile(n, prof, 1.5, L)
+        cont = beta_numeric(n, prof, ls)
+        disc = discrete_beta(n, prof, grid, ls)
+        quad = [quadrature_beta(n, prof, int(l), R[l]) for l in ls]
+        riemann = [riemann_beta(n, prof, grid, int(l), R[l]) for l in ls]
+        np.testing.assert_allclose(cont, quad, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(disc, riemann, rtol=1e-14, atol=0)
+        one = [beta_numeric(n, prof, int(l)) for l in ls]
+        np.testing.assert_allclose(cont, one, rtol=1e-14, atol=0)
+        one = [discrete_beta(n, prof, grid, int(l)) for l in ls]
+        np.testing.assert_allclose(disc, one, rtol=1e-14, atol=0)
+        assert all(type(x) is float for x in one)
+
+
+def test_degree_arrays_zero_at_the_order_and_checked_once():
+    prof = make_preset("abel-poisson", 2, d=1)
+    grid = scale_grid_for_profile(2, prof, 1.5, 4)
+    for values in (beta_numeric(2, prof, np.arange(5)), discrete_beta(2, prof, grid, np.arange(5))):
+        assert values.shape == (5,) and values[0] == 0.0 and np.all(values[1:] > 0)
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+        beta_numeric(2, prof, np.array([2, -1]))
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+        discrete_beta(2, prof, grid, np.array([2, -1]))
 
 
 def test_beta_table_includes_degree_zero_when_q0_positive():
@@ -331,7 +366,7 @@ def _root_or_error(solve, f, a, b):
 
 @pytest.mark.parametrize("tol", [1e-15, 1e-18])
 def test_brent_root_matches_scipy_brentq_bit_for_bit(tol):
-    # both brackets that _envelope_log_range solves, over a sweep of c'
+    # both brackets that _scale_log_range solves, over a sweep of c'
     target = math.log(tol)
     for cprime in np.linspace(0.01, 50.0, 501):
 

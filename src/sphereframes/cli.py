@@ -152,6 +152,10 @@ def load_config(args) -> RunConfig:
     cfg.ratio = float(args.ratio if args.ratio is not None else scales.get("ratio", 1.2))
     count = args.scales if args.scales is not None else scales.get("count")
     cfg.scale_count = int(count) if count not in (None, "") else None
+    if (cfg.rho_max is None) != (cfg.scale_count is None):
+        raise ValueError("an explicit scale grid needs both [scales] rho_max and count")
+    if cfg.command == "certify" and cfg.rho_max is not None:
+        raise ValueError("certify builds the scale grid from the profile; drop rho_max and count")
 
     delta = args.delta if args.delta is not None else rots.get("delta")
     if delta is not None:
@@ -193,7 +197,7 @@ def _config_comment(cfg: RunConfig) -> str:
 
 
 def _scale_grid_from(cfg: RunConfig) -> scale_grid.ScaleGrid:
-    if cfg.rho_max is not None and cfg.scale_count is not None:
+    if cfg.rho_max is not None:
         return scale_grid.build_scale_grid(cfg.rho_max, cfg.ratio, cfg.scale_count)
     return scale_grid.scale_grid_for_profile(
         cfg.n, cfg.profile, cfg.ratio, cfg.band_limit

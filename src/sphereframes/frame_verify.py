@@ -142,15 +142,13 @@ def certify_frame(
     integrated exactly) is the reference for delta_hat = max |E - S| / O, with
     O the continuous energy.  Full spatial verification (the discrete
     transform over the rotation grid, computed in coefficient space) computes
-    E for n = 2 by default and for n = 3 when ``spatial=True``.  Higher
-    dimensions stay on the spectral side, where E is S and delta_hat = 0.
+    E for n = 2 by default and for any n when ``spatial=True``.  Otherwise
+    the check stays on the spectral side, where E is S and delta_hat = 0.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if spatial is None:
         spatial = n == 2
-    if spatial and n > 3:
-        raise ValueError("spatial verification is limited to n <= 3")
 
     beta = build_beta_table(n, profile, L)
     A, B = wavelet_bounds(beta)

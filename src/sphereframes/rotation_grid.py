@@ -19,14 +19,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .special_functions import surface_area
 
 __all__ = [
-    "PartitionCell",
     "SpherePartition",
     "partition_sphere",
     "RotationGrid",
@@ -35,14 +33,9 @@ __all__ = [
 ]
 
 # Most cells partition_sphere builds, and build_rotation_grid's default cap
-# on its rotations; larger requests raise before any cell is built.
+# on each factor's cells and on its flat rows; larger requests raise before
+# any cell or row is built.
 _MAX_CELLS = 200_000
-
-
-class PartitionCell(NamedTuple):
-    center: tuple
-    measure: float
-    diameter: float
 
 
 def sin_power_integral(m: int, a: float, b: float) -> float:
@@ -61,18 +54,26 @@ def sin_power_integral(m: int, a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class SpherePartition:
-    """Cells covering S^J, each with a center, exact measure, and diameter bound."""
+    """Cells covering S^J: row i of centres holds cell i's J centre angles,
+    and measures and diameters its exact measure and diameter bound.  The
+    arrays are read-only."""
 
     dimension: int
     delta: float
-    cells: tuple
+    centres: np.ndarray
+    measures: np.ndarray
+    diameters: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.centres, self.measures, self.diameters):
+            a.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return self.measures.size
 
     @property
     def total_measure(self) -> float:
-        return float(sum(c.measure for c in self.cells))
+        return float(self.measures.sum())
 
 
 def partition_sphere(J: int, delta: float) -> SpherePartition:
@@ -99,33 +100,27 @@ def partition_sphere(J: int, delta: float) -> SpherePartition:
 def _partition(J: int, delta: float) -> SpherePartition:
     """partition_sphere without its checks, for callers that counted the cells."""
     if delta >= math.pi:
-        center = (math.pi / 2,) * (J - 1) + (math.pi,)
+        centre = (math.pi / 2,) * (J - 1) + (math.pi,)
         return SpherePartition(
-            J, delta, (PartitionCell(center, surface_area(J), math.pi),)
+            J, delta, np.array([centre]), np.array([surface_area(J)]), np.array([math.pi])
         )
 
     if J == 1:
         count = _arc_count(delta)
         arc = 2.0 * math.pi / count
-        cells = tuple(
-            PartitionCell(((i + 0.5) * arc,), arc, arc) for i in range(count)
-        )
-        return SpherePartition(J, delta, cells)
+        arcs = np.full(count, arc)
+        return SpherePartition(J, delta, (np.arange(count) + 0.5)[:, None] * arc, arcs, arcs)
 
-    cells = []
+    centres, measures, diameters = [], [], []
     for a, b, h, sin_max in _bands(delta):
         sub = _partition(J - 1, (delta - h) / sin_max)
-        theta_mid = 0.5 * (a + b)
-        band_measure = sin_power_integral(J - 1, a, b)
-        for c in sub.cells:
-            cells.append(
-                PartitionCell(
-                    (theta_mid,) + c.center,
-                    band_measure * c.measure,
-                    h + sin_max * c.diameter,
-                )
-            )
-    return SpherePartition(J, delta, tuple(cells))
+        theta_mid = np.full((len(sub), 1), 0.5 * (a + b))
+        centres.append(np.hstack([theta_mid, sub.centres]))
+        measures.append(sin_power_integral(J - 1, a, b) * sub.measures)
+        diameters.append(h + sin_max * sub.diameters)
+    return SpherePartition(
+        J, delta, np.concatenate(centres), np.concatenate(measures), np.concatenate(diameters)
+    )
 
 
 def _arc_count(delta: float) -> int:
@@ -263,11 +258,10 @@ def build_rotation_grid(
     """Product of partitions of S^n, ..., S^1 with product weights.
 
     delta_list is ordered (delta_n, ..., delta_1), outermost sphere first.
-    Raises, before any partition is built, if one partition, or the tuples
-    of the inner partitions S^(n-1), ..., S^1, would number more than
-    max_elements: the sizes are counted innermost first, and each count
-    stops once it passes the room the smaller spheres leave.  The grid keeps
-    max_elements as the cap on its flat rows.
+    Raises, before any partition is built, if one partition would hold more
+    than max_elements cells: only the factors are built, so the rotations,
+    their product, may number more.  The grid keeps max_elements as the cap
+    on its flat rows.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -276,25 +270,20 @@ def build_rotation_grid(
         raise ValueError(f"need {n} diameter caps, got {len(deltas)}")
     if min(deltas) <= 0:
         raise ValueError(f"diameter caps must be positive, got {deltas}")
-    inner = 1
     for J in range(1, n + 1):
-        room = max_elements // inner if J < n else max_elements
-        count = _cell_count(J, deltas[n - J], room)
-        if count > room:
+        if _cell_count(J, deltas[n - J], max_elements) > max_elements:
             raise ValueError(
-                f"rotation grid would hold more than {max_elements} elements, the cap, "
-                f"in its S^{J} factor or its inner tuples; increase the caps in "
-                "delta_list or raise max_elements"
+                f"S^{J} factor of the rotation grid would hold more than {max_elements} "
+                "elements, the cap; increase the caps in delta_list or raise max_elements"
             )
-        inner *= count
-    centres, measures = [], []
-    for J in range(n, 0, -1):
-        cells = _partition(J, deltas[n - J]).cells
-        centres.append(np.array([c.center for c in cells]))
-        measures.append(np.array([c.measure for c in cells]))
-    for a in centres + measures:
-        a.flags.writeable = False
-    return RotationGrid(n, deltas, tuple(centres), tuple(measures), max_elements)
+    parts = [_partition(J, deltas[n - J]) for J in range(n, 0, -1)]
+    return RotationGrid(
+        n,
+        deltas,
+        tuple(p.centres for p in parts),
+        tuple(p.measures for p in parts),
+        max_elements,
+    )
 
 
 def _rotate(n: int, euler, v: np.ndarray) -> np.ndarray:

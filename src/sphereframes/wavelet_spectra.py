@@ -260,11 +260,12 @@ def _scale_log_range(
     profile: SpectralProfile, first: int, last: int, tol: float = 1e-18
 ) -> tuple[float, float]:
     """log-rho interval outside which the scale integrands of the degrees
-    first..last, q increasing on them, stay below tol times their peak.
+    first..last stay below tol times their peak.
 
     Each integrand is the envelope s^(2c') e^(-2s) of s = rho^a q(l)^b: its
-    range in s is solved once, then shifted by -b log q(l) / a to the last
-    degree's lower end and the first degree's upper end.
+    range in s is solved once, then shifted by -b log q(l) / a to the lower
+    end of the degree with the largest q and the upper end of the one with
+    the least q.
     """
     cprime, target = _cprime(profile), math.log(tol)
 
@@ -275,13 +276,15 @@ def _scale_log_range(
     while g(hi_guess) > 0:
         hi_guess *= 2.0
     s_lo, s_hi = _brent_root(g, cprime * 1e-30, cprime), _brent_root(g, cprime, hi_guess)
-    ends = []
-    for s, l in ((s_lo, last), (s_hi, first)):
-        q = float(profile.q_eval(l))
-        if q <= 0.0:
-            raise ValueError(f"q({l}) <= 0: degree {l} has no scale range")
-        ends.append((math.log(s) - profile.b * math.log(q)) / profile.a)
-    return ends[0], ends[1]
+    degrees = np.arange(first, last + 1)
+    q = profile.q_eval(degrees)
+    if np.any(q <= 0.0):
+        l = int(degrees[q <= 0.0][0])
+        raise ValueError(f"q({l}) <= 0: degree {l} has no scale range")
+    return tuple(
+        (math.log(s) - profile.b * math.log(float(q_end))) / profile.a
+        for s, q_end in ((s_lo, q.max()), (s_hi, q.min()))
+    )
 
 
 def _scale_energies(n: int, profile: SpectralProfile, rho, l: np.ndarray) -> np.ndarray:

@@ -329,12 +329,10 @@ def flat_rotation_rows(n: int, delta_list) -> tuple[np.ndarray, np.ndarray]:
     for p in parts:
         J = p.dimension
         stride //= len(p)
-        block = np.array([c.center for c in p.cells])
-        meas = np.array([c.measure for c in p.cells])
         reps = total // (stride * len(p))
         idx = np.tile(np.repeat(np.arange(len(p)), stride), reps)
-        angles[:, offset : offset + J] = block[idx]
-        weights *= meas[idx]
+        angles[:, offset : offset + J] = p.centres[idx]
+        weights *= p.measures[idx]
         offset += J
     return angles, weights
 

@@ -42,7 +42,7 @@ GONE = {
         "funk_hecke_factor",
     ),
     "harmonics": ("eval_harmonic", "gegenbauer_coeff_from_fourier", "vector_to_angles"),
-    "rotation_grid": ("apply_rotation",),
+    "rotation_grid": ("apply_rotation", "PartitionCell"),
     "scale_grid": ("_degree_energies",),
     "wavelet_spectra": (
         "_response_norm",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sphereframes.cli import main
+from sphereframes.scale_grid import ScaleCoverageWarning
 
 QUICKSTART = Path(__file__).resolve().parent.parent / "configs" / "quickstart.conf"
 
@@ -157,6 +158,24 @@ def test_scale_grid_command(tmp_path):
     lines = read(out / "scale_report.csv").splitlines()
     assert lines[1] == "l,beta_continuous,beta_discrete,rel_dev"
     assert len(lines) == 10
+
+
+def test_partial_or_unused_scale_grid_is_refused(tmp_path, capsys):
+    conf = tmp_path / "s.conf"
+    conf.write_text("[scales]\nrho_max = 4.0\n")
+    base = ["--preset", "abel-poisson", "--band-limit", "8", "--out", str(tmp_path / "o")]
+    # count without rho_max, rho_max without count
+    assert main(["scale-grid", "--scales", "3"] + base) == 1
+    assert main(["scale-grid", "--config", str(conf)] + base) == 1
+    assert capsys.readouterr().err.count("needs both [scales] rho_max and count") == 2
+    # both give the explicit grid, three scales too few to cover the degrees;
+    # certify takes its grid from the profile only
+    with pytest.warns(ScaleCoverageWarning):
+        assert main(["scale-grid", "--config", str(conf), "--scales", "3"] + base) == 0
+    assert json.loads(read(tmp_path / "o" / "scale_report.json"))["count"] == 3
+    certify = ["certify", "--config", str(conf), "--scales", "3", "--delta", "1.2", "1.2"]
+    assert main(certify + base) == 1
+    assert "certify builds the scale grid from the profile" in capsys.readouterr().err
 
 
 def test_rot_grid_command(tmp_path):

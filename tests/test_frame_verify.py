@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sphereframes.frame_verify import certify_frame, find_refinement
+from sphereframes.rotation_grid import build_rotation_grid
 from sphereframes.scale_grid import discrete_beta, scale_grid_for_profile
-from sphereframes.transform import random_bandlimited
+from sphereframes.transform import random_bandlimited, wavelet_analysis
 from sphereframes.wavelet_spectra import SpectralProfile, make_preset, profile_order
 
 AP1 = make_preset("abel-poisson", 2, d=1)
@@ -120,8 +122,13 @@ def test_spectral_mode_for_higher_dimension():
     assert rep.verdict
     np.testing.assert_allclose(rep.energies, rep.oracles, rtol=1e-9)
     assert np.all(rep.discrepancies <= rep.epsilon_hat + rep.delta_hat)
-    with pytest.raises(ValueError):
-        certify_frame(4, prof4, 6, 1.2, (1.0, 1.0, 1.0, 1.0), 3, 11, spatial=True)
+    # on request the same run is spatial: only the energies move off S
+    spatial = certify_frame(4, prof4, 6, 1.2, (1.6,) * 4, 3, 11, spatial=True)
+    assert spatial.grid_info["mode"] == "spatial"
+    assert spatial.verdict
+    assert spatial.epsilon_hat == rep.epsilon_hat
+    np.testing.assert_array_equal(spatial.oracles, rep.oracles)
+    assert 0.0 < spatial.delta_hat < 0.05
 
 
 def test_spectral_discrepancy_within_certificate_for_tight_family():
@@ -137,7 +144,7 @@ def test_spectral_discrepancy_within_certificate_for_tight_family():
 @pytest.mark.parametrize("d, delta_hat", [(1, 0.029), (0, 0.042)])
 def test_spatial_certify_on_s3(d, delta_hat):
     # 3075 x 96 x 7 = 2 066 400 rotations, ten times the default cap, which
-    # bounds each factor and the inner tuples, not the product
+    # bounds each factor, not the product
     prof = make_preset("abel-poisson", 3, d=d)
     rep = certify_frame(3, prof, 8, 1.5, (0.9, 0.9, 0.9), 5, 2026, spatial=True)
     assert rep.grid_info["mode"] == "spatial"
@@ -153,6 +160,51 @@ def test_spatial_certify_on_s3(d, delta_hat):
     # spatial stays the default for n = 2 only
     spectral = certify_frame(3, prof, 8, 1.5, (0.9, 0.9, 0.9), 5, 2026)
     assert spectral.grid_info["mode"] == "spectral" and spectral.delta_hat == 0.0
+
+
+def test_spatial_certify_on_s4():
+    # 24512 x 573 x 32 x 4 rotations, about 1.8e9, held as 25 121 cells
+    prof = make_preset("abel-poisson", 4, d=1)
+    rep = certify_frame(4, prof, 4, 1.5, (1.6,) * 4, 5, 2026, spatial=True)
+    assert rep.grid_info["mode"] == "spatial"
+    assert rep.grid_info["rotation_sizes"] == [24512, 573, 32, 4]
+    assert rep.verdict
+    assert rep.delta_hat == pytest.approx(0.0284, abs=5e-4)
+    assert np.all(rep.discrepancies <= rep.epsilon_hat + rep.delta_hat)
+    # the single-cell control fails
+    control = certify_frame(4, prof, 4, 1.5, (3.2,) * 4, 5, 2026, spatial=True)
+    assert not control.verdict
+    assert control.delta_hat > 0.5
+    assert np.all(control.discrepancies <= control.epsilon_hat + control.delta_hat)
+
+
+def test_grid_over_the_flat_cap_certifies_but_refuses_its_rows():
+    # 1 x 1558 x 629 = 979 982 rotations, almost five times the flat cap: the
+    # energies read only the factors, whose angle rows alone would take 47 MB
+    n, L, deltas = 3, 4, (3.2, 0.2, 0.01)
+    prof = make_preset("abel-poisson", n, d=1)
+    tracemalloc.start()
+    try:
+        rep = certify_frame(n, prof, L, 1.5, deltas, 5, 2026, spatial=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert rep.grid_info["mode"] == "spatial"
+    assert rep.grid_info["rotation_sizes"] == [1, 1558, 629]
+    # one outer cell leaves S^3 unresolved, so the grid fails like a control
+    assert not rep.verdict
+    assert np.all(rep.discrepancies <= rep.epsilon_hat + rep.delta_hat)
+    grid = build_rotation_grid(n, deltas)
+    field = random_bandlimited(n, L, profile_order(prof), 0)
+    scales = scale_grid_for_profile(n, prof, 1.5, L)
+    for flat in (
+        lambda: grid.angles,
+        grid.to_csv,
+        lambda: wavelet_analysis(n, prof, field, scales, grid),
+    ):
+        with pytest.raises(ValueError, match="more than 200000 elements, the cap"):
+            flat()
 
 
 def test_find_refinement_accepts_first_passing_level():

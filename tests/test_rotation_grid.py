@@ -38,32 +38,32 @@ def test_sin_power_integral():
 def test_partition_single_cell_for_wide_cap():
     part = partition_sphere(2, math.pi)
     assert len(part) == 1
-    cell = part.cells[0]
-    assert cell.diameter == pytest.approx(math.pi)
-    assert cell.measure == pytest.approx(surface_area(2), rel=1e-13)
+    assert part.centres.shape == (1, 2)
+    assert part.diameters[0] == pytest.approx(math.pi)
+    assert part.measures[0] == pytest.approx(surface_area(2), rel=1e-13)
 
 
 def test_partition_circle_arcs():
     part = partition_sphere(1, 0.5)
     assert len(part) == math.ceil(2 * math.pi / 0.5)
     assert part.total_measure == pytest.approx(2 * math.pi, rel=1e-13)
-    for cell in part.cells:
-        assert cell.diameter <= 0.5 + 1e-12
+    assert np.all(part.diameters <= 0.5 + 1e-12)
 
 
 @pytest.mark.parametrize("J,delta", [(1, 0.3), (2, 0.7), (2, 0.2), (3, 0.9)])
 def test_partition_measure_and_diameter(J, delta):
     part = partition_sphere(J, delta)
     assert part.total_measure == pytest.approx(surface_area(J), rel=1e-12)
-    assert all(c.diameter <= delta + 1e-12 for c in part.cells)
-    assert all(c.measure > 0 for c in part.cells)
+    assert part.centres.shape == (len(part), J)
+    assert np.all(part.diameters <= delta + 1e-12)
+    assert np.all(part.measures > 0)
 
 
 def test_partition_covering_oracle():
     # every point of the sphere lies within one cell diameter of some center
     J, delta = 2, 0.2
     part = partition_sphere(J, delta)
-    centers = angles_to_vector(J, np.array([c.center for c in part.cells]))
+    centers = angles_to_vector(J, part.centres)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(300, J + 1))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -100,14 +100,14 @@ def test_grid_element_cap():
         build_rotation_grid(2, (1.0,))  # wrong cap count
     with pytest.raises(ValueError, match="must be positive"):
         build_rotation_grid(2, (1.2, 0.0))
-    # the cap bounds each factor and the inner tuples, not the product: the
-    # 1678 x 71 x 7 = 833 966 rotations are held as 1678 + 71 + 7 cells
+    # the cap bounds each factor, not the product: the 1678 x 71 x 7 = 833 966
+    # rotations are held as 1678 + 71 + 7 cells, and the 1 x 1558 x 629 =
+    # 979 982 rotations as 1 + 1558 + 629
     grid = build_rotation_grid(3, (1.0, 1.0, 1.0))
     assert len(grid) == 833_966
     with pytest.raises(ValueError, match="more than 200000 elements, the cap"):
         grid.angles
-    with pytest.raises(ValueError, match="more than 200000 elements, the cap"):
-        build_rotation_grid(3, (3.2, 0.2, 0.01))  # 1558 x 629 inner tuples
+    assert build_rotation_grid(3, (3.2, 0.2, 0.01)).sizes == (1, 1558, 629)
     # the flat cap is exact: the 54 x 6 grid fits 324 elements and not 323
     assert build_rotation_grid(2, (1.2, 1.2), max_elements=324).angles.shape == (324, 3)
     tight = build_rotation_grid(2, (1.2, 1.2), max_elements=323)
@@ -173,9 +173,9 @@ def test_grid_row_composition():
     parts = [partition_sphere(2, 1.5), partition_sphere(1, 1.5)]
     k = len(parts[1])
     row = 3 * k + 1  # cell 3 of the outer partition, cell 1 of the inner
-    expect = np.concatenate([parts[0].cells[3].center, parts[1].cells[1].center])
+    expect = np.concatenate([parts[0].centres[3], parts[1].centres[1]])
     np.testing.assert_allclose(grid.angles[row], expect, rtol=1e-15)
-    w = parts[0].cells[3].measure * parts[1].cells[1].measure
+    w = parts[0].measures[3] * parts[1].measures[1]
     assert grid.weights[row] == pytest.approx(w, rel=1e-15)
 
 

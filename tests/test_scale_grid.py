@@ -147,15 +147,23 @@ def test_profile_grid_covers_declared_range():
 
 
 def test_profile_range_is_the_union_of_degree_ranges():
-    # one envelope solve, shifted per degree, gives the bits of a solve per degree
-    for name in PRESET_NAMES:
-        for d in range(3):
-            prof = make_preset(name, 2, d=d)
-            first = profile_order(prof) + 1
-            for L in (8, 64):
-                ranges = [_scale_log_range(prof, l, l, 1e-15) for l in range(first, L + 1)]
-                union = (min(r[0] for r in ranges), max(r[1] for r in ranges))
-                assert _scale_log_range(prof, first, L, 1e-15) == union
+    # one envelope solve, shifted per degree, gives the bits of a solve per
+    # degree; the last profile's q dips to its least value at l=4
+    dipping = SpectralProfile(a=1, b=1, c=1, q=(5, -2, 0.25))
+    profiles = [make_preset(name, 2, d=d) for name in PRESET_NAMES for d in range(3)]
+    for prof in profiles + [dipping]:
+        first = profile_order(prof) + 1
+        for L in (8, 64):
+            ranges = [_scale_log_range(prof, l, l, 1e-15) for l in range(first, L + 1)]
+            union = (min(r[0] for r in ranges), max(r[1] for r in ranges))
+            assert _scale_log_range(prof, first, L, 1e-15) == union
+    # so the dipping profile's grid covers every degree
+    grid = scale_grid_for_profile(2, dipping, 1.2, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ScaleCoverageWarning)
+        assert epsilon_report(2, dipping, grid, 8).epsilon_hat < 1e-12
+    with pytest.raises(ValueError, match=r"q\(2\) <= 0"):
+        _scale_log_range(SpectralProfile(a=1, b=1, c=1, q=(3, -2.5, 0.5)), 1, 8)
 
 
 def test_degree_zero_is_covered_when_q0_positive():

@@ -146,17 +146,24 @@ def test_thread_count_does_not_change_values():
     one = wavelet_analysis(n, prof, f, scales, rot, sphere, threads=1)
     two = wavelet_analysis(n, prof, f, scales, rot, sphere, threads=2)
     np.testing.assert_array_equal(one.values, two.values)
+    # at n=4 the 5006 outer cells of the (2.5)^4 grid run in several chunks
+    n, L = 4, 4
+    prof = make_preset("abel-poisson", n, d=1)
+    rot = build_rotation_grid(n, (2.5,) * n)
+    fields = [random_bandlimited(n, L, 1, s) for s in (9, 10)]
+    one, two = (transform_energies(n, prof, fields, scales, rot, threads=t) for t in (1, 2))
+    np.testing.assert_array_equal(one, two)
 
 
-def _cell_sample(grid, cells):
-    """The given outer cells of a product grid, in the given order, each with
-    all of its inner rotations."""
-    cells = list(cells)
+def _cell_sample(grid, *cells):
+    """A product grid cut to the given cells of its leading factors, outer
+    factor first, in the given order; the factors after them stay whole."""
+    cut = [list(c) for c in cells] + [slice(None)] * (grid.n - len(cells))
     return RotationGrid(
         grid.n,
         grid.delta_list,
-        (grid.centres[0][cells],) + grid.centres[1:],
-        (grid.measures[0][cells],) + grid.measures[1:],
+        tuple(c[k] for c, k in zip(grid.centres, cut)),
+        tuple(m[k] for m, k in zip(grid.measures, cut)),
     )
 
 
@@ -209,8 +216,13 @@ def test_transform_reads_no_sphere_grid():
     )
 
 
+# cells kept of the leading factors; at n=4 every factor of the 5006 x 174 x
+# 14 x 3 grid is cut, to 2 x 3 x 2 x 3 = 36 rotations
+ORACLE_CELLS = {2: ((0, 7, 19, 31),), 3: ((0, 57, 173),), 4: ((0, 57), (0, 5, 11), (0, 3))}
+
+
 @pytest.mark.parametrize(
-    "n, d", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2)]
+    "n, d", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (4, 0), (4, 1)]
 )
 def test_transform_matches_direct_oracle(n, d):
     L = 4 if n == 2 else 3
@@ -218,10 +230,10 @@ def test_transform_matches_direct_oracle(n, d):
     sphere = build_sphere_grid(n, L)
     scales = build_scale_grid(1.5, 1.5, 4)
     full = build_rotation_grid(n, (1.6,) * n if n == 2 else (2.5,) * n)
-    cells = (0, 7, 19, 31) if n == 2 else (0, 57, 173)
-    grid = _cell_sample(full, cells)
+    outer, *inner = ORACLE_CELLS[n]
+    grid = _cell_sample(full, outer, *inner)
     # the outer factor permuted, so that the cells are not in partition order
-    shuffled = _cell_sample(full, np.random.default_rng(d).permutation(cells))
+    shuffled = _cell_sample(full, np.random.default_rng(d).permutation(outer), *inner)
     fields = [random_bandlimited(n, L, 0, s) for s in (1, 2)]
     for rot in (grid, shuffled, _identity_grid(n)):
         expect = [direct_transform(n, prof, f, scales, rot, sphere) for f in fields]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rotation_grid import _MAX_CELLS, build_rotation_grid
-from .scale_grid import epsilon_report, scale_grid_for_profile
+from .scale_grid import _epsilon_report, scale_grid_for_profile
 from .transform import _scan, energy_identity_oracle, random_bandlimited
 from .wavelet_spectra import SpectralProfile, build_beta_table, profile_order, wavelet_bounds
 
@@ -140,10 +140,13 @@ def certify_frame(
 
     Every trial's semi-discrete energy S (scales discretized, rotations
     integrated exactly) is the reference for delta_hat = max |E - S| / O, with
-    O the continuous energy.  Full spatial verification (the discrete
-    transform over the rotation grid, computed in coefficient space) computes
-    E for n = 2 by default and for any n when ``spatial=True``.  Otherwise
-    the check stays on the spectral side, where E is S and delta_hat = 0.
+    O the continuous energy.  The continuous beta is computed once per call,
+    in the table that gives A, B and O, and eps_hat compares the Riemann sums
+    on the grid of ``ratio`` against that table's values.  Full spatial
+    verification (the discrete transform over the rotation grid, computed in
+    coefficient space) computes E for n = 2 by default and for any n when
+    ``spatial=True``.  Otherwise the check stays on the spectral side, where
+    E is S and delta_hat = 0.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -154,7 +157,9 @@ def certify_frame(
     A, B = wavelet_bounds(beta)
     m = profile_order(profile)
     scales = scale_grid_for_profile(n, profile, ratio, L)
-    eps_report = epsilon_report(n, profile, scales, L)
+    eps_report = _epsilon_report(
+        n, profile, scales, np.arange(m + 1, L + 1), beta.values[m + 1 :]
+    )
     eps = eps_report.epsilon_hat
     disc = np.zeros(L + 1)
     disc[eps_report.degrees] = eps_report.beta_discrete
@@ -230,10 +235,12 @@ def find_refinement(
     max_rounds: int = 5,
     max_elements: int = _MAX_CELLS,
     threads=None,
+    spatial: bool | None = None,
 ) -> FrameReport:
     """Halve one global refinement knob until certify_frame passes.
 
-    Each round halves every rotation cap and the log of the scale ratio.
+    Each round halves every rotation cap and the log of the scale ratio, and
+    certifies in the mode ``spatial`` selects, as ``certify_frame`` reads it.
     Returns the first passing report; raises if max_rounds is exhausted.
     """
     if max_rounds < 1:
@@ -252,6 +259,7 @@ def find_refinement(
             margin,
             max_elements,
             threads,
+            spatial,
         )
         if report.verdict:
             return report

@@ -136,7 +136,15 @@ def scale_grid_for_profile(n: int, profile: SpectralProfile, ratio: float, L: in
     """
     if L < 1:
         raise ValueError(f"band limit must be >= 1, got {L}")
-    u_lo, u_hi = _scale_log_range(profile, profile_order(profile) + 1, L, 1e-15)
+    log_range = _scale_log_range(profile, profile_order(profile) + 1, L, 1e-15)
+    return _grid_from_range(log_range, ratio)
+
+
+def _grid_from_range(log_range: tuple[float, float], ratio: float) -> ScaleGrid:
+    """The geometric grid of the given ratio from the top of a log-rho range
+    down past its bottom: the only part of a profile's grid that depends on
+    the ratio."""
+    u_lo, u_hi = log_range
     count = max(1, math.ceil((u_hi - u_lo) / math.log(ratio)))
     return build_scale_grid(math.exp(u_hi), ratio, count)
 
@@ -180,11 +188,21 @@ def epsilon_report(n: int, profile: SpectralProfile, grid: ScaleGrid, L: int) ->
     """eps_hat = max of |discrete_beta - beta| / beta over the degrees m+1..L.
 
     m is the profile order, so degree 0 counts for zonal profiles with q(0) > 0.
+    The continuous beta comes from one ``beta_numeric`` call over the degrees,
+    the discrete one from one Riemann sum on the grid; only the latter depends
+    on the grid's ratio, which is why ``find_ratio`` computes the former once.
     """
     if L < 1:
         raise ValueError(f"band limit must be >= 1, got {L}")
     degrees = np.arange(profile_order(profile) + 1, L + 1)
-    cont = beta_numeric(n, profile, degrees)
+    return _epsilon_report(n, profile, grid, degrees, beta_numeric(n, profile, degrees))
+
+
+def _epsilon_report(
+    n: int, profile: SpectralProfile, grid: ScaleGrid, degrees: np.ndarray, cont: np.ndarray
+) -> EpsilonReport:
+    """The report of the grid's Riemann sums against the continuous beta
+    ``cont`` of the degrees, which the caller has computed."""
     disc = discrete_beta(n, profile, grid, degrees)
     rel = np.abs(disc - cont) / cont
     return EpsilonReport(
@@ -211,13 +229,24 @@ def find_ratio(
     """Largest grid ratio X0 in [lo, hi] whose eps_hat stays within target.
 
     Bisection on ln X0; relies on eps_hat decreasing as X0 approaches 1.
+    Once per call it computes what no ratio changes: the profile order, the
+    log-rho range of ``scale_grid_for_profile`` and the continuous beta of
+    the degrees m+1..L.  Each step then builds only the grid of its ratio
+    over that range, the same grid as ``scale_grid_for_profile(n, profile,
+    ratio, L)``, and takes the Riemann sums on it.
     """
     if not (1.0 < lo < hi):
         raise ValueError("need 1 < lo < hi")
+    if L < 1:
+        raise ValueError(f"band limit must be >= 1, got {L}")
+    m = profile_order(profile)
+    log_range = _scale_log_range(profile, m + 1, L, 1e-15)
+    degrees = np.arange(m + 1, L + 1)
+    cont = beta_numeric(n, profile, degrees)
 
     def eps(ratio: float) -> float:
-        grid = scale_grid_for_profile(n, profile, ratio, L)
-        return epsilon_report(n, profile, grid, L).epsilon_hat
+        grid = _grid_from_range(log_range, ratio)
+        return _epsilon_report(n, profile, grid, degrees, cont).epsilon_hat
 
     if eps(hi) <= target:
         return hi

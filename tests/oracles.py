@@ -41,7 +41,14 @@ paths against them:
 - ``gegenbauer_roots`` refines double-precision Gauss nodes to 40-digit
   roots of C^lam_N with mpmath, ``gauss_weights`` gives the Gauss weights
   at those roots to about 40 digits, and ``dense_gauss_rule`` is the Gauss
-  rule from the eigenvalues of the whole Jacobi matrix.
+  rule from the eigenvalues of the whole Jacobi matrix;
+- ``bisect_ratio`` is ``find_ratio``'s bisection with every step built from
+  the public calls, ``scale_grid_for_profile`` then ``epsilon_report``, the
+  reference for the once-per-call range and beta of ``find_ratio``;
+- ``aliasing_deviation`` is the exact signed relative deviation of the
+  Riemann sum of a degree's scale integrand on a geometric grid from beta,
+  as the Poisson-summation series of the integrand's Fourier transform, a
+  Gamma function along a vertical line.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ from sphereframes.harmonics import (
     validate_index,
 )
 from sphereframes.rotation_grid import _partition, rotation_matrix
+from sphereframes.scale_grid import epsilon_report, scale_grid_for_profile
 from sphereframes.special_functions import (
     _check_args,
     _gauss_rule_from_nodes,
@@ -677,3 +685,66 @@ def dense_gauss_rule(lam: float, npts: int) -> tuple[np.ndarray, np.ndarray]:
     b = np.sqrt(k * (k + 2.0 * lam - 1.0) / (4.0 * (k + lam) * (k + lam - 1.0)))
     t = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
     return _gauss_rule_from_nodes(lam, npts, t[npts - npts // 2 :])
+
+
+def bisect_ratio(
+    n: int,
+    profile,
+    L: int,
+    target: float = 0.05,
+    lo: float = 1.005,
+    hi: float = 2.0,
+    rel_tol: float = 1e-3,
+) -> float:
+    """``find_ratio`` with every step computing its grid's range and the
+    continuous beta afresh, through ``scale_grid_for_profile`` and
+    ``epsilon_report``."""
+    if not (1.0 < lo < hi):
+        raise ValueError("need 1 < lo < hi")
+
+    def eps(ratio: float) -> float:
+        grid = scale_grid_for_profile(n, profile, ratio, L)
+        return epsilon_report(n, profile, grid, L).epsilon_hat
+
+    if eps(hi) <= target:
+        return hi
+    if eps(lo) > target:
+        raise ValueError(f"eps_hat at X0={lo} already exceeds {target}")
+    while hi / lo - 1.0 > rel_tol:
+        mid = math.sqrt(lo * hi)
+        if eps(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def aliasing_deviation(profile, ratio: float, rho_max: float, degrees, terms: int = 30):
+    """Signed (Riemann sum - beta(l)) / beta(l) on the grid rho_max * ratio^-j
+    over all integers j, for each degree l, by Poisson summation.
+
+    In u = ln rho the degree-l integrand is K g(a u + b ln q(l)), with
+    g(v) = exp(2c'v - 2e^v), so its Fourier transform at w is proportional
+    to Gamma(2c' - iw/a) 2^(iw/a) exp(iw b ln q(l) / a).  So the step-h sum
+    deviates from the integral by
+        sum_{k != 0} Gamma(2c' - iw_k/a) / Gamma(2c') 2^(iw_k/a)
+                     exp(iw_k (b ln q(l) / a + ln rho_max)),  w_k = 2 pi k / h,
+    with h = ln ratio; the terms at k and -k are conjugate, and |Gamma|
+    decays like exp(-pi |w| / (2a)), so ``terms`` pairs settle it.
+    """
+    a, b = profile.a, profile.b
+    cprime = profile.c + profile.d / (profile.gamma * b)
+    with mpmath.workdps(30):
+        h = mpmath.log(ratio)
+        u0 = mpmath.log(rho_max)
+        coeffs = []
+        for k in range(1, terms + 1):
+            w = 2 * mpmath.pi * k / h
+            gamma = mpmath.gamma(2 * cprime - 1j * w / a) / mpmath.gamma(2 * cprime)
+            coeffs.append((w, gamma * 2 ** (1j * w / a)))
+        out = []
+        for l in degrees:
+            shift = b * mpmath.log(profile.q_eval(int(l))) / a + u0
+            series = sum(c * mpmath.exp(1j * w * shift) for w, c in coeffs)
+            out.append(float(2 * mpmath.re(series)))
+    return np.array(out)

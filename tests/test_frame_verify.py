@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sphereframes import scale_grid, wavelet_spectra
 from sphereframes.frame_verify import certify_frame, find_refinement
 from sphereframes.rotation_grid import build_rotation_grid
-from sphereframes.scale_grid import discrete_beta, scale_grid_for_profile
+from sphereframes.scale_grid import discrete_beta, epsilon_report, scale_grid_for_profile
 from sphereframes.transform import random_bandlimited, wavelet_analysis
 from sphereframes.wavelet_spectra import SpectralProfile, make_preset, profile_order
 
@@ -211,6 +212,37 @@ def test_find_refinement_accepts_first_passing_level():
     rep = find_refinement(2, AP1, 8, 1.5, (1.2, 1.2), 5, 2026)
     assert rep.verdict
     assert rep.grid_info["delta"] == [1.2, 1.2]
+
+
+def test_find_refinement_certifies_in_the_mode_asked_for():
+    # the single-cell S^3 grid fails spatially (delta_hat 0.829), so one round
+    # leaves no passing report; spectral rounds stay the default for n = 3
+    prof = make_preset("abel-poisson", 3, d=1)
+    args = (3, prof, 8, 1.5, (3.2,) * 3, 5, 2026)
+    with pytest.raises(RuntimeError, match=r"delta=0\.829"):
+        find_refinement(*args, max_rounds=1, spatial=True)
+    spectral = find_refinement(*args, max_rounds=1)
+    assert spectral.verdict and spectral.grid_info["mode"] == "spectral"
+    assert spectral.delta_hat == 0.0
+
+
+def test_certify_reads_beta_from_its_table_only(monkeypatch):
+    calls = []
+    for module in (scale_grid, wavelet_spectra):
+        fn = module.beta_numeric
+
+        def counted(*args, fn=fn, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, "beta_numeric", counted)
+    for n, L, deltas in ((2, 6, (2.0, 2.0)), (3, 8, None)):
+        for prof in (make_preset("abel-poisson", n, d=1), Q0):
+            calls.clear()
+            rep = certify_frame(n, prof, L, 1.5, deltas, 2, 1)
+            assert len(calls) == L - profile_order(prof)  # one per table row
+            grid = scale_grid_for_profile(n, prof, 1.5, L)
+            assert rep.epsilon_hat == epsilon_report(n, prof, grid, L).epsilon_hat
 
 
 def test_find_refinement_exhaustion():

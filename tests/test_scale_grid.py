@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import aliasing_deviation, bisect_ratio
 
+from sphereframes import scale_grid, wavelet_spectra
 from sphereframes.scale_grid import (
     EpsilonReport,
     ScaleCoverageWarning,
@@ -124,6 +126,84 @@ def test_find_ratio_frozen():
     assert r == pytest.approx(1.6238787901262197, rel=1e-6)
     grid = scale_grid_for_profile(2, AP1, r, 8)
     assert epsilon_report(2, AP1, grid, 8).epsilon_hat <= 1e-5
+
+
+def _outcome(search, *args, **kwargs):
+    """The ratio a search returns, or its ValueError message, with the
+    ScaleCoverageWarnings it raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            found = search(*args, **kwargs)
+        except ValueError as exc:
+            found = str(exc)
+    return found, [str(w.message) for w in caught if w.category is ScaleCoverageWarning]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_find_ratio_equals_the_per_step_bisection(name):
+    # the range and beta computed once per call change no bit of the search,
+    # and no warning; every case here bisects below the upper end
+    for n in (2, 3):
+        for d in (0, 1):
+            prof = make_preset(name, n, d=d)
+            for L in (2, 8):
+                for rel_tol in (1e-2, 1e-3):
+                    args = (n, prof, L)
+                    kwargs = dict(target=1e-6, rel_tol=rel_tol)
+                    got = _outcome(find_ratio, *args, **kwargs)
+                    assert got == _outcome(bisect_ratio, *args, **kwargs), (n, d, L, rel_tol)
+                    assert 1.005 < got[0] < 2.0
+
+
+def test_find_ratio_computes_range_and_beta_once(monkeypatch):
+    calls = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(scale_grid, "_scale_log_range")
+    spy(scale_grid, "beta_numeric")
+    spy(wavelet_spectra, "beta_numeric")
+    for name in PRESET_NAMES:
+        calls.clear()
+        ratio = find_ratio(2, make_preset(name, 2, d=1), 8, target=1e-6, rel_tol=1e-3)
+        assert 1.005 < ratio < 2.0  # a search of several steps
+        assert sorted(calls) == ["_scale_log_range", "beta_numeric"]
+
+
+@pytest.mark.parametrize(
+    "prof",
+    [
+        make_preset("abel-poisson", 2, d=0),
+        make_preset("abel-poisson", 2, d=1),
+        make_preset("gauss-weierstrass", 2, d=1),
+        make_preset("poisson", 2),
+    ],
+    ids=["abel-poisson-d0", "abel-poisson-d1", "gauss-weierstrass-d1", "poisson"],
+)
+def test_signed_deviation_matches_the_aliasing_series(prof):
+    # find_ratio's per-ratio step: the grid over the once-computed range and
+    # its Riemann sums against the once-computed beta
+    L = 16
+    m = profile_order(prof)
+    degrees = np.arange(m + 1, L + 1)
+    log_range = _scale_log_range(prof, m + 1, L, 1e-15)
+    cont = beta_numeric(2, prof, degrees)
+    for X0 in (1.5, 2.0, 3.0):
+        grid = scale_grid._grid_from_range(log_range, X0)
+        rep = scale_grid._epsilon_report(2, prof, grid, degrees, cont)
+        signed = (rep.beta_discrete - rep.beta_continuous) / rep.beta_continuous
+        np.testing.assert_array_equal(np.abs(signed), rep.rel_dev)
+        exact = aliasing_deviation(prof, X0, grid.rho_max, degrees)
+        np.testing.assert_allclose(signed, exact, rtol=0, atol=1e-13)
+        assert np.max(np.abs(exact)) > 1e-9  # the series is resolved, not just small
 
 
 def test_find_ratio_saturates_at_hi():

@@ -136,7 +136,20 @@ def test_shared_rows_match_single_field_runs():
     assert transform_energies(n, prof, [], scales, rot, sphere).size == 0
 
 
-def test_thread_count_does_not_change_values():
+def test_thread_count_does_not_change_values(monkeypatch):
+    pooled = []  # the chunk count of every map the pool runs
+
+    class CountingPool(transform.ThreadPoolExecutor):
+        def map(self, fn, chunks, **kwargs):
+            chunks = list(chunks)
+            pooled.append(len(chunks))
+            return super().map(fn, chunks, **kwargs)
+
+    monkeypatch.setattr(transform, "ThreadPoolExecutor", CountingPool)
+    default_chunk = transform._CHUNK_BYTES
+    # 64 KiB chunks split the 71 outer cells of the (1.0, 1.0) grid, so
+    # threads=2 runs the pool
+    monkeypatch.setattr(transform, "_CHUNK_BYTES", 2**16)
     n, L = 2, 6
     prof = make_preset("abel-poisson", n, d=2)
     sphere = build_sphere_grid(n, L)
@@ -144,14 +157,18 @@ def test_thread_count_does_not_change_values():
     rot = build_rotation_grid(n, (1.0, 1.0))
     f = random_bandlimited(n, L, 0, 9)
     one = wavelet_analysis(n, prof, f, scales, rot, sphere, threads=1)
+    assert pooled == []
     two = wavelet_analysis(n, prof, f, scales, rot, sphere, threads=2)
+    assert len(pooled) == 1 and 2 <= pooled[0] < 71
     np.testing.assert_array_equal(one.values, two.values)
     # at n=4 the 5006 outer cells of the (2.5)^4 grid run in several chunks
+    monkeypatch.setattr(transform, "_CHUNK_BYTES", default_chunk)
     n, L = 4, 4
     prof = make_preset("abel-poisson", n, d=1)
     rot = build_rotation_grid(n, (2.5,) * n)
     fields = [random_bandlimited(n, L, 1, s) for s in (9, 10)]
     one, two = (transform_energies(n, prof, fields, scales, rot, threads=t) for t in (1, 2))
+    assert len(pooled) == 2 and pooled[1] >= 2
     np.testing.assert_array_equal(one, two)
 
 

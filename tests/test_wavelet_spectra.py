@@ -396,3 +396,18 @@ def test_brent_root_steps_and_errors_match_scipy_brentq():
     for solve in (_brent_root, brentq):
         with pytest.raises(RuntimeError):
             solve(lambda x: (x - 0.25) ** 3, -1.0, 2.0)
+
+
+def test_beta_table_equals_one_array_call():
+    # the per-degree table rows are the bits of one beta_numeric array call,
+    # which is what lets certify_frame read eps_hat's beta from its table
+    for name in PRESET_NAMES:
+        for n in (2, 3, 4):
+            for d in (0, 1, 2):
+                prof = make_preset(name, n, d=d)
+                m = profile_order(prof)
+                for L in (3, 16, 64):
+                    rows = build_beta_table(n, prof, L).values[m + 1 :]
+                    np.testing.assert_array_equal(
+                        rows, beta_numeric(n, prof, np.arange(m + 1, L + 1))
+                    )

@@ -7,9 +7,10 @@ transform table of a seeded random field, and ``certify`` runs the full frame
 check, exiting 0 on pass, 2 on fail, 1 on any configuration or runtime error.
 
 Configuration comes from an INI-style key=value file (sections [run],
-[profile], [scales], [rotations], [certify]) overridden by flags.  Every
-output embeds the fully resolved configuration, and rerunning an identical
-configuration reproduces byte-identical files.
+[profile], [scales], [rotations], [certify]) overridden by flags; a key or
+section that no setting reads is an error.  Every output embeds the fully
+resolved configuration, and rerunning an identical configuration reproduces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import logging
 import os
 import sys
 from configparser import ConfigParser
+from configparser import Error as ConfigError
 from dataclasses import dataclass
 
 from . import frame_verify, rotation_grid, scale_grid, transform, wavelet_spectra
@@ -92,84 +94,95 @@ def _parse_floats(text: str) -> tuple:
     return tuple(float(x) for x in text.replace(",", " ").split())
 
 
-def _profile_from_parts(preset, n, d, order, coeffs) -> SpectralProfile:
+def _profile_from_section(preset, n, section: dict) -> SpectralProfile:
+    """The profile of a preset name, else of the section's explicit
+    coefficients; the keys it reads are consumed from section."""
+    d = int(section.pop("d", 0))
     if preset:
-        name = preset
-        if name.endswith("-zonal"):
-            name = name[: -len("-zonal")]
+        name = preset.removesuffix("-zonal")
+        if name != preset:
             d = 0
-        base = make_preset(name, n, d=d, order=order if order is not None else 2)
-        return base
-    if "q" not in coeffs:
+        order = section.pop("order", None)
+        return make_preset(name, n, d=d, **({} if order is None else {"order": int(order)}))
+    if "q" not in section:
         raise ValueError("profile needs either a preset name or explicit q coefficients")
     return SpectralProfile(
-        a=float(coeffs.get("a", 1.0)),
-        b=float(coeffs.get("b", 1.0)),
-        c=float(coeffs.get("c", 1.0)),
-        q=_parse_floats(coeffs["q"]),
+        a=float(section.pop("a", 1.0)),
+        b=float(section.pop("b", 1.0)),
+        c=float(section.pop("c", 1.0)),
+        q=_parse_floats(section.pop("q")),
         d=d,
-        amplitude=float(coeffs.get("amplitude", 1.0)),
+        amplitude=float(section.pop("amplitude", 1.0)),
     )
 
 
+def _setting(flag, section: dict, key: str, default):
+    """The flag if given, else the section's value, else default.  The key is
+    consumed either way, so a key that a flag overrides still counts as read."""
+    value = section.pop(key, default)
+    return value if flag is None else flag
+
+
 def load_config(args) -> RunConfig:
-    """Merge the config file (if any) and the flag overrides, then validate."""
+    """Merge the config file (if any) and the flag overrides, then validate.
+
+    Each key is consumed as it is read; a key or section left over is an
+    error, so a misspelt key cannot fall back to its default unnoticed.
+    """
     sections: dict[str, dict] = {}
     if args.config:
         if not os.path.exists(args.config):
             raise FileNotFoundError(f"config file {args.config!r} not found")
-        parser = ConfigParser()
-        parser.read(args.config)
+        # no [DEFAULT] section copied into the others: each key has one home
+        parser = ConfigParser(default_section="")
+        try:
+            parser.read(args.config)
+        except ConfigError as exc:  # a line outside any section, a key given twice
+            raise ValueError(f"config file {args.config!r}: {exc}") from None
         sections = {name: dict(parser[name]) for name in parser.sections()}
-
-    run = sections.get("run", {})
-    prof_sec = sections.get("profile", {})
-    scales = sections.get("scales", {})
-    rots = sections.get("rotations", {})
-    cert = sections.get("certify", {})
+    read = {
+        name: sections.pop(name, {})
+        for name in ("run", "profile", "scales", "rotations", "certify")
+    }
+    run, prof_sec, scales, rots, cert = read.values()
 
     cfg = RunConfig(command=args.command)
-    cfg.n = int(args.n if args.n is not None else run.get("n", 2))
-    cfg.band_limit = int(
-        args.band_limit if args.band_limit is not None else run.get("band_limit", 16)
-    )
-    cfg.seed = int(args.seed if args.seed is not None else run.get("seed", 0))
-    threads = args.threads if args.threads is not None else run.get("threads")
+    cfg.n = int(_setting(args.n, run, "n", cfg.n))
+    cfg.band_limit = int(_setting(args.band_limit, run, "band_limit", cfg.band_limit))
+    cfg.seed = int(_setting(args.seed, run, "seed", cfg.seed))
+    threads = _setting(args.threads, run, "threads", cfg.threads)
     cfg.threads = int(threads) if threads not in (None, "") else None
-    cfg.out = args.out if args.out is not None else run.get("out", ".")
+    cfg.out = _setting(args.out, run, "out", cfg.out)
 
-    preset = args.preset if args.preset is not None else prof_sec.get("preset")
-    d = int(prof_sec.get("d", 0))
-    order = prof_sec.get("order")
-    cfg.preset = preset
-    if args.command != "rot-grid" or preset or "q" in prof_sec:
-        cfg.profile = _profile_from_parts(
-            preset, cfg.n, d, int(order) if order is not None else None, prof_sec
-        )
+    cfg.preset = _setting(args.preset, prof_sec, "preset", cfg.preset)
+    if args.command != "rot-grid" or cfg.preset or "q" in prof_sec:
+        cfg.profile = _profile_from_section(cfg.preset, cfg.n, prof_sec)
 
-    if "rho_max" in scales:
-        cfg.rho_max = float(scales["rho_max"])
-    cfg.ratio = float(args.ratio if args.ratio is not None else scales.get("ratio", 1.2))
-    count = args.scales if args.scales is not None else scales.get("count")
+    rho_max = scales.pop("rho_max", None)
+    if rho_max is not None:
+        cfg.rho_max = float(rho_max)
+    cfg.ratio = float(_setting(args.ratio, scales, "ratio", cfg.ratio))
+    count = _setting(args.scales, scales, "count", cfg.scale_count)
     cfg.scale_count = int(count) if count not in (None, "") else None
+
+    delta = _setting(args.delta, rots, "delta", cfg.delta)
+    if delta is not None:
+        cfg.delta = tuple(delta) if not isinstance(delta, str) else _parse_floats(delta)
+    cfg.max_elements = int(rots.pop("max_elements", cfg.max_elements))
+
+    cfg.trials = int(_setting(args.trials, cert, "trials", cfg.trials))
+    cfg.tolerance = float(_setting(args.tolerance, cert, "tolerance", cfg.tolerance))
+    cfg.margin = float(cert.pop("margin", cfg.margin))
+
+    unread = [f"[{name}]" for name in sections] + [
+        f"[{name}] {key}" for name, section in read.items() for key in section
+    ]
+    if unread:
+        raise ValueError(f"config has keys that no setting reads: {', '.join(unread)}")
     if (cfg.rho_max is None) != (cfg.scale_count is None):
         raise ValueError("an explicit scale grid needs both [scales] rho_max and count")
     if cfg.command == "certify" and cfg.rho_max is not None:
         raise ValueError("certify builds the scale grid from the profile; drop rho_max and count")
-
-    delta = args.delta if args.delta is not None else rots.get("delta")
-    if delta is not None:
-        cfg.delta = tuple(delta) if not isinstance(delta, str) else _parse_floats(delta)
-    cfg.max_elements = int(
-        rots.get("max_elements", cert.get("max_elements", cfg.max_elements))
-    )
-
-    cfg.trials = int(args.trials if args.trials is not None else cert.get("trials", 10))
-    cfg.tolerance = float(
-        args.tolerance if args.tolerance is not None else cert.get("tolerance", 0.1)
-    )
-    cfg.margin = float(cert.get("margin", 0.05))
-
     if cfg.n < 2:
         raise ValueError(f"sphere dimension must be >= 2, got {cfg.n}")
     if cfg.band_limit < 1:
@@ -255,7 +268,7 @@ def cmd_transform(cfg: RunConfig) -> int:
     beta = wavelet_spectra.build_beta_table(cfg.n, cfg.profile, cfg.band_limit)
     doc = {
         "energy": transform.frame_energy(table),
-        "oracle": transform.energy_identity_oracle(cfg.n, cfg.profile, field, beta),
+        "oracle": transform.energy_identity_oracle(cfg.n, field, beta),
         "field_order": m,
         "scale_count": len(scales),
         "rotation_count": len(rotations),

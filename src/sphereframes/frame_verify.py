@@ -166,9 +166,7 @@ def certify_frame(
 
     children = np.random.SeedSequence(seed).spawn(trials)
     fields = [random_bandlimited(n, L, m, s) for s in children]
-    oracles = np.array(
-        [energy_identity_oracle(n, profile, f, beta) for f in fields]
-    )
+    oracles = np.array([energy_identity_oracle(n, f, beta) for f in fields])
     power = np.array([f.coeffs.degree_energies() for f in fields])
     semi = power @ disc
 
@@ -230,37 +228,22 @@ def find_refinement(
     delta_list,
     trials: int,
     seed: int,
-    tolerance: float = 0.1,
-    margin: float = 0.05,
+    *,
     max_rounds: int = 5,
-    max_elements: int = _MAX_CELLS,
-    threads=None,
-    spatial: bool | None = None,
+    **certify,
 ) -> FrameReport:
     """Halve one global refinement knob until certify_frame passes.
 
     Each round halves every rotation cap and the log of the scale ratio, and
-    certifies in the mode ``spatial`` selects, as ``certify_frame`` reads it.
-    Returns the first passing report; raises if max_rounds is exhausted.
+    passes the other keywords on to ``certify_frame``, whose defaults they
+    keep.  Returns the first passing report; raises if max_rounds is
+    exhausted.
     """
     if max_rounds < 1:
         raise ValueError(f"need at least one round, got max_rounds={max_rounds}")
     deltas = tuple(float(x) for x in delta_list)
     for _ in range(max_rounds):
-        report = certify_frame(
-            n,
-            profile,
-            L,
-            ratio,
-            deltas,
-            trials,
-            seed,
-            tolerance,
-            margin,
-            max_elements,
-            threads,
-            spatial,
-        )
+        report = certify_frame(n, profile, L, ratio, deltas, trials, seed, **certify)
         if report.verdict:
             return report
         ratio = math.sqrt(ratio)

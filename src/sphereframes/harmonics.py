@@ -30,8 +30,6 @@ reference the tests compare against.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -467,9 +465,6 @@ class HarmonicCoefficients:
     def zeros(cls, n: int, L: int) -> "HarmonicCoefficients":
         return cls(n, L, np.zeros(coefficient_count(n, L), dtype=complex))
 
-    def indices(self) -> list[HarmonicIndex]:
-        return all_indices(self.n, self.L)
-
     def degree_slice(self, l: int) -> slice:
         if not 0 <= l <= self.L:
             raise ValueError(f"degree {l} outside [0, {self.L}]")
@@ -484,12 +479,6 @@ class HarmonicCoefficients:
             )
         return self.values
 
-    def get(self, l: int, k: tuple[int, ...]) -> complex:
-        idx = HarmonicIndex(l, tuple(k))
-        validate_index(self.n, idx)
-        block = enumerate_indices(self.n, l)
-        return complex(self._single()[self.degree_slice(l)][block.index(idx)])
-
     def degree_energy(self, l: int) -> float:
         v = self._single()[self.degree_slice(l)]
         return float(np.vdot(v, v).real)
@@ -503,34 +492,6 @@ class HarmonicCoefficients:
     def norm(self) -> float:
         v = self._single()
         return float(np.sqrt(np.vdot(v, v).real))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# dimension={self.n} band_limit={self.L}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["l"] + [f"k_{i}" for i in range(1, self.n)] + ["re", "im"])
-        for idx, v in zip(self.indices(), self._single()):
-            writer.writerow(
-                [idx.l, *idx.k, format(v.real, ".17g"), format(v.imag, ".17g")]
-            )
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "HarmonicCoefficients":
-        lines = text.splitlines()
-        if not lines or not lines[0].startswith("#"):
-            raise ValueError("missing dimension/band-limit header")
-        meta = dict(item.split("=") for item in lines[0][1:].split())
-        n, L = int(meta["dimension"]), int(meta["band_limit"])
-        rows = list(csv.reader(lines[1:]))
-        out = cls.zeros(n, L)
-        table = {idx: i for i, idx in enumerate(out.indices())}
-        for row in rows[1:]:
-            if not row:
-                continue
-            l, k = int(row[0]), tuple(int(x) for x in row[1:n])
-            out.values[table[HarmonicIndex(l, k)]] = complex(float(row[n]), float(row[n + 1]))
-        return out
 
 
 def analyze(samples: np.ndarray, grid: SphereGrid, L: int) -> HarmonicCoefficients:

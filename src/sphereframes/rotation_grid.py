@@ -59,7 +59,6 @@ class SpherePartition:
     arrays are read-only."""
 
     dimension: int
-    delta: float
     centres: np.ndarray
     measures: np.ndarray
     diameters: np.ndarray
@@ -102,14 +101,14 @@ def _partition(J: int, delta: float) -> SpherePartition:
     if delta >= math.pi:
         centre = (math.pi / 2,) * (J - 1) + (math.pi,)
         return SpherePartition(
-            J, delta, np.array([centre]), np.array([surface_area(J)]), np.array([math.pi])
+            J, np.array([centre]), np.array([surface_area(J)]), np.array([math.pi])
         )
 
     if J == 1:
         count = _arc_count(delta)
         arc = 2.0 * math.pi / count
         arcs = np.full(count, arc)
-        return SpherePartition(J, delta, (np.arange(count) + 0.5)[:, None] * arc, arcs, arcs)
+        return SpherePartition(J, (np.arange(count) + 0.5)[:, None] * arc, arcs, arcs)
 
     centres, measures, diameters = [], [], []
     for a, b, h, sin_max in _bands(delta):
@@ -119,7 +118,7 @@ def _partition(J: int, delta: float) -> SpherePartition:
         measures.append(sin_power_integral(J - 1, a, b) * sub.measures)
         diameters.append(h + sin_max * sub.diameters)
     return SpherePartition(
-        J, delta, np.concatenate(centres), np.concatenate(measures), np.concatenate(diameters)
+        J, np.concatenate(centres), np.concatenate(measures), np.concatenate(diameters)
     )
 
 

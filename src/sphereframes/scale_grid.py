@@ -14,6 +14,8 @@ evaluator of ``wavelet_spectra``, over a (scales x degrees) array.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -42,6 +44,16 @@ __all__ = [
 
 class ScaleCoverageWarning(UserWarning):
     """The scale grid misses a non-negligible part of some degree's integrand."""
+
+
+def _user_stacklevel() -> int:
+    """The stacklevel at which a warnings.warn made by this function's caller
+    names the first frame outside the package: the library's user."""
+    package = os.path.dirname(__file__)
+    frame, level = sys._getframe(1), 1
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == package:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -118,7 +130,7 @@ def discrete_beta(n: int, profile: SpectralProfile, grid: ScaleGrid, l) -> float
                 f"scale grid [{grid.rho_min:.3g}, {grid.rho_max:.3g}] truncates the "
                 f"degree-{ls[i]} integrand (endpoint/peak = {ends[i] / peak[i]:.2e})",
                 ScaleCoverageWarning,
-                stacklevel=4,  # the caller of discrete_beta
+                stacklevel=_user_stacklevel(),
             )
         return grid.weights @ energies
 
@@ -129,14 +141,13 @@ def scale_grid_for_profile(n: int, profile: SpectralProfile, ratio: float, L: in
     """Grid whose range covers the scale integrands of the degrees m+1..L.
 
     m is the profile order, so degree 0 counts for zonal profiles with
-    q(0) > 0.  The range is the union of the per-degree supports at relative
-    level 1e-15, comfortably under the 1e-12 coverage threshold of
-    discrete_beta, so the truncation error stays negligible against the
-    discretization error.
+    q(0) > 0.  The range is the union of the per-degree supports at
+    ``_scale_log_range``'s default level, so the truncation error stays
+    negligible against the discretization error.
     """
     if L < 1:
         raise ValueError(f"band limit must be >= 1, got {L}")
-    log_range = _scale_log_range(profile, profile_order(profile) + 1, L, 1e-15)
+    log_range = _scale_log_range(profile, profile_order(profile) + 1, L)
     return _grid_from_range(log_range, ratio)
 
 
@@ -218,15 +229,9 @@ def _epsilon_report(
 
 
 def find_ratio(
-    n: int,
-    profile: SpectralProfile,
-    L: int,
-    target: float = 0.05,
-    lo: float = 1.005,
-    hi: float = 2.0,
-    rel_tol: float = 1e-3,
+    n: int, profile: SpectralProfile, L: int, target: float = 0.05, rel_tol: float = 1e-3
 ) -> float:
-    """Largest grid ratio X0 in [lo, hi] whose eps_hat stays within target.
+    """Largest grid ratio X0 in [1.005, 2] whose eps_hat stays within target.
 
     Bisection on ln X0; relies on eps_hat decreasing as X0 approaches 1.
     Once per call it computes what no ratio changes: the profile order, the
@@ -235,12 +240,10 @@ def find_ratio(
     over that range, the same grid as ``scale_grid_for_profile(n, profile,
     ratio, L)``, and takes the Riemann sums on it.
     """
-    if not (1.0 < lo < hi):
-        raise ValueError("need 1 < lo < hi")
     if L < 1:
         raise ValueError(f"band limit must be >= 1, got {L}")
     m = profile_order(profile)
-    log_range = _scale_log_range(profile, m + 1, L, 1e-15)
+    log_range = _scale_log_range(profile, m + 1, L)
     degrees = np.arange(m + 1, L + 1)
     cont = beta_numeric(n, profile, degrees)
 
@@ -248,6 +251,7 @@ def find_ratio(
         grid = _grid_from_range(log_range, ratio)
         return _epsilon_report(n, profile, grid, degrees, cont).epsilon_hat
 
+    lo, hi = 1.005, 2.0
     if eps(hi) <= target:
         return hi
     if eps(lo) > target:

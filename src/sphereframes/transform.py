@@ -73,7 +73,6 @@ class TestField:
 
     coeffs: HarmonicCoefficients
     order: int
-    seed: object = None
 
     def __post_init__(self):
         low = coefficient_count(self.coeffs.n, self.order)
@@ -105,7 +104,7 @@ def random_bandlimited(n: int, L: int, m: int, seed) -> TestField:
     live = total - low
     vals[low:] = (rng.standard_normal(live) + 1j * rng.standard_normal(live)) / math.sqrt(2)
     vals /= np.sqrt(np.vdot(vals, vals).real)
-    return TestField(HarmonicCoefficients(n, L, vals), m, seed)
+    return TestField(HarmonicCoefficients(n, L, vals), m)
 
 
 @dataclass(frozen=True)
@@ -422,20 +421,16 @@ def transform_energies(
     return _scan(n, profile, fields, field_L, scales, rotations, threads)
 
 
-def frame_energy(table: TransformTable, scales=None, rotations=None) -> float:
-    """Sum of w_j * (lambda_g / prod Sigma_J) * |W[j,g]|^2 over the table."""
-    scales = table.scales if scales is None else scales
-    rotations = table.rotations if rotations is None else rotations
-    if table.values.shape != (len(scales), len(rotations)):
-        raise ValueError("table does not align with the given grids")
+def frame_energy(table: TransformTable) -> float:
+    """Sum of w_j * (lambda_g / prod Sigma_J) * |W[j,g]|^2 over the table,
+    whose grids TransformTable has aligned with its values."""
+    rotations = table.rotations
     rot_norm = rotations.weights / _haar_normalization(rotations.n)
     per_scale = np.abs(table.values) ** 2 @ rot_norm
-    return float(np.dot(scales.weights, per_scale))
+    return float(np.dot(table.scales.weights, per_scale))
 
 
-def energy_identity_oracle(
-    n: int, profile: SpectralProfile, f: TestField, beta: BetaTable
-) -> float:
+def energy_identity_oracle(n: int, f: TestField, beta: BetaTable) -> float:
     """Continuous-transform energy sum_l beta(l) * ||f_l||^2, no rotation grid."""
     if beta.n != n:
         raise ValueError(f"beta table is for n={beta.n}, not {n}")

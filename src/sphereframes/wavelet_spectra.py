@@ -15,7 +15,7 @@ is a power of the coupling matrix T_l built from ``ladder_beta``, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -257,10 +257,12 @@ def _cprime(profile: SpectralProfile) -> float:
 
 
 def _scale_log_range(
-    profile: SpectralProfile, first: int, last: int, tol: float = 1e-18
+    profile: SpectralProfile, first: int, last: int, tol: float = 1e-15
 ) -> tuple[float, float]:
     """log-rho interval outside which the scale integrands of the degrees
-    first..last stay below tol times their peak.
+    first..last stay below tol times their peak.  The default level is the
+    profile grid's: comfortably under discrete_beta's 1e-12 coverage
+    threshold, so truncation stays negligible against discretization.
 
     Each integrand is the envelope s^(2c') e^(-2s) of s = rho^a q(l)^b: its
     range in s is solved once, then shifted by -b log q(l) / a to the lower
@@ -347,7 +349,6 @@ class BetaTable:
     L: int
     m: int
     values: np.ndarray
-    profile: SpectralProfile | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -383,7 +384,7 @@ def build_beta_table(n: int, profile: SpectralProfile, L: int) -> BetaTable:
     vals = np.zeros(L + 1)
     for l in range(m + 1, L + 1):
         vals[l] = beta_numeric(n, profile, l)
-    return BetaTable(n, L, m, vals, profile)
+    return BetaTable(n, L, m, vals)
 
 
 def wavelet_bounds(table: BetaTable) -> tuple[float, float]:

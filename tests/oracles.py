@@ -65,6 +65,7 @@ from sphereframes.harmonics import (
     HarmonicCoefficients,
     HarmonicIndex,
     SphereGrid,
+    all_indices,
     analyze,
     angles_to_vector,
     build_sphere_grid,
@@ -179,7 +180,7 @@ def grid_response_norms(n: int, d: int, L: int) -> np.ndarray:
 
 def scale_quadrature(profile, l: int, panels: int, order: int = 16):
     """Composite Gauss-Legendre scales/weights over the log-rho support of degree l >= 1."""
-    u_lo, u_hi = _scale_log_range(profile, l, l)
+    u_lo, u_hi = _scale_log_range(profile, l, l, 1e-18)
     x, w = roots_legendre(order)
     edges = np.linspace(u_lo, u_hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -209,7 +210,7 @@ def riemann_beta(n: int, profile, scales, l: int, response: float) -> float:
 def quadrature_beta(n: int, profile, l: int, response: float, rtol: float = 1e-9) -> float:
     """beta(l) = (1/N(n,l)) int rho^(2ed) hat_rho(l)^2 R(l) drho/rho, degree l >= 1,
     with R(l) = ``response``; the panel count is doubled once to confirm convergence."""
-    u_lo, u_hi = _scale_log_range(profile, l, l)
+    u_lo, u_hi = _scale_log_range(profile, l, l, 1e-18)
     panels = max(8, math.ceil(u_hi - u_lo))
 
     def integral(rhos, wts):
@@ -575,7 +576,7 @@ def directional_coeffs(
         allowed.add(j)
     scale = np.abs(coeffs.values).max()
     tol = 1e-10 * max(scale, 1.0)
-    for i, idx in enumerate(coeffs.indices()):
+    for i, idx in enumerate(all_indices(n, L)):
         first = abs(idx.k[0]) if idx.k else 0
         lives = first in allowed and all(ki == 0 for ki in idx.k[1:])
         if not lives:
@@ -688,24 +689,17 @@ def dense_gauss_rule(lam: float, npts: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bisect_ratio(
-    n: int,
-    profile,
-    L: int,
-    target: float = 0.05,
-    lo: float = 1.005,
-    hi: float = 2.0,
-    rel_tol: float = 1e-3,
+    n: int, profile, L: int, target: float = 0.05, rel_tol: float = 1e-3
 ) -> float:
     """``find_ratio`` with every step computing its grid's range and the
     continuous beta afresh, through ``scale_grid_for_profile`` and
     ``epsilon_report``."""
-    if not (1.0 < lo < hi):
-        raise ValueError("need 1 < lo < hi")
 
     def eps(ratio: float) -> float:
         grid = scale_grid_for_profile(n, profile, ratio, L)
         return epsilon_report(n, profile, grid, L).epsilon_hat
 
+    lo, hi = 1.005, 2.0
     if eps(hi) <= target:
         return hi
     if eps(lo) > target:

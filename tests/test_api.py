@@ -97,6 +97,37 @@ def test_scale_grid_has_one_node_rule():
         assert "convention" not in inspect.signature(fn).parameters, fn.__name__
 
 
+def test_unread_inputs_stay_deleted():
+    from sphereframes import (
+        frame_verify,
+        harmonics,
+        rotation_grid,
+        scale_grid,
+        transform,
+        wavelet_spectra,
+    )
+
+    for cls, name in (
+        (wavelet_spectra.BetaTable, "profile"),
+        (transform.TestField, "seed"),
+        (rotation_grid.SpherePartition, "delta"),
+    ):
+        assert name not in cls.__dataclass_fields__, f"{cls.__name__}.{name}"
+    for name in ("get", "indices", "to_csv", "from_csv"):
+        assert not hasattr(harmonics.HarmonicCoefficients, name), name
+    for fn, names in (
+        (transform.frame_energy, ("scales", "rotations")),
+        (transform.energy_identity_oracle, ("profile",)),
+        (scale_grid.find_ratio, ("lo", "hi")),
+        # passed on to certify_frame, which keeps their one default
+        (
+            frame_verify.find_refinement,
+            ("tolerance", "margin", "max_elements", "threads", "spatial"),
+        ),
+    ):
+        assert set(names).isdisjoint(inspect.signature(fn).parameters), fn.__name__
+
+
 PACKAGE_DIR = pathlib.Path(sphereframes.__file__).parent
 SOURCES = sorted(PACKAGE_DIR.glob("*.py"))
 
@@ -146,3 +177,51 @@ def test_library_has_no_unused_imports(path):
 def test_unused_import_check_flags_an_unused_name():
     source = "from __future__ import annotations\nimport math, os\nfrom a import b as c\n__all__ = ['c']\nmath.pi\n"
     assert _unused_imports(source) == ["os (line 2)"]
+
+
+# the parameters the library keeps unread, and why
+UNREAD = {
+    "transform.wavelet_analysis(sphere_grid)": "perfbench passes it; its tracer reads its size",
+    "transform.transform_energies(sphere_grid)": "perfbench passes it; its tracer reads its size",
+    "scale_grid.scale_grid_for_profile(n)": "perfbench passes the dimension positionally",
+    "rotation_grid._FlatWeights.__get__(owner)": "the descriptor protocol passes the owner class",
+}
+
+
+def _unread_parameters(source: str) -> list[str]:
+    """Parameters of every function, method and lambda that its body never reads."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                args = child.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+                found.extend(f"{name}({p})" for p in params if p not in read)
+                visit(child, f"{name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_library_has_no_unread_parameters():
+    found = [
+        f"{path.stem}.{entry}" for path in SOURCES for entry in _unread_parameters(path.read_text())
+    ]
+    assert sorted(found) == sorted(UNREAD)
+
+
+def test_unread_parameter_check_flags_an_unread_name():
+    source = (
+        "def f(a, b=1, *rest, c, **extra):\n    return a + sum(rest) + extra[c]\n"
+        "class K:\n    def m(self, used, unused):\n        return (lambda x, y: x)(used, self)\n"
+    )
+    assert _unread_parameters(source) == ["f(b)", "K.m(unused)", "K.m.<lambda>(y)"]

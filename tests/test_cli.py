@@ -92,6 +92,32 @@ def test_flag_overrides_config_file(tmp_path):
     assert len(doc["values"]) == 7
 
 
+def test_unread_config_keys_are_errors(tmp_path, capsys):
+    # misspelt keys, unknown sections ([DEFAULT] is not merged into the
+    # others), keys of the profile form not in use, and the [certify]
+    # spelling of the cap, which is read from [rotations] only
+    out = ["--out", str(tmp_path / "o")]
+    cases = {
+        "[run]\nband_limt = 4\n[profile]\npreset = abel-poisson\n": "[run] band_limt",
+        "[profile]\npreset = abel-poisson\n[certify]\ntrails = 3\n": "[certify] trails",
+        "[profile]\npreset = abel-poisson\n[sclaes]\nratio = 1.5\n": "[sclaes]",
+        "[DEFAULT]\nseed = 3\n[profile]\npreset = abel-poisson\n": "[DEFAULT]",
+        "[profile]\npreset = abel-poisson\nq = 0, 1\n": "[profile] q",
+        "[profile]\nq = 0, 1\norder = 3\n": "[profile] order",
+        "[rotations]\ndelta = 1.2, 1.2\n[certify]\nmax_elements = 9\n": "[certify] max_elements",
+    }
+    for i, (text, key) in enumerate(cases.items()):
+        conf = tmp_path / f"{i}.conf"
+        conf.write_text(text)
+        command = "rot-grid" if "delta" in text else "spectrum"
+        assert main([command, "--config", str(conf)] + out) == 1
+        assert f"no setting reads: {key}" in capsys.readouterr().err
+    conf = tmp_path / "cap.conf"
+    conf.write_text("[rotations]\ndelta = 1.2, 1.2\nmax_elements = 9\n")
+    assert main(["rot-grid", "--config", str(conf)] + out) == 1
+    assert "more than 9 elements" in capsys.readouterr().err
+
+
 def test_error_exits(tmp_path):
     bad = tmp_path / "bad.conf"
     bad.write_text("[profile]\nq = 0, -1\n")
@@ -99,6 +125,9 @@ def test_error_exits(tmp_path):
     assert main(["spectrum", "--preset", "no-such", "--out", str(tmp_path)]) == 1
     assert main(["rot-grid", "--out", str(tmp_path)]) == 1  # delta missing
     assert main(["spectrum", "--config", str(tmp_path / "none.conf")]) == 1
+    for text in ("n = 2\n[run]\n", "[run]\nn = 2\nn = 3\n"):  # not INI
+        bad.write_text(text)
+        assert main(["spectrum", "--config", str(bad), "--out", str(tmp_path)]) == 1
     assert main(["not-a-command"]) == 1
     assert main(["spectrum", "--preset", "abel-poisson", "--ratio", "0.9"]) == 1
 

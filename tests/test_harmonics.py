@@ -135,8 +135,6 @@ def test_multi_column_table_refuses_single_table_reductions():
     for call in (
         table.norm,
         lambda: table.degree_energy(0),
-        lambda: table.get(0, (0,)),
-        table.to_csv,
         lambda: synthesize(table, grid),
     ):
         with pytest.raises(ValueError, match="one coefficient table"):
@@ -351,8 +349,6 @@ def test_coefficient_table_access():
     coeffs.values[coeffs.degree_slice(2)] = [1.0, 2.0, 3.0, 4.0, 5.0]
     assert coeffs.degree_energy(2) == pytest.approx(55.0)
     assert coeffs.degree_energy(1) == 0.0
-    idx_pos = enumerate_indices(2, 2).index(HarmonicIndex(2, (1,)))
-    assert coeffs.get(2, (1,)) == coeffs.values[coeffs.degree_slice(2)][idx_pos]
     assert coeffs.norm() == pytest.approx(math.sqrt(55.0))
     with pytest.raises(ValueError):
         coeffs.degree_slice(4)
@@ -371,17 +367,6 @@ def test_degree_slice_matches_running_sum():
             start += dim_harmonic(n, l)
         assert start == coefficient_count(n, L) == len(table.values)
     assert coefficient_count(3, -1) == 0
-
-
-def test_csv_round_trip():
-    rng = np.random.default_rng(3)
-    coeffs = HarmonicCoefficients.zeros(3, 2)
-    coeffs.values[:] = rng.normal(size=coeffs.values.shape) + 1j * rng.normal(
-        size=coeffs.values.shape
-    )
-    back = HarmonicCoefficients.from_csv(coeffs.to_csv())
-    assert back.n == 3 and back.L == 2
-    np.testing.assert_allclose(back.values, coeffs.values, rtol=1e-15)
 
 
 def test_analyze_band_limit_guard():

@@ -114,12 +114,12 @@ def test_energy_identity_oracle_additivity():
     expect = sum(
         beta.values[l] * f.coeffs.degree_energy(l) for l in range(L + 1)
     )
-    assert energy_identity_oracle(n, prof, f, beta) == pytest.approx(expect, rel=1e-14)
+    assert energy_identity_oracle(n, f, beta) == pytest.approx(expect, rel=1e-14)
     with pytest.raises(ValueError):
-        energy_identity_oracle(3, prof, f, beta)
+        energy_identity_oracle(3, f, beta)
     short = build_beta_table(n, prof, 4)
     with pytest.raises(ValueError):
-        energy_identity_oracle(n, prof, f, short)
+        energy_identity_oracle(n, f, short)
 
 
 def test_shared_rows_match_single_field_runs():
@@ -423,9 +423,6 @@ def test_table_csv_and_alignment():
     assert len(lines) == 1 + len(scales) * len(rot)
     with pytest.raises(ValueError):
         TransformTable(np.zeros((2, 3), dtype=complex), scales, rot)
-    other = build_rotation_grid(n, (1.5, 1.5))
-    with pytest.raises(ValueError):
-        frame_energy(table, rotations=other)
 
 
 @pytest.mark.parametrize("n", [2, 3])

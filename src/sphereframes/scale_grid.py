@@ -24,6 +24,7 @@ import numpy as np
 from .wavelet_spectra import (
     SpectralProfile,
     _degree_means,
+    _DegreePart,
     _scale_energies,
     _scale_log_range,
     beta_numeric,
@@ -40,6 +41,10 @@ __all__ = [
     "epsilon_report",
     "find_ratio",
 ]
+
+
+# find_ratio's bracket: the finest and the coarsest ratio it considers
+_FINEST_RATIO, _COARSEST_RATIO = 1.005, 2.0
 
 
 class ScaleCoverageWarning(UserWarning):
@@ -73,13 +78,13 @@ class ScaleGrid:
             raise ValueError("scales must be a nonempty 1-d sequence")
         if scales.shape != weights.shape:
             raise ValueError("scales and weights must have equal length")
-        if np.any(scales <= 0) or np.any(weights <= 0):
+        if (scales <= 0).any() or (weights <= 0).any():
             raise ValueError("scales and weights must be positive")
         if self.ratio <= 1.0:
             raise ValueError(f"ratio bound must exceed 1, got {self.ratio}")
         if scales.size > 1:
             step = scales[:-1] / scales[1:]
-            if np.any(step <= 1.0) or np.any(step > self.ratio * (1.0 + 1e-12)):
+            if (step <= 1.0).any() or (step > self.ratio * (1.0 + 1e-12)).any():
                 raise ValueError("consecutive scale ratios must lie in (1, ratio]")
 
     def __len__(self) -> int:
@@ -120,21 +125,24 @@ def discrete_beta(n: int, profile: SpectralProfile, grid: ScaleGrid, l) -> float
     Warns, once per degree, when the integrand at either end of the grid
     exceeds 1e-12 of its peak, i.e. when the grid truncates its integral.
     """
+    return _degree_means(n, profile, l, lambda part: _riemann_means(grid, part))
 
-    def riemann_sums(ls: np.ndarray) -> np.ndarray:
-        energies = _scale_energies(n, profile, grid.scales[:, None], ls)
-        peak = energies.max(axis=0)
-        ends = np.maximum(energies[0], energies[-1])
-        for i in np.flatnonzero((peak > 0) & (ends > 1e-12 * peak)):
-            warnings.warn(
-                f"scale grid [{grid.rho_min:.3g}, {grid.rho_max:.3g}] truncates the "
-                f"degree-{ls[i]} integrand (endpoint/peak = {ends[i] / peak[i]:.2e})",
-                ScaleCoverageWarning,
-                stacklevel=_user_stacklevel(),
-            )
-        return grid.weights @ energies
 
-    return _degree_means(n, profile, l, riemann_sums)
+def _riemann_means(grid: ScaleGrid, part: _DegreePart) -> np.ndarray:
+    """``discrete_beta`` of the degrees of a ``_DegreePart`` on the grid: the
+    Riemann sums of their energies over N(n, l), with its coverage warning.
+    Only the scale part of the spectrum is evaluated."""
+    energies = _scale_energies(part.n, part.profile, grid.scales[:, None], part)
+    peak = energies.max(axis=0)
+    ends = np.maximum(energies[0], energies[-1])
+    for i in np.flatnonzero((peak > 0) & (ends > 1e-12 * peak)):
+        warnings.warn(
+            f"scale grid [{grid.rho_min:.3g}, {grid.rho_max:.3g}] truncates the "
+            f"degree-{part.degrees[i]} integrand (endpoint/peak = {ends[i] / peak[i]:.2e})",
+            ScaleCoverageWarning,
+            stacklevel=_user_stacklevel(),
+        )
+    return grid.weights @ energies / part.dimensions
 
 
 def scale_grid_for_profile(n: int, profile: SpectralProfile, ratio: float, L: int) -> ScaleGrid:
@@ -231,35 +239,46 @@ def _epsilon_report(
 def find_ratio(
     n: int, profile: SpectralProfile, L: int, target: float = 0.05, rel_tol: float = 1e-3
 ) -> float:
-    """Largest grid ratio X0 in [1.005, 2] whose eps_hat stays within target.
+    """Largest grid ratio X0 in [_FINEST_RATIO, _COARSEST_RATIO] whose eps_hat
+    stays within target.
 
-    Bisection on ln X0; relies on eps_hat decreasing as X0 approaches 1.
-    Once per call it computes what no ratio changes: the profile order, the
-    log-rho range of ``scale_grid_for_profile`` and the continuous beta of
-    the degrees m+1..L.  Each step then builds only the grid of its ratio
-    over that range, the same grid as ``scale_grid_for_profile(n, profile,
-    ratio, L)``, and takes the Riemann sums on it.
+    Bisection on ln X0 until the bracket's relative width is at most rel_tol,
+    a positive finite number, or its midpoint rounds onto one of its ends;
+    relies on eps_hat decreasing as X0 approaches 1.  Once per call it
+    computes what no ratio changes: the profile order, the log-rho range of
+    ``scale_grid_for_profile``, the degree part of the spectrum at the
+    degrees m+1..L (``_DegreePart``: q(l)^b, R(l), N(n, l)) and their
+    continuous beta.  Each step then builds only the grid of its ratio over
+    that range, the same grid as ``scale_grid_for_profile(n, profile, ratio,
+    L)``, and evaluates the scale part of the spectrum on it for the Riemann
+    sums.  Feasibility is checked last: eps_hat at _FINEST_RATIO, the finest
+    grid, is evaluated only when no step met the target, and a ValueError
+    says so when it exceeds the target there too.
     """
     if L < 1:
         raise ValueError(f"band limit must be >= 1, got {L}")
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be a positive finite number, got {rel_tol}")
     m = profile_order(profile)
     log_range = _scale_log_range(profile, m + 1, L)
-    degrees = np.arange(m + 1, L + 1)
-    cont = beta_numeric(n, profile, degrees)
+    part = _DegreePart(profile, n, np.arange(m + 1, L + 1))
+    cont = beta_numeric(n, profile, part)
 
     def eps(ratio: float) -> float:
-        grid = _grid_from_range(log_range, ratio)
-        return _epsilon_report(n, profile, grid, degrees, cont).epsilon_hat
+        disc = _riemann_means(_grid_from_range(log_range, ratio), part)
+        return float((np.abs(disc - cont) / cont).max())
 
-    lo, hi = 1.005, 2.0
+    lo, hi = _FINEST_RATIO, _COARSEST_RATIO
     if eps(hi) <= target:
         return hi
-    if eps(lo) > target:
-        raise ValueError(f"eps_hat at X0={lo} already exceeds {target}")
     while hi / lo - 1.0 > rel_tol:
         mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            break
         if eps(mid) <= target:
             lo = mid
         else:
             hi = mid
+    if lo == _FINEST_RATIO and eps(lo) > target:
+        raise ValueError(f"eps_hat at X0={_FINEST_RATIO} already exceeds {target}")
     return lo

@@ -123,15 +123,15 @@ class TransformTable:
             )
 
     def to_csv(self) -> str:
-        """One "j,g,re,im" line per entry, scale-major, parts in %.17g."""
+        """One "j,g,re,im" line per entry, scale-major, parts in %.17g: each
+        scale row is one %-format, its j,g prefixes written into the template."""
         n_scales, n_rotations = self.values.shape
-        columns = (
-            np.repeat(np.arange(n_scales), n_rotations).tolist(),
-            np.tile(np.arange(n_rotations), n_scales).tolist(),
-            self.values.real.ravel().tolist(),
-            self.values.imag.ravel().tolist(),
+        lines = [f"{g},%.17g,%.17g\n" for g in range(n_rotations)]
+        rows = np.stack([self.values.real, self.values.imag], axis=-1)
+        return "j,g,re,im\n" + "".join(
+            (f"{j}," + f"{j},".join(lines)) % tuple(row)
+            for j, row in enumerate(rows.reshape(n_scales, -1).tolist())
         )
-        return "j,g,re,im\n" + "".join(map("{},{},{:.17g},{:.17g}\n".format, *columns))
 
 
 # Bytes of one chunk of outer cells: the normalized axis rows, phases and

@@ -14,6 +14,7 @@ is a power of the coupling matrix T_l built from ``ladder_beta``, so
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,7 +73,7 @@ class SpectralProfile:
     def validate_positive(self, L: int) -> None:
         """Require q(l) > 0 for 1 <= l <= L."""
         vals = self.q_eval(np.arange(1, L + 1))
-        if np.any(vals <= 0):
+        if (vals <= 0).any():
             bad = int(np.arange(1, L + 1)[vals <= 0][0])
             raise ValueError(f"q({bad}) <= 0; profile invalid up to band limit {L}")
 
@@ -101,26 +102,27 @@ def make_preset(name: str, n: int, d: int = 0, order: int = 2) -> SpectralProfil
 
 def zonal_hat(profile: SpectralProfile, rho: float | np.ndarray, l, n: int):
     """Spectrum value hat Psi_rho(l); the scales rho and the integer degrees l
-    may be arrays that broadcast together.  A float when both are scalars."""
+    may be arrays that broadcast together.  A float when both are scalars.
+
+    l may also be the ``_DegreePart`` of the profile at such degrees, which a
+    caller builds once to evaluate the spectrum at many scales.
+    """
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
+    if (rho <= 0).any():
         bad = rho[rho <= 0].flat[0]
         raise ValueError(f"scale must be positive, got {bad}")
     lam = (n - 1) / 2
-    larr = np.asarray(l)
-    qv = np.asarray(profile.q_eval(larr), dtype=float)
-    if np.any(qv[larr >= 1] <= 0):
-        raise ValueError("q(l) <= 0 inside the requested range")
-    pos = qv > 0
-    s = rho**profile.a * np.power(np.where(pos, qv, 0.0), profile.b)
-    val = np.where(pos, np.power(s, profile.c) * np.exp(-s), 0.0)
-    out = profile.amplitude * val * (larr + lam) / lam
+    part = _degree_part(profile, n, l)
+    s = rho**profile.a * part.q_power
+    val = np.where(part.positive, np.power(s, profile.c) * np.exp(-s), 0.0)
+    out = profile.amplitude * val * part.shifted / lam
     return float(out) if np.ndim(out) == 0 else out
 
 
 def _directional_hat(profile: SpectralProfile, rho, l, n: int):
     """rho^(ed) hat Psi_rho(l), e = a/(gamma b): the spectrum of the scale-rho
-    member with its directional scaling; rho an array that broadcasts with l."""
+    member with its directional scaling; rho an array that broadcasts with l,
+    integer degrees or their ``_DegreePart``."""
     return zonal_hat(profile, rho, l, n) * rho ** (profile.tilde_exponent * profile.d)
 
 
@@ -203,6 +205,41 @@ def degree_response_norms(n: int, d: int, L: int) -> np.ndarray:
     return _response_norms(n, d, np.arange(L + 1))
 
 
+class _DegreePart:
+    """The degree part of a profile's spectrum at the integer degrees l: what
+    no scale changes, computed once so that a caller evaluating the spectrum
+    at many scales pays only for the scales.
+
+    q(l) is evaluated and checked once.  The part holds the positivity mask,
+    q(l)^b and l + lam that ``zonal_hat`` reads and, from their first read,
+    the response norms R(l) of ``_response_norms`` and the dimensions N(n, l)
+    that the energies and their degree means read (l a 1-d array for those).
+    """
+
+    def __init__(self, profile: SpectralProfile, n: int, l):
+        self.profile, self.n = profile, n
+        self.degrees = np.asarray(l)
+        self.q = np.asarray(profile.q_eval(self.degrees), dtype=float)
+        if (self.q[self.degrees >= 1] <= 0).any():
+            raise ValueError("q(l) <= 0 inside the requested range")
+        self.positive = self.q > 0
+        self.q_power = np.power(np.where(self.positive, self.q, 0.0), profile.b)
+        self.shifted = self.degrees + (n - 1) / 2
+
+    @functools.cached_property
+    def response_norms(self) -> np.ndarray:
+        return _response_norms(self.n, self.profile.d, self.degrees)
+
+    @functools.cached_property
+    def dimensions(self) -> np.ndarray:
+        return np.asarray([dim_harmonic(self.n, l) for l in self.degrees.tolist()])
+
+
+def _degree_part(profile: SpectralProfile, n: int, l) -> _DegreePart:
+    """l itself when it is a ``_DegreePart``, else the part of the degrees l."""
+    return l if isinstance(l, _DegreePart) else _DegreePart(profile, n, l)
+
+
 def _brent_root(f, xa: float, xb: float) -> float:
     """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
 
@@ -280,7 +317,7 @@ def _scale_log_range(
     s_lo, s_hi = _brent_root(g, cprime * 1e-30, cprime), _brent_root(g, cprime, hi_guess)
     degrees = np.arange(first, last + 1)
     q = profile.q_eval(degrees)
-    if np.any(q <= 0.0):
+    if (q <= 0.0).any():
         l = int(degrees[q <= 0.0][0])
         raise ValueError(f"q({l}) <= 0: degree {l} has no scale range")
     return tuple(
@@ -289,25 +326,29 @@ def _scale_log_range(
     )
 
 
-def _scale_energies(n: int, profile: SpectralProfile, rho, l: np.ndarray) -> np.ndarray:
+def _scale_energies(n: int, profile: SpectralProfile, rho, l) -> np.ndarray:
     """E_l(rho) = sum_kappa |a_l^kappa(Psi_rho)|^2 = (rho^(ed) hat_rho(l))^2 R(l),
-    the scales rho broadcast against the integer degree array l."""
-    hat = _directional_hat(profile, rho, l, n)
-    return hat * hat * _response_norms(n, profile.d, l)
+    the scales rho broadcast against the integer degree array l or its
+    ``_DegreePart``."""
+    part = _degree_part(profile, n, l)
+    hat = _directional_hat(profile, rho, part, n)
+    return hat * hat * part.response_norms
 
 
-def _degree_means(n: int, profile: SpectralProfile, l, totals) -> float | np.ndarray:
-    """totals(degrees) / N(n, l) at the degrees l above the profile order, and
-    0 at or below it.  l is an int or an integer array, checked once; the
-    result is a float for an int."""
+def _degree_means(n: int, profile: SpectralProfile, l, means) -> float | np.ndarray:
+    """means(part) at the degrees l above the profile order, part their
+    ``_DegreePart``, and 0 at or below it.  l is an int or an integer array,
+    checked once, and the result is a float for an int; or l is already the
+    part of degrees above the order, which goes to means as it is."""
+    if isinstance(l, _DegreePart):
+        return means(l)
     ls = np.asarray(l)
-    if np.any(ls < 0):
+    if (ls < 0).any():
         raise ValueError(f"degree must be >= 0, got {ls[ls < 0].flat[0]}")
     out = np.zeros(ls.shape)
     above = ls > profile_order(profile)
     if above.any():
-        ls = ls[above]
-        out[above] = totals(ls) / [dim_harmonic(n, l) for l in ls.tolist()]
+        out[above] = means(_DegreePart(profile, n, ls[above]))
     return float(out) if out.ndim == 0 else out
 
 
@@ -320,23 +361,23 @@ def beta_numeric(n: int, profile: SpectralProfile, l) -> float | np.ndarray:
     multiple at s = 1 gives beta(l) = e^2 Gamma(2c') / (a 4^c') E_l(rho_1) / N,
     which equals amp^2 Gamma(2c') / (a 4^c') q(l)^(-2d/gamma) ||T_l^d e_0||^2.
     The energies of all the degrees come from one ``zonal_hat`` call, so the
-    spectrum is defined in one place.  l is an int or an integer array, like
-    ``zonal_hat``'s; the profile is validated once, and an int gives a float.
+    spectrum is defined in one place, and q(l) is evaluated once.  l is an
+    int or an integer array, like ``zonal_hat``'s, and an int gives a float;
+    or l is the ``_DegreePart`` of degrees above the profile order.
     """
 
-    def integrals(ls: np.ndarray) -> np.ndarray:
-        profile.validate_positive(max(int(ls.max()), 1))
-        rho = profile.q_eval(ls) ** (-profile.b / profile.a)  # the scales with s = 1
+    def integrals(part: _DegreePart) -> np.ndarray:
+        rho = part.q ** (-profile.b / profile.a)  # the scales with s = 1
         cprime = _cprime(profile)
         shape = math.e**2 * math.gamma(2.0 * cprime) / (profile.a * 4.0**cprime)
-        return shape * _scale_energies(n, profile, rho, ls)
+        return shape * _scale_energies(n, profile, rho, part) / part.dimensions
 
     return _degree_means(n, profile, l, integrals)
 
 
 def profile_order(profile: SpectralProfile) -> int:
     """Vanishing-moment order m: beta(l) = 0 for l <= m."""
-    if profile.d >= 1 or profile.q_eval(0) == 0.0:
+    if profile.d >= 1 or profile.q[0] == 0.0:  # q(0) is the constant coefficient
         return 0
     return -1
 
@@ -354,7 +395,7 @@ class BetaTable:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.L + 1,):
             raise ValueError(f"expected {self.L + 1} values, got {self.values.shape}")
-        if np.any(self.values[: self.m + 1] != 0.0):
+        if (self.values[: self.m + 1] != 0.0).any():
             raise ValueError(f"values at degrees <= order m={self.m} must be zero")
 
     @property

@@ -43,8 +43,9 @@ paths against them:
   at those roots to about 40 digits, and ``dense_gauss_rule`` is the Gauss
   rule from the eigenvalues of the whole Jacobi matrix;
 - ``bisect_ratio`` is ``find_ratio``'s bisection with every step built from
-  the public calls, ``scale_grid_for_profile`` then ``epsilon_report``, the
-  reference for the once-per-call range and beta of ``find_ratio``;
+  the public calls, ``scale_grid_for_profile`` then ``epsilon_report``, and
+  its feasibility check first, the reference for the once-per-call range,
+  degree part and beta of ``find_ratio`` and for its deferred check;
 - ``aliasing_deviation`` is the exact signed relative deviation of the
   Riemann sum of a degree's scale integrand on a geometric grid from beta,
   as the Poisson-summation series of the integrand's Fourier transform, a
@@ -78,7 +79,12 @@ from sphereframes.harmonics import (
     validate_index,
 )
 from sphereframes.rotation_grid import _partition, rotation_matrix
-from sphereframes.scale_grid import epsilon_report, scale_grid_for_profile
+from sphereframes.scale_grid import (
+    _COARSEST_RATIO,
+    _FINEST_RATIO,
+    epsilon_report,
+    scale_grid_for_profile,
+)
 from sphereframes.special_functions import (
     _check_args,
     _gauss_rule_from_nodes,
@@ -693,17 +699,19 @@ def bisect_ratio(
 ) -> float:
     """``find_ratio`` with every step computing its grid's range and the
     continuous beta afresh, through ``scale_grid_for_profile`` and
-    ``epsilon_report``."""
+    ``epsilon_report``, and with the feasibility check at the finest ratio
+    made before bisecting: where eps_hat decreases as X0 falls, the order of
+    the checks changes no result."""
 
     def eps(ratio: float) -> float:
         grid = scale_grid_for_profile(n, profile, ratio, L)
         return epsilon_report(n, profile, grid, L).epsilon_hat
 
-    lo, hi = 1.005, 2.0
+    lo, hi = _FINEST_RATIO, _COARSEST_RATIO
     if eps(hi) <= target:
         return hi
     if eps(lo) > target:
-        raise ValueError(f"eps_hat at X0={lo} already exceeds {target}")
+        raise ValueError(f"eps_hat at X0={_FINEST_RATIO} already exceeds {target}")
     while hi / lo - 1.0 > rel_tol:
         mid = math.sqrt(lo * hi)
         if eps(mid) <= target:

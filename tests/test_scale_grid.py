@@ -180,6 +180,96 @@ def test_find_ratio_computes_range_and_beta_once(monkeypatch):
         assert sorted(calls) == ["_scale_log_range", "beta_numeric"]
 
 
+def _spy_grids(monkeypatch, limit=None):
+    """The ratios of the grids find_ratio builds, in order; with a limit, a
+    search that builds more grids than that fails instead of running on."""
+    ratios = []
+    build = scale_grid._grid_from_range
+
+    def counted(log_range, ratio):
+        ratios.append(ratio)
+        assert limit is None or len(ratios) <= limit, "the bisection does not stop"
+        return build(log_range, ratio)
+
+    monkeypatch.setattr(scale_grid, "_grid_from_range", counted)
+    return ratios
+
+
+def test_find_ratio_builds_the_finest_grid_only_when_lo_never_moves(monkeypatch):
+    ratios = _spy_grids(monkeypatch)
+    finest = scale_grid._FINEST_RATIO
+    for name in PRESET_NAMES:
+        ratios.clear()
+        found = find_ratio(2, make_preset(name, 2, d=1), 8, target=1e-6, rel_tol=1e-3)
+        assert finest < found < 2.0  # lo moved, so feasibility needs no check
+        assert finest not in ratios
+    ratios.clear()
+    with pytest.raises(ValueError, match=r"^eps_hat at X0=1\.005 already exceeds 1e-30$"):
+        find_ratio(2, AP1, 8, target=1e-30)
+    assert ratios[-1] == finest and ratios.count(finest) == 1  # checked last, once
+
+
+def test_find_ratio_builds_the_degree_part_once(monkeypatch):
+    parts = []
+    init = wavelet_spectra._DegreePart.__init__
+
+    def counted(self, *args):
+        parts.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(wavelet_spectra._DegreePart, "__init__", counted)
+    ratios = _spy_grids(monkeypatch)
+    for name in PRESET_NAMES:
+        parts.clear()
+        ratios.clear()
+        find_ratio(2, make_preset(name, 2, d=1), 8, target=1e-6, rel_tol=1e-3)
+        assert len(ratios) > 2 and len(parts) == 1
+
+
+def test_find_ratio_steps_equal_discrete_beta(monkeypatch):
+    # each step's Riemann sums over the once-built degree part are the bits
+    # of discrete_beta on the same grid
+    steps = []
+    means = scale_grid._riemann_means
+
+    def recorded(grid, part):
+        steps.append((grid, part.degrees, means(grid, part)))
+        return steps[-1][2]
+
+    for name in PRESET_NAMES:
+        for n in (2, 3):
+            for d in (0, 1):
+                prof = make_preset(name, n, d=d)
+                steps.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(scale_grid, "_riemann_means", recorded)
+                    find_ratio(n, prof, 8, target=1e-6, rel_tol=1e-3)
+                assert len(steps) > 2, (name, n, d)
+                for grid, degrees, sums in steps:
+                    whole = discrete_beta(n, prof, grid, degrees)
+                    assert whole.tobytes() == sums.tobytes(), (name, n, d, grid.ratio)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_find_ratio_refuses_a_rel_tol_that_is_not_positive_and_finite(monkeypatch, rel_tol):
+    ratios = _spy_grids(monkeypatch)
+    with pytest.raises(ValueError, match="rel_tol must be a positive finite number"):
+        find_ratio(2, AP1, 2, target=1e-6, rel_tol=rel_tol)
+    assert ratios == []  # refused before any grid is built
+
+
+def test_find_ratio_stops_when_the_midpoint_rounds_onto_an_end(monkeypatch):
+    # below the spacing of floats near the answer the bracket can shrink no
+    # further: the search stops there instead of repeating its midpoint
+    ratios = _spy_grids(monkeypatch, limit=200)
+    found = find_ratio(2, AP1, 2, target=1e-6, rel_tol=1e-17)
+    hi = min(r for r in ratios if r > found)
+    assert not found < math.sqrt(found * hi) < hi
+    assert hi / found - 1.0 < 1e-15
+    grid = scale_grid_for_profile(2, AP1, found, 2)
+    assert epsilon_report(2, AP1, grid, 2).epsilon_hat <= 1e-6
+
+
 @pytest.mark.parametrize(
     "prof",
     [

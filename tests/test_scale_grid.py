@@ -258,6 +258,15 @@ def test_find_ratio_refuses_a_rel_tol_that_is_not_positive_and_finite(monkeypatc
     assert ratios == []  # refused before any grid is built
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1e-3])
+def test_find_ratio_refuses_a_target_that_is_not_positive_and_finite(monkeypatch, target):
+    # a NaN target once returned _FINEST_RATIO: no eps_hat compares <= NaN
+    ratios = _spy_grids(monkeypatch)
+    with pytest.raises(ValueError, match="target must be a positive finite number"):
+        find_ratio(2, AP1, 2, target=target)
+    assert ratios == []  # refused before any grid is built
+
+
 def test_find_ratio_stops_when_the_midpoint_rounds_onto_an_end(monkeypatch):
     # below the spacing of floats near the answer the bracket can shrink no
     # further: the search stops there instead of repeating its midpoint

@@ -18,12 +18,14 @@ from oracles import (
     scale_quadrature,
     spectral_cutoff,
 )
+from sphereframes import wavelet_spectra
 from sphereframes.harmonics import all_indices, build_sphere_grid, dim_harmonic, synthesize
 from sphereframes.scale_grid import build_scale_grid, discrete_beta, scale_grid_for_profile
 from sphereframes.wavelet_spectra import (
     PRESET_NAMES,
     SpectralProfile,
     _brent_root,
+    _DegreePart,
     _scale_energies,
     beta_numeric,
     build_beta_table,
@@ -400,17 +402,19 @@ def test_brent_root_steps_and_errors_match_scipy_brentq():
 
 def test_beta_table_equals_one_array_call():
     # the per-degree table rows are the bits of one beta_numeric array call,
-    # which is what lets certify_frame read eps_hat's beta from its table
+    # which is what lets certify_frame read eps_hat's beta from its table, and
+    # of the scalar calls that the table's one-degree views stand in for
     for name in PRESET_NAMES:
-        for n in (2, 3, 4):
-            for d in (0, 1, 2):
+        for n in (2, 3, 4, 5):
+            for d in (0, 1, 2, 3):
                 prof = make_preset(name, n, d=d)
                 m = profile_order(prof)
-                for L in (3, 16, 64):
+                for L in (1, 2, 3, 8, 16, 33, 64, 128):
                     rows = build_beta_table(n, prof, L).values[m + 1 :]
-                    np.testing.assert_array_equal(
-                        rows, beta_numeric(n, prof, np.arange(m + 1, L + 1))
-                    )
+                    ls = np.arange(m + 1, L + 1)
+                    scalar = np.array([beta_numeric(n, prof, int(l)) for l in ls])
+                    assert rows.tobytes() == beta_numeric(n, prof, ls).tobytes(), (name, n, d, L)
+                    assert rows.tobytes() == scalar.tobytes(), (name, n, d, L)
 
 
 def test_beta_numeric_evaluates_q_once(monkeypatch):
@@ -429,3 +433,67 @@ def test_beta_numeric_evaluates_q_once(monkeypatch):
             calls.clear()
             beta_numeric(2, prof, l)
             assert len(calls) == 1
+
+
+def test_beta_table_refusals_name_the_degree_and_the_band():
+    negative = SpectralProfile(a=1.0, b=1.0, c=1.0, q=(1.0, 0.5, -0.5))  # q(2) = 0
+    with pytest.raises(ValueError, match=r"^q\(2\) <= 0; profile invalid up to band limit 3$"):
+        build_beta_table(2, negative, 3)
+    with pytest.raises(ValueError, match=r"^q\(l\) <= 0 inside the requested range$"):
+        beta_numeric(2, negative, 2)
+    assert build_beta_table(2, negative, 1).values[1] == beta_numeric(2, negative, 1)
+    with pytest.raises(ValueError, match=r"^band limit 0 leaves no degrees above the order m=0$"):
+        build_beta_table(2, AP, 0)
+    with pytest.raises(ValueError, match="band limit -1 leaves no degrees above the order m=-1"):
+        build_beta_table(2, custom_profile(0), -1)
+
+
+def test_degree_part_view_equals_a_fresh_part():
+    for prof in (custom_profile(0), custom_profile(2), make_preset("gauss-weierstrass", 3, d=1)):
+        for n in (2, 4):
+            degrees = np.arange(profile_order(prof) + 1, 9)
+            whole = _DegreePart(prof, n, degrees)
+            for k in range(len(degrees)):
+                view = whole.at(k)
+                fresh = _DegreePart(prof, n, degrees[k : k + 1])
+                fresh.response_norms, fresh.dimensions  # read the lazy arrays
+                assert view.profile is prof and view.n == n
+                assert vars(view).keys() == vars(fresh).keys()
+                for key, want in vars(fresh).items():
+                    if isinstance(want, np.ndarray):
+                        got = getattr(view, key)
+                        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
+                        assert np.shares_memory(got, getattr(whole, key)), key
+
+
+def test_beta_table_builds_one_degree_part(monkeypatch):
+    # q(l) once and one R(l) stack per table, however many degrees it has
+    calls = {"q": 0, "response": 0}
+    q_eval, response_norms = SpectralProfile.q_eval, wavelet_spectra._response_norms
+
+    def counted_q(self, l):
+        calls["q"] += 1
+        return q_eval(self, l)
+
+    def counted_response(*args):
+        calls["response"] += 1
+        return response_norms(*args)
+
+    monkeypatch.setattr(SpectralProfile, "q_eval", counted_q)
+    monkeypatch.setattr(wavelet_spectra, "_response_norms", counted_response)
+    for prof in (custom_profile(0), custom_profile(1), make_preset("poisson", 3, d=2)):
+        calls.update(q=0, response=0)
+        build_beta_table(3, prof, 12)
+        assert calls == {"q": 1, "response": 1}
+
+
+def test_q_eval_is_polyval_to_the_bit():
+    from numpy.polynomial.polynomial import polyval
+
+    profiles = [make_preset(name, n) for name in PRESET_NAMES for n in (2, 5)]
+    profiles += [custom_profile(0), SpectralProfile(1.0, 1.0, 1.0, (0.3, 1.7, -0.1, 2.5e-3, 1e-5))]
+    for prof in profiles:
+        for l in (0, 1, 7, np.int64(300), np.arange(513), np.arange(12).reshape(3, 4)):
+            got, want = prof.q_eval(l), polyval(l, prof.q)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got, dtype=float).tobytes() == np.asarray(want).tobytes()

@@ -17,13 +17,14 @@ them: (n - 1)(L + 1)^3 * 8 bytes, 2.1 MiB at n=2, L=64 and 16 MiB at
 L=128.  It refuses a grid whose rows would pass _MAX_ARRAY_BYTES (1 GiB;
 at n=2 the largest grid is L=511).  synthesize and analyze at a band below
 the grid's take a slice of them; besides the rows, their working memory is
-a few arrays the size of the grid.  eval_degree_components evaluates a
-coefficient table at scattered points, one degree at a time, from rows of
-the same recurrence at those points.  multiply_coordinates multiplies a
-coefficient table by each ambient coordinate without any grid: on each
-polar axis, cos and sin move the chain index by +-1 with closed-form
-coefficients of the normalized rows (the three-term recurrence and the
-order-raising identity), and e^(+-i phi) moves the signed last index.
+a few arrays the size of the grid.  _polar_values evaluates every harmonic
+at points of azimuth 0 from rows of the same recurrence at those points;
+at any other azimuth a harmonic only gains its factor e^(i k phi).
+multiply_coordinates multiplies a coefficient table by each ambient
+coordinate without any grid: on each polar axis, cos and sin move the chain
+index by +-1 with closed-form coefficients of the normalized rows (the
+three-term recurrence and the order-raising identity), and e^(+-i phi)
+moves the signed last index.
 harmonic_basis keeps the dense matrix of every harmonic on the grid as the
 reference the tests compare against.
 """
@@ -56,7 +57,6 @@ __all__ = [
     "harmonic_basis",
     "analyze",
     "synthesize",
-    "eval_degree_components",
     "multiply_coordinates",
     "fourier_from_gegenbauer_factor",
     "angles_to_vector",
@@ -584,36 +584,24 @@ def synthesize(coeffs: HarmonicCoefficients, grid: SphereGrid) -> np.ndarray:
     return values.reshape(-1) * math.sqrt(surface_area(n) / (2.0 * math.pi))
 
 
-def eval_degree_components(coeffs: HarmonicCoefficients, points) -> np.ndarray:
-    """sum_K a_lK Y_lK(x) for every degree l <= L at angle tuples x, shape (P, n).
+def _polar_values(n: int, L: int, polar: np.ndarray) -> np.ndarray:
+    """Every harmonic of all_indices(n, L) at the points of azimuth 0 and
+    polar angles polar[p], shape (P, n - 1): real, shape (count, P).
 
-    Returns shape (L + 1, P) plus the trailing axes of coeffs.values.  Each
-    point gets every polar axis's normalized rows in one recurrence; a
-    degree's harmonics are then products of entries along their index
-    chains, contracted against that degree's coefficients before the next
-    degree is built, so the working set is the rows and one degree.
+    The azimuth enters a harmonic only as e^(i k phi), so at any other
+    azimuth these values take that factor.  One recurrence per polar axis
+    gives its normalized rows at every point, and each harmonic is the
+    product of entries along its index chain.
     """
-    n, L = coeffs.n, coeffs.L
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != n:
-        raise ValueError(f"points need {n} angles for the {n}-sphere, got {pts.shape[1]}")
-    values = coeffs.values.reshape(coeffs.values.shape[0], -1)
     coords = _chain_coords(n, L)
     chain = coords[:-1] + (np.abs(coords[-1]),)
     every = np.arange(L + 1)
-    rows = [_axis_rows((n - tau) / 2, np.cos(pts[:, tau - 1]), L, every) for tau in range(1, n)]
-    phase = np.exp(1j * np.arange(-L, L + 1)[:, None] * pts[:, n - 1])
-    out = np.empty((L + 1, pts.shape[0], values.shape[1]), dtype=complex)
-    starts = np.searchsorted(coords[0], np.arange(L + 2))  # coefficients run by degree
-    for l in range(L + 1):
-        block = slice(starts[l], starts[l + 1])
-        Y = phase[coords[-1][block] + L]
-        for tau in range(1, n):
-            kk = chain[tau][block]
-            Y = Y * rows[tau - 1][kk, chain[tau - 1][block] - kk]
-        out[l] = Y.T @ values[block]
-    out *= math.sqrt(surface_area(n) / (2.0 * math.pi))
-    return out.reshape((L + 1, pts.shape[0]) + coeffs.values.shape[1:])
+    out = np.full((coords[0].size, polar.shape[0]), math.sqrt(surface_area(n) / (2.0 * math.pi)))
+    for tau in range(1, n):
+        rows = _axis_rows((n - tau) / 2, np.cos(polar[:, tau - 1]), L, every)
+        kk = chain[tau]
+        out *= rows[kk, chain[tau - 1] - kk]
+    return out
 
 
 def fourier_from_gegenbauer_factor(n: int, l: int) -> float:

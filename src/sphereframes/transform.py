@@ -14,15 +14,17 @@ that filter applied to the degree components of x^mu f at U = R e_1.  The
 coefficients of x^mu f come from the fields' coefficients through the
 exact ladder recurrences of multiply_coordinates, once per call, so the
 transform reads no sphere grid.  The rotation grid is a product of sphere
-partitions.  U depends only on a rotation's outer S^n cell, so each outer
-cell evaluates the degree components once, in O(L^n) work.  R e_2 is the
-image under the cell's T_n of a point fixed by the S^(n-1) cell, and T_n
-acts linearly on the monomials of that point.  So the scale weights, the
-filters and the quadratic form of those points fold into one matrix,
-reduced once per call to a triangular factor by QR; the energy of all of a
-cell's inner rotations is the squared norm of that factor times the cell's
-degree components, and no rotation is visited.  Only the table of
-wavelet_analysis has one column per rotation.
+partitions.  U depends only on a rotation's outer S^n cell, and R e_2 is
+the image under the cell's T_n of a point fixed by the S^(n-1) cell, so the
+scale weights, the filters and the quadratic form of those points fold into
+one matrix, reduced once per call to a triangular factor by QR.  The outer
+cells lie on latitude bands of C equal arcs, and T_n is the rotation by the
+cell's azimuth after one fixed per band: in the charge basis of the last
+plane the azimuth only shifts frequencies, so a band's C cells are a
+length-C DFT of at most 2L + 1 folded vectors.  Each band folds its
+coefficients once, and by Parseval its energy is the squared norm of the
+triangular factor times those vectors; no cell and no rotation is visited.
+Only the table of wavelet_analysis has one column per rotation.
 
 The energy identity sums beta(l) against the per-degree field energies and is
 the rotation-quadrature-free reference value for frame checks.
@@ -40,8 +42,8 @@ import numpy as np
 from .harmonics import (
     HarmonicCoefficients,
     coefficient_count,
-    dim_harmonic,
-    eval_degree_components,
+    _chain_coords,
+    _polar_values,
     multiply_coordinates,
 )
 from .rotation_grid import RotationGrid, rotation_matrix
@@ -134,13 +136,18 @@ class TransformTable:
         )
 
 
-# Bytes of one chunk of outer cells: the normalized axis rows, phases and
-# harmonic products at their centres, their degree components, Z and its
-# product with the triangular operator (or the chunk's table entries).  The
-# moments and the operator are held for the whole call, outside it.  A chunk
-# holds at least one cell, so the real bound is max(_CHUNK_BYTES, one cell):
-# at n=2, L=128 one cell's rows are 129 x 129 x 8 B, about 130 kB.
+# Bytes of one chunk of latitude bands: a band's polar rows, and per
+# coefficient its harmonics, fold targets and one field's weighted moments,
+# and per residue its folded vectors, Z and the operator's product (or the
+# chunk's table entries).  The moments and the operator are held for the
+# whole call, outside it.  A chunk holds at least one band, so the real bound
+# is max(_CHUNK_BYTES, one band): at n=2, L=128 a band of 100 cells and 10
+# fields takes about 16 MB.
 _CHUNK_BYTES = 8 * 2**20
+
+# Largest distance of a band's azimuths from phi_0 + 2 pi c / C: rounding of
+# the partition's (c + 1/2) 2 pi / C, with a wide margin.
+_ARC_TOL = 1e-13
 
 
 def _haar_normalization(n: int) -> float:
@@ -185,13 +192,14 @@ def _monomial_action(T: np.ndarray, combos, weights) -> np.ndarray:
 
 
 def _monomial_moments(n: int, values: np.ndarray, field_L: int, degrees) -> dict:
-    """moments[j]: coefficients of x^mu f to degree field_L - j for the
-    degree-j monomials mu of _monomials, one column per (mu, field), for each
-    j <= field_L in degrees.  values holds the fields' coefficients to
-    field_L, one column each.
+    """moments[j]: coefficients of x'^mu f to degree field_L - j for the
+    degree-j monomials mu of _monomials in the charge coordinates x' =
+    (x_0, ..., x_(n-2), z, conj(z)), z = x_(n-1) + i x_n (_charge_basis),
+    one column per (mu, field), for each j <= field_L in degrees.  values
+    holds the fields' coefficients to field_L, one column each.
 
-    x^mu f = x_c x^nu f for c the last index of mu, and the degrees of
-    x^nu f above field_L - j + 1 reach none at or below field_L - j, so each
+    x'^mu f = x'_c x'^nu f for c the last index of mu, and the degrees of
+    x'^nu f above field_L - j + 1 reach none at or below field_L - j, so each
     degree's products come from the last degree's, all within field_L.
     """
     moments = {}
@@ -203,6 +211,8 @@ def _monomial_moments(n: int, values: np.ndarray, field_L: int, degrees) -> dict
             moved = multiply_coordinates(
                 HarmonicCoefficients(n, field_L - j + 1, level), field_L - j
             ).values
+            x, y = moved[:, n - 1], moved[:, n] * 1j
+            moved[:, n - 1], moved[:, n] = x + y, x - y
             # take, unlike a two-array index, leaves the rows C-contiguous
             picks = [mu[-1] * len(parents) + parents[mu[:-1]] for mu in combos]
             level = moved.reshape(moved.shape[0], -1, values.shape[1]).take(picks, axis=1)
@@ -254,6 +264,39 @@ def _fold(left: np.ndarray, filters: dict, columns: dict) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
+def _latitude_bands(centres: np.ndarray, measures: np.ndarray):
+    """(starts, counts) of the outer cells' latitude bands, in cell order.
+
+    A band is a run of cells with equal polar angles and equal measures
+    whose azimuths are uniform arcs, phi_c = phi_0 + 2 pi c / C for c < C,
+    as partition_sphere builds them; every other cell is a band of one.
+    """
+    n_cells = measures.size
+    same = np.all(centres[1:, :-1] == centres[:-1, :-1], axis=1) & (measures[1:] == measures[:-1])
+    heads = np.concatenate(([True], ~same))
+    starts = np.flatnonzero(heads)
+    counts = np.diff(np.append(starts, n_cells))
+    first, size = np.repeat(starts, counts), np.repeat(counts, counts)
+    phi = centres[:, -1]
+    drift = np.abs(phi - phi[first] - 2.0 * math.pi * (np.arange(n_cells) - first) / size)
+    uneven = np.maximum.reduceat(drift, starts) > _ARC_TOL
+    heads |= np.repeat(uneven, counts)
+    starts = np.flatnonzero(heads)
+    return starts, np.diff(np.append(starts, n_cells))
+
+
+def _charge_basis(n: int):
+    """(X, V): x' = X x replaces the last plane's (x_(n-1), x_n) by the
+    charges z = x_(n-1) + i x_n and conj(z), and V = X^(-T), so that
+    v . x = (V v) . x' for every v.  A rotation by phi in that plane
+    multiplies z by e^(i phi), and the last two entries of V v by e^(-i phi)
+    and e^(i phi)."""
+    X, V = np.eye(n + 1, dtype=complex), np.eye(n + 1, dtype=complex)
+    X[n - 1 :, n - 1 :] = [[1, 1j], [1, -1j]]
+    V[n - 1 :, n - 1 :] = [[0.5, -0.5j], [0.5, 0.5j]]
+    return X, V
+
+
 def _scan(
     n: int,
     profile: SpectralProfile,
@@ -265,7 +308,7 @@ def _scan(
     collect: bool = False,
 ):
     """Frame energies of a batch of fields over the factored rotation grid,
-    each outer cell's inner rotations summed in closed form; or, with
+    each latitude band of outer cells summed in closed form; or, with
     collect, the first field's transform table.
 
     W f(rho, R) = sum over the wavelet terms y2^j G_j(y1) of the pairing of
@@ -275,25 +318,42 @@ def _scan(
     field_L - j come once from _monomial_moments, in coefficient space.  By
     the addition theorem G_j(U . x) pairs with x^mu f as sum_l
     filters[j][s, l] times the degree-l component of x^mu f at U.  The inner
-    factors T_J, J < n, fix e_1, so U is the outer cell's centre, where the
-    components are evaluated once.  T_J, J < n - 1, also fix e_2, so
-    V = T_n(x_c) p, with p = T_(n-1)(x^(n-1)) e_2 running over the S^(n-1)
-    cells, and m(V) = A_c m(p) with A_c the action of T_n(x_c) on the
-    monomials.  So W at scale s is sum_(col, l) filters[j][s, l] m(p)[col]
-    Z[(col, l), c], where Z holds the components after A_c^T: the table is
-    one product M Z, M[(s, p), (col, l)] = filters[j][s, l] m(p)[col].
-    Summed over a cell's inner rotations, with omega_p the S^(n-1) cell
-    measure times the total measure of the smaller factors, and over the
-    scales with weights w_s, |W|^2 is the quadratic form Z^H K^T K Z of
-    K[(s, i), (col, l)] = sqrt(w_s) filters[j][s, l] H[i, col], with
-    H^T H = sum_p omega_p m(p) m(p)^T.  K is the same for
+    factors T_J, J < n, fix e_1, so U is the outer cell's centre.  T_J,
+    J < n - 1, also fix e_2, so V = T_n(x_c) p, with p = T_(n-1)(x^(n-1)) e_2
+    running over the S^(n-1) cells, and m(V) = A_c m(p) with A_c the action
+    of T_n(x_c) on the monomials.  So W at scale s is sum_(col, l)
+    filters[j][s, l] m(p)[col] Z[(col, l), c], where Z holds the components
+    after A_c^T: the table is one product M Z, M[(s, p), (col, l)] =
+    filters[j][s, l] m(p)[col].  Summed over a cell's inner rotations, with
+    omega_p the S^(n-1) cell measure times the total measure of the smaller
+    factors, and over the scales with weights w_s, |W|^2 is the quadratic
+    form Z^H K^T K Z of K[(s, i), (col, l)] = sqrt(w_s) filters[j][s, l]
+    H[i, col], with H^T H = sum_p omega_p m(p) m(p)^T.  K is the same for
     every cell, and so is R with R^T R = K^T K: the triangular factor of one
     QR of K when K has more rows than columns, else K itself, never the
-    Gram matrix.  So the energy is a weighted sum of |R Z|^2, one flat
-    product per chunk.  Cells run in chunks of at most _CHUNK_BYTES or one
-    cell, whichever is larger, which bounds memory independently of the
-    inner grid and of the thread count.  The table has one column per
-    rotation, in the grid's row order.
+    Gram matrix.
+
+    No cell is visited either.  A cell's rotation is T(theta, phi) =
+    P_phi T(theta, 0), P_phi the rotation by phi in the last plane.  In the
+    charge basis of that plane (_charge_basis) P_phi is diagonal: the
+    moment x'^mu f of a charge monomial mu with a factors z and b factors
+    conj(z) pairs with e^(i nu phi), nu = k + b - a, at its coefficient of
+    last index k.  So over a latitude band of C cells at phi_c = phi_0 +
+    2 pi c / C (_latitude_bands), Z_c = sum_nu e^(i nu phi_c) z_nu with
+    |nu| <= field_L, and Z_c = sum_r e^(2 pi i r c / C) g_r with g_r =
+    sum_(nu = r mod C) e^(i nu phi_0) z_nu over min(C, 2 field_L + 1)
+    residues r.  A band weights its moments' coefficients by the harmonics
+    at its polar angles and by e^(i nu phi_0), adds them onto their (l, r)
+    and applies the action of Q T(theta, 0) on the charge monomials, Q the
+    charge coordinates of V: once per band.  By Parseval the band's energy
+    is C w sum_r |R g_r|^2, w the common weight of its cells, and its table
+    entries are a length-C inverse DFT of M g_r, zero at the residues that
+    no frequency reaches.  Any other cell is a band of one.  Bands run in
+    order of their residue counts, in chunks of at most _CHUNK_BYTES or one
+    band, which bounds memory independently of the inner grid and of the
+    thread count; a chunk gives each band as many residues as its last,
+    with zeros past the band's own.  The table has one column per rotation,
+    in the grid's row order.
     """
     if collect:
         rotations.check_flat()
@@ -306,15 +366,21 @@ def _scan(
         values[: f.coeffs.values.size, i] = f.coeffs.values
     moments = _monomial_moments(n, values, field_L, filters)
     del values  # the chunks read only the moments
-    # columns[j]: power j's monomials among all; rows[j]: its (col, l) rows of Z
-    monomials, columns, rows = {}, {}, {}
+    v_charge = _charge_basis(n)[1]
+    # columns[j]: power j's monomials among all; rows[j]: its (col, l) rows of Z;
+    # charges[j]: b - a of each charge monomial
+    monomials, columns, rows, charges = {}, {}, {}, {}
     start = n_rows = 0
     for j in sorted(filters):
         monomials[j] = _monomials(n, j)
-        count = len(monomials[j][0])
+        combos = monomials[j][0]
+        count = len(combos)
         columns[j] = slice(start, start + count)
         rows[j] = slice(n_rows, n_rows + count * (field_L - j + 1))
         start, n_rows = columns[j].stop, rows[j].stop
+        charges[j] = np.array([mu.count(n) - mu.count(n - 1) for mu in combos])
+        # moments[j][t, mu]: the moment of charge monomial mu and field t
+        moments[j] = np.ascontiguousarray(moments[j].values.transpose(2, 1, 0))
 
     # p = T_(n-1)(x^(n-1)) e_2 over the S^(n-1) cells, and their weighted monomials
     m = n * (n + 1) // 2
@@ -334,51 +400,103 @@ def _scan(
         if op.shape[0] > op.shape[1]:
             op = np.linalg.qr(op, mode="r")
     centres = rotations.centres[0]
-    cell_weights = rotations.measures[0] / _haar_normalization(n)
     n_cells = centres.shape[0]
+    starts, counts = _latitude_bands(centres, rotations.measures[0])
+    slots = np.minimum(counts, 2 * field_L + 1)
+    band_weights = counts * rotations.measures[0][starts] / _haar_normalization(n)
+    # rows[j]'s (mu, l) row of each coefficient of moment mu, and its
+    # frequency nu = k + b - a
+    degree, *_, order = _chain_coords(n, field_L)  # l and k of every coefficient
+    place, frequency = {}, {}
+    for j in filters:
+        count = coefficient_count(n, field_L - j)
+        place[j] = np.arange(len(charges[j]))[:, None] * (field_L - j + 1) + degree[:count]
+        frequency[j] = order[:count] + charges[j][:, None]
     # a cell's rotations run over the S^(n-1) cells, each over the smaller factors
     shape = (n_scales, n_cells, len(p), len(rotations) // (n_cells * len(p)))
     table = np.empty(shape, dtype=complex) if collect else None
 
+    # a band's bytes, as _CHUNK_BYTES counts them, at its chunk's residue count
     widest = max(len(combos) for combos, _ in monomials.values())
-    cell_bytes = 8 * (
-        (n - 1) * (field_L + 1) ** 2
-        + 5 * (2 * field_L + 1)
-        + 5 * dim_harmonic(n, field_L)
-        + 2 * (field_L + 1) * widest * n_fields
-        + 2 * (n_rows + op.shape[0]) * n_fields
-    )
-    per_chunk = max(1, _CHUNK_BYTES // cell_bytes)
-    chunks = [slice(c, min(c + per_chunk, n_cells)) for c in range(0, n_cells, per_chunk)]
+    fixed = 16 * degree.size * (1 + 2 * widest) + 8 * (n - 1) * (field_L + 1) ** 2
+    fixed += 16 * sum(len(combos) ** 2 for combos, _ in monomials.values())
+    per_slot = 16 * n_fields * (widest * (field_L + 1) + n_rows + op.shape[0])
+    chunks = [[]]
+    for b in np.lexsort((starts, slots)).tolist():
+        grown = (len(chunks[-1]) + 1) * (fixed + per_slot * slots[b])
+        if chunks[-1] and grown > _CHUNK_BYTES:
+            chunks.append([])
+        chunks[-1].append(b)
 
-    def scan_chunk(cells: slice):
-        n_chunk = cells.stop - cells.start
-        chunk_euler = np.zeros((n_chunk, m))
-        chunk_euler[:, :n] = centres[cells]
-        T = rotation_matrix(n, chunk_euler)
-        # Z[(col, l), c, (t, re/im)]: A_c^T applied to the degree components
-        # at the cell centres
-        Z = np.empty((n_rows, n_chunk, 2 * n_fields))
+    def scan_chunk(bands: list):
+        # each band has cycle slots, its residues r < slots[b] the first
+        cycles = slots[bands]
+        cycle = cycles[-1]
+        # each band's harmonics at azimuth 0 and its polar angles times
+        # e^(i k phi_0), and per power the action of Q T(theta, 0) on the
+        # charge monomials with e^(i (b - a) phi_0) on each, so that a
+        # coefficient of frequency nu carries e^(i nu phi_0)
+        polar, phi = centres[starts[bands], :-1], centres[starts[bands], -1]
+        harmonic = np.exp(1j * np.outer(phi, np.arange(-field_L, field_L + 1)))
+        harmonic = harmonic.take(order + field_L, axis=1) * _polar_values(n, field_L, polar).T
+        euler = np.zeros((len(bands), m))
+        euler[:, : n - 1] = polar
+        QT = v_charge @ rotation_matrix(n, euler)
+        # Z[band, (col, l), (r, t)]: each band's folded and turned vectors,
+        # made once the first power's fold arrays are freed
+        Z = None
         for j in filters:
-            comps = eval_degree_components(moments[j], centres[cells]).view(np.float64)
-            action = np.swapaxes(_monomial_action(T, *monomials[j]), 1, 2)
-            block = Z[rows[j]].reshape(action.shape[1], -1, n_chunk, 2 * n_fields)
-            # (l, c, mu, (t, re/im)) to (l, c, col, (t, re/im)), written in place
-            np.matmul(action, comps, out=block.transpose(1, 2, 0, 3))
-        Y = op @ Z.reshape(n_rows, -1)
+            width, count = place[j].shape
+            # coefficient (l, k) of moment mu folds onto the residue of its
+            # frequency mod C at degree l: folded[band, mu, l, r, t], with
+            # the real and imaginary parts of a target side by side
+            block = width * (field_L - j + 1) * cycle
+            pair = np.empty((len(bands), width, count, 2), dtype=np.intp)
+            target = pair[..., 0]
+            np.add(place[j] * cycle, block * np.arange(len(bands))[:, None, None], out=target)
+            target += frequency[j] % cycles[:, None, None]
+            target *= 2
+            np.add(target, 1, out=pair[..., 1])
+            folded = np.empty((len(bands) * block, n_fields), dtype=complex)
+            values = np.empty((len(bands), width, count), dtype=complex)
+            for t, moment in enumerate(moments[j]):
+                np.multiply(moment, harmonic[:, None, :count], out=values)
+                folded[:, t] = np.bincount(
+                    pair.ravel(), values.view(np.float64).ravel(), 2 * folded.shape[0]
+                ).view(complex)
+            del pair, target, values
+            if Z is None:
+                Z = np.empty((len(bands), n_rows, cycle * n_fields), dtype=complex)
+            turned = _monomial_action(QT, *monomials[j]) * np.exp(
+                1j * np.outer(phi, charges[j])
+            )[:, :, None]
+            np.matmul(
+                turned.transpose(0, 2, 1),
+                folded.reshape(len(bands), width, -1),
+                out=Z[:, rows[j]].reshape(len(bands), width, -1),
+            )
+        Y = np.matmul(op, Z.view(np.float64))
         if collect:
-            W = Y.view(complex).reshape(n_scales, len(p), n_chunk, n_fields)[..., 0]
-            table[:, cells] = W.transpose(0, 2, 1)[..., None]
+            W = Y.view(complex).reshape(len(bands), n_scales, len(p), cycle)
+            for b, g in zip(bands, W):
+                # the inverse DFT over the band's C cells: slot s holds residue
+                # s, or nu mod C for nu = s - slots[b] when C > slots[b] and
+                # s > field_L; the residues no frequency reaches are zero
+                C, slot = counts[b], np.arange(slots[b])
+                residue = slot + (C - slots[b]) * (slot > field_L)
+                dft = np.exp(2j * math.pi / C * (np.outer(residue, np.arange(C)) % C))
+                cells = g[..., : slots[b]] @ dft
+                table[:, starts[b] : starts[b] + C] = cells.transpose(0, 2, 1)[..., None]
             return None
         Y *= Y
-        per_cell = Y.sum(axis=0).reshape(n_chunk, -1)
-        return (cell_weights[cells] @ per_cell).reshape(n_fields, 2).sum(axis=1)
+        energy = Y.sum(axis=1).reshape(len(bands), cycle, n_fields, 2).sum(axis=(1, 3))
+        return band_weights[bands] @ energy
 
     if threads and threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             results = list(ex.map(scan_chunk, chunks))
     else:
-        results = [scan_chunk(cells) for cells in chunks]
+        results = [scan_chunk(bands) for bands in chunks]
     if collect:
         return table.reshape(n_scales, -1)
     return np.sum(results, axis=0)

@@ -15,12 +15,18 @@ paths against them:
 - ``direct_transform`` evaluates the rotated wavelet on the sphere grid for
   every rotation and scale and pairs it with the weighted field;
 - ``grid_monomial_moments`` multiplies fields by the monomials x^mu on the
-  sphere grid and analyses the products, the reference for the
+  sphere grid and analyses the products, the reference for
+  ``multiply_coordinates`` and, in the charge coordinates, for the
   coefficient-space products of ``transform._monomial_moments``;
 - ``per_scale_energies`` sums the frame energies one scale at a time: each
   outer cell's per-scale sums B, their product with the inner-point form's
   factor H and the square, the reference for the stacked triangular
-  operator of ``transform._scan``;
+  operator of ``transform._scan`` and for its latitude bands;
+- ``per_cell_table`` evaluates the transform table one outer cell at a
+  time: the degree components of the monomial moments at the cell's centre
+  (``eval_degree_components``), turned by the action of the cell's rotation
+  on the monomials and filtered, the reference for the latitude bands of
+  ``transform._scan``;
 - ``table_csv`` formats a transform table one entry at a time;
 - ``flat_rotation_rows`` builds a rotation grid's angle rows and weights one
   row per rotation, as the grid was once stored;
@@ -66,13 +72,14 @@ from sphereframes.harmonics import (
     HarmonicCoefficients,
     HarmonicIndex,
     SphereGrid,
+    _axis_rows,
+    _chain_coords,
     all_indices,
     analyze,
     angles_to_vector,
     build_sphere_grid,
     coefficient_count,
     dim_harmonic,
-    eval_degree_components,
     fourier_from_gegenbauer_factor,
     harmonic_normalization,
     synthesize,
@@ -96,6 +103,7 @@ from sphereframes.special_functions import (
     zonal_gauss_rule,
 )
 from sphereframes.transform import (
+    _charge_basis,
     _eval_monomials,
     _filters,
     _haar_normalization,
@@ -110,6 +118,38 @@ from sphereframes.wavelet_spectra import (
     _theta_derivative_tableau,
     zonal_hat,
 )
+
+
+def eval_degree_components(coeffs: HarmonicCoefficients, points) -> np.ndarray:
+    """sum_K a_lK Y_lK(x) for every degree l <= L at angle tuples x, shape (P, n).
+
+    Returns shape (L + 1, P) plus the trailing axes of coeffs.values.  Each
+    point gets every polar axis's normalized rows in one recurrence; a
+    degree's harmonics are then products of entries along their index
+    chains, contracted against that degree's coefficients before the next
+    degree is built, so the working set is the rows and one degree.
+    """
+    n, L = coeffs.n, coeffs.L
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != n:
+        raise ValueError(f"points need {n} angles for the {n}-sphere, got {pts.shape[1]}")
+    values = coeffs.values.reshape(coeffs.values.shape[0], -1)
+    coords = _chain_coords(n, L)
+    chain = coords[:-1] + (np.abs(coords[-1]),)
+    every = np.arange(L + 1)
+    rows = [_axis_rows((n - tau) / 2, np.cos(pts[:, tau - 1]), L, every) for tau in range(1, n)]
+    phase = np.exp(1j * np.arange(-L, L + 1)[:, None] * pts[:, n - 1])
+    out = np.empty((L + 1, pts.shape[0], values.shape[1]), dtype=complex)
+    starts = np.searchsorted(coords[0], np.arange(L + 2))  # coefficients run by degree
+    for l in range(L + 1):
+        block = slice(starts[l], starts[l + 1])
+        Y = phase[coords[-1][block] + L]
+        for tau in range(1, n):
+            kk = chain[tau][block]
+            Y = Y * rows[tau - 1][kk, chain[tau - 1][block] - kk]
+        out[l] = Y.T @ values[block]
+    out *= math.sqrt(surface_area(n) / (2.0 * math.pi))
+    return out.reshape((L + 1, pts.shape[0]) + coeffs.values.shape[1:])
 
 
 def grid_response_norms(n: int, d: int, L: int) -> np.ndarray:
@@ -254,21 +294,28 @@ def direct_transform(n: int, profile, field, scales, rotations, sphere) -> np.nd
     return out
 
 
-def grid_monomial_moments(fields, field_L: int, degrees, sphere: SphereGrid) -> dict:
+def grid_monomial_moments(
+    fields, field_L: int, degrees, sphere: SphereGrid, charged: bool = False
+) -> dict:
     """moments[j]: coefficients of x^mu f to degree field_L - j for the
     degree-j monomials mu of transform._monomials, one column per (mu,
     field), through the sphere grid: every field (a one-column coefficient
     table) is synthesized, multiplied by each monomial at the nodes and
-    analysed.  The grid integrates x^mu f Y exactly when its band is at
-    least field_L and the fields' bands."""
+    analysed.  With charged, the monomials are in the charge coordinates
+    (x_0, ..., x_(n-2), z, conj(z)), z = x_(n-1) + i x_n.  The grid
+    integrates x^mu f Y exactly when its band is at least field_L and the
+    fields' bands."""
     n = sphere.n
     samples = np.stack([synthesize(f, sphere) for f in fields], axis=1)
+    points = angles_to_vector(n, sphere.angles)
+    if charged:
+        points = points @ _charge_basis(n)[0].T
     moments = {}
     for j in degrees:
         combos, _ = _monomials(n, j)
         parts = [
             analyze(xm[:, None] * samples, sphere, field_L - j).values
-            for xm in _eval_monomials(angles_to_vector(n, sphere.angles), combos).T
+            for xm in _eval_monomials(points, combos).T
         ]
         moments[j] = HarmonicCoefficients(n, field_L - j, np.stack(parts, axis=1))
     return moments
@@ -279,10 +326,11 @@ def per_scale_energies(n: int, profile, fields, scales, rotations) -> np.ndarray
     one scale at a time.
 
     Each outer cell c has the per-scale sums B[c, col, s] = filters[j][s] @
-    (A_c^T comps), comps the degree components of the monomial moments at
-    the cell's centre; a cell's inner rotations contribute sum_s w_s
-    |H B[c, :, s]|^2 with H the triangular factor of the inner points'
-    weighted monomials.  Every cell is held at once, and the nonnegative
+    (A_c^T comps), comps the degree components of the moments of the charge
+    monomials at the cell's centre and A_c the action of V T_c on the
+    weighted monomials, V the charge basis; a cell's inner rotations
+    contribute sum_s w_s |H B[c, :, s]|^2 with H the triangular factor of the
+    inner points' weighted monomials.  Every cell is held at once, and the nonnegative
     terms are summed with math.fsum.
     """
     field_L = max(f.L for f in fields)
@@ -308,7 +356,8 @@ def per_scale_energies(n: int, profile, fields, scales, rotations) -> np.ndarray
     n_cells = centres.shape[0]
     euler = np.zeros((n_cells, m))
     euler[:, :n] = centres
-    T = rotation_matrix(n, euler)
+    # the moments are of the charge monomials, x' = X x with V = X^(-T)
+    T = _charge_basis(n)[1] @ rotation_matrix(n, euler)
     blocks = []
     for j, filt in filters.items():
         comps = eval_degree_components(moments[j], centres)  # (l, c, mu, t)
@@ -320,6 +369,35 @@ def per_scale_energies(n: int, profile, fields, scales, rotations) -> np.ndarray
     cell_weights = rotations.measures[0] / _haar_normalization(n)
     terms = cell_weights[:, None, None, None] * scales.weights[:, None] * Y
     return np.array([math.fsum(terms[..., t].ravel()) for t in range(n_fields)])
+
+
+def per_cell_table(n: int, profile, field, scales, rotations) -> np.ndarray:
+    """W[j, g] one outer cell at a time, for every inner point p of the
+    S^(n-1) factor: sum over the powers j and degrees l of filters[j][s, l]
+    times the degree-l components of the moments x'^mu f of the charge
+    monomials at the cell's centre U, paired with m_j(V' T_c p) = A_c m_j(p),
+    A_c the action of V' T_c on the weighted monomials, V' the charge basis
+    of the moments and T_c the cell's rotation.  The smaller factors fix U
+    and T_c p, so their rotations repeat the value."""
+    L = field.L
+    filters = _filters(n, profile, L, scales)
+    moments = _monomial_moments(n, field.coeffs.values[:, None], L, filters)
+    m = n * (n + 1) // 2
+    euler = np.zeros((rotations.sizes[1], m))
+    euler[:, n : 2 * n - 1] = rotations.centres[1]
+    p = rotation_matrix(n, euler)[:, :, 1]
+    centres = rotations.centres[0]
+    euler = np.zeros((centres.shape[0], m))
+    euler[:, :n] = centres
+    T = _charge_basis(n)[1] @ rotation_matrix(n, euler)  # for the charge monomials
+    W = np.zeros((len(scales), centres.shape[0], len(p)), dtype=complex)
+    for j, filt in filters.items():
+        combos, w = _monomials(n, j)
+        comps = eval_degree_components(moments[j], centres)[..., 0]  # (l, c, mu)
+        turned = _monomial_action(T, combos, w) @ (w * _eval_monomials(p, combos)).T
+        W += np.einsum("sl,lcm,cmp->scp", filt, comps, turned)
+    inner = len(rotations) // W[0].size
+    return np.repeat(W[..., None], inner, axis=-1).reshape(len(scales), -1)
 
 
 def table_csv(values: np.ndarray) -> str:

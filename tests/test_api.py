@@ -41,7 +41,12 @@ GONE = {
         "gegenbauer_squared_norm",
         "funk_hecke_factor",
     ),
-    "harmonics": ("eval_harmonic", "gegenbauer_coeff_from_fourier", "vector_to_angles"),
+    "harmonics": (
+        "eval_harmonic",
+        "gegenbauer_coeff_from_fourier",
+        "vector_to_angles",
+        "eval_degree_components",
+    ),
     "rotation_grid": ("apply_rotation", "PartitionCell"),
     "scale_grid": ("_degree_energies",),
     "wavelet_spectra": (

@@ -277,3 +277,23 @@ def test_shipped_quickstart_config_passes(tmp_path):
     assert main(["certify", "--config", str(QUICKSTART), "--out", str(tmp_path)]) == 0
     doc = json.loads(read(tmp_path / "frame_report.json"))
     assert doc["verdict"] == "pass"
+
+
+def test_control_after_a_pass_writes_the_bytes_it_writes_first(tmp_path):
+    # the parser is built once per import, so a run must leave nothing in it
+    # for the next: the negative control writes the same files before and
+    # after a passing certify in the same process
+    conf = tmp_path / "certify.conf"
+    conf.write_text(
+        "[run]\nn = 2\nband_limit = 8\nseed = 1\n[profile]\npreset = abel-poisson\nd = 1\n"
+        "[scales]\nratio = 1.5\n[rotations]\ndelta = 0.45, 0.45\n"
+        "[certify]\ntrials = 10\ntolerance = 0.1\n"
+    )
+    base = ["certify", "--config", str(conf), "--threads", "1"]
+    control = base + ["--delta", "3.141592653589793", "6.283185307179586", "--out"]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(control + [str(first)]) == 2
+    assert main(base + ["--out", str(tmp_path / "pass")]) == 0
+    assert main(control + [str(second)]) == 2
+    for name in ("frame_report.json", "trial_ratios.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import eval_harmonic, gegenbauer, grid_monomial_moments, vector_to_angles
+from oracles import (
+    eval_degree_components,
+    eval_harmonic,
+    gegenbauer,
+    grid_monomial_moments,
+    vector_to_angles,
+)
 
 from sphereframes.harmonics import (
     HarmonicCoefficients,
@@ -19,8 +25,8 @@ from sphereframes.harmonics import (
     build_sphere_grid,
     coefficient_count,
     dim_harmonic,
+    _polar_values,
     enumerate_indices,
-    eval_degree_components,
     fourier_from_gegenbauer_factor,
     harmonic_basis,
     harmonic_normalization,
@@ -167,6 +173,23 @@ def test_degree_components_match_dense_basis_and_eval_harmonic(n, L):
         want[idx.l] += eval_harmonic(n, idx, points)[:, None] * values[row]
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n,L", [(2, 9), (3, 6), (4, 4)])
+def test_polar_values_are_the_harmonics_at_azimuth_zero(n, L):
+    # every harmonic at polar angles theta and azimuth phi is the value at
+    # azimuth 0 times e^(i k phi), k its signed last index; the poles included
+    rng = np.random.default_rng(n)
+    polar = rng.uniform(0.0, math.pi, size=(5, n - 1))
+    polar[0, 0], polar[1, 0] = 0.0, math.pi
+    got = _polar_values(n, L, polar)
+    assert got.shape == (coefficient_count(n, L), 5) and got.dtype == np.float64
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=5)
+    points = np.column_stack([polar, phi])
+    for row, idx in enumerate(all_indices(n, L)):
+        want = eval_harmonic(n, idx, points)
+        moved = got[row] * np.exp(1j * idx.k[-1] * phi)
+        assert np.max(np.abs(moved - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_round_trip_at_band_128():

@@ -7,13 +7,14 @@ from oracles import (
     direct_transform,
     directional_coeffs,
     grid_monomial_moments,
+    per_cell_table,
     per_scale_energies,
     table_csv,
 )
 
 from sphereframes import transform, wavelet_spectra
 from sphereframes.harmonics import HarmonicCoefficients, build_sphere_grid, coefficient_count
-from sphereframes.rotation_grid import RotationGrid, build_rotation_grid
+from sphereframes.rotation_grid import RotationGrid, build_rotation_grid, rotation_matrix
 from sphereframes.scale_grid import build_scale_grid, scale_grid_for_profile
 from sphereframes.transform import (
     TestField,
@@ -146,7 +147,6 @@ def test_thread_count_does_not_change_values(monkeypatch):
             return super().map(fn, chunks, **kwargs)
 
     monkeypatch.setattr(transform, "ThreadPoolExecutor", CountingPool)
-    default_chunk = transform._CHUNK_BYTES
     # 64 KiB chunks split the 71 outer cells of the (1.0, 1.0) grid, so
     # threads=2 runs the pool
     monkeypatch.setattr(transform, "_CHUNK_BYTES", 2**16)
@@ -161,8 +161,9 @@ def test_thread_count_does_not_change_values(monkeypatch):
     two = wavelet_analysis(n, prof, f, scales, rot, sphere, threads=2)
     assert len(pooled) == 1 and 2 <= pooled[0] < 71
     np.testing.assert_array_equal(one.values, two.values)
-    # at n=4 the 5006 outer cells of the (2.5)^4 grid run in several chunks
-    monkeypatch.setattr(transform, "_CHUNK_BYTES", default_chunk)
+    # at n=4 the 126 sub-bands of the (2.5)^4 grid's 5006 outer cells take
+    # about 4.7 MB, so 1 MiB chunks split them
+    monkeypatch.setattr(transform, "_CHUNK_BYTES", 2**20)
     n, L = 4, 4
     prof = make_preset("abel-poisson", n, d=1)
     rot = build_rotation_grid(n, (2.5,) * n)
@@ -184,6 +185,91 @@ def _cell_sample(grid, *cells):
     )
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cell_rotation_is_its_azimuth_after_its_polar_part(n):
+    # T(theta, phi) = P_phi T(theta, 0), P_phi the rotation by phi in the
+    # last plane, whatever the inner factors
+    rng = np.random.default_rng(n)
+    euler = rng.uniform(0.0, 2.0 * math.pi, size=(6, n * (n + 1) // 2))
+    polar = euler.copy()
+    polar[:, n - 1] = 0.0
+    c, s = np.cos(euler[:, n - 1]), np.sin(euler[:, n - 1])
+    P = np.zeros((6, n + 1, n + 1))
+    P[:, range(n - 1), range(n - 1)] = 1.0
+    P[:, n - 1 :, n - 1 :] = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    np.testing.assert_allclose(
+        rotation_matrix(n, euler), P @ rotation_matrix(n, polar), rtol=0, atol=1e-15
+    )
+
+
+def test_latitude_bands_are_whole_circles_of_uniform_arcs():
+    full = build_rotation_grid(2, (0.45, 0.45))
+    starts, counts = transform._latitude_bands(full.centres[0], full.measures[0])
+    assert counts.tolist() == [15, 28, 38, 44, 47, 47, 44, 38, 28, 15]
+    assert starts.tolist() == [0, *np.cumsum(counts)[:-1]]
+    # the innermost circles of the higher spheres' bands
+    for n, delta, bands in ((3, 0.9, 69), (4, 1.6, 410)):
+        grid = build_rotation_grid(n, (delta,) * n)
+        starts, counts = transform._latitude_bands(grid.centres[0], grid.measures[0])
+        assert len(starts) == bands and counts.sum() == grid.sizes[0] and counts.min() > 1
+    # a whole band stays one; parts of bands, a permuted band and the
+    # identity are bands of one
+    for cut, want in (
+        ((range(15),), [15]),
+        ((range(14),), [1] * 14),
+        (((0, 1),), [1, 1]),
+        (((0, 7, 19, 31),), [1] * 4),
+        ((np.random.default_rng(0).permutation(15),), [1] * 15),
+    ):
+        grid = _cell_sample(full, *cut)
+        assert transform._latitude_bands(grid.centres[0], grid.measures[0])[1].tolist() == want
+    grid = _identity_grid(2)
+    assert transform._latitude_bands(grid.centres[0], grid.measures[0])[1].tolist() == [1]
+
+
+def _first_bands(n, deltas, bands, inner):
+    """The product grid cut to the first whole latitude bands of its outer
+    factor, and with inner=False every inner factor cut to one cell, so that
+    the table has one column per outer cell."""
+    full = build_rotation_grid(n, deltas)
+    starts, counts = transform._latitude_bands(full.centres[0], full.measures[0])
+    outer = range(full.sizes[0] if bands is None else starts[bands - 1] + counts[bands - 1])
+    return _cell_sample(full, outer, *([] if inner else [[0]] * (n - 1)))
+
+
+# (n, L, caps, d, bands kept): at n=2, L=8 the bands hold 15-47 cells
+# against 17 frequencies, so a band of more cells has empty residues; at L=64
+# 3 bands of 10-12 cells fold 129 frequencies; at n=3 and n=4 the bands are
+# the sub-bands of the innermost circle, the first of 14 and of 12 cells
+# against 17 and 13 frequencies, the others of 23-51 cells
+BAND_CONFIGS = (
+    [(2, 8, (0.45, 0.45), d, None) for d in range(4)]
+    + [(2, 64, (1.6, 1.6), 1, None), (2, 16, (1.0, 0.45), 3, None)]
+    + [(3, 8, (0.9,) * 3, d, 12) for d in range(4)]
+    + [(4, 6, (1.6,) * 4, d, 15) for d in range(4)]
+)
+
+
+@pytest.mark.parametrize("n, L, deltas, d, bands", BAND_CONFIGS)
+def test_bands_match_the_per_cell_oracles(n, L, deltas, d, bands):
+    prof = make_preset("abel-poisson", n, d=d)
+    scales = scale_grid_for_profile(n, prof, 1.5, L)
+    fields = [random_bandlimited(n, L, 0, s) for s in np.random.SeedSequence(n + L + d).spawn(3)]
+    grid = _first_bands(n, deltas, bands, inner=True)
+    got = transform_energies(n, prof, fields, scales, grid)
+    np.testing.assert_allclose(got, per_scale_energies(n, prof, fields, scales, grid), rtol=1e-12)
+    grid = _first_bands(n, deltas, bands, inner=False)
+    table = wavelet_analysis(n, prof, fields[0], scales, grid).values
+    want = per_cell_table(n, prof, fields[0], scales, grid)
+    assert np.max(np.abs(table - want)) <= 1e-12 * np.max(np.abs(want))
+    # the same cells in reverse order are bands of one
+    cut = _cell_sample(grid, np.arange(grid.sizes[0])[::-1])
+    assert transform._latitude_bands(cut.centres[0], cut.measures[0])[1].max() == 1
+    table = wavelet_analysis(n, prof, fields[0], scales, cut).values
+    want = per_cell_table(n, prof, fields[0], scales, cut)
+    assert np.max(np.abs(table - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_monomial_action_moves_weighted_monomials(n):
     # m(T v) = A m(v) for the weighted monomials m of each degree, any T
@@ -201,15 +287,16 @@ def test_monomial_action_moves_weighted_monomials(n):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("L", [0, 1, 2, 8, 33])
 def test_monomial_moments_match_grid_oracle(n, L):
-    # x^mu f for every monomial of degree j <= 2, from the coefficients by
-    # repeated coordinate products, against the sphere-grid round trip
+    # x'^mu f for every charge monomial of degree j <= 2, from the
+    # coefficients by repeated coordinate products, against the sphere-grid
+    # round trip
     rng = np.random.default_rng(L)
     count = coefficient_count(n, L)
     values = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
     fields = [HarmonicCoefficients(n, L, v) for v in values.T]
     degrees = range(min(L, 2) + 1)
     got = transform._monomial_moments(n, values, L, degrees)
-    want = grid_monomial_moments(fields, L, degrees, build_sphere_grid(n, L))
+    want = grid_monomial_moments(fields, L, degrees, build_sphere_grid(n, L), charged=True)
     assert got.keys() == want.keys()
     for j in degrees:
         assert got[j].L == want[j].L == L - j
@@ -323,7 +410,10 @@ def test_energies_match_per_scale_oracle(name, n, d, L, deltas):
     fields = [random_bandlimited(n, L, 0, s) for s in np.random.SeedSequence(L + d).spawn(3)]
     got = transform_energies(n, prof, fields, scales, rot)
     want = per_scale_energies(n, prof, fields, scales, rot)
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    # the energy is ill-conditioned in Z where the operator cancels: a change
+    # of 1e-16 in every entry moves the L=64, d=2 energies by up to 6e-14,
+    # and the bands round in another order than the cells (2.6e-13 observed)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n, L, deltas", [(2, 16, (0.6, 0.6)), (3, 8, (2.0, 2.0, 2.0))])

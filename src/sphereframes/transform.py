@@ -136,13 +136,14 @@ class TransformTable:
         )
 
 
-# Bytes of one chunk of latitude bands: a band's polar rows, and per
-# coefficient its harmonics, fold targets and one field's weighted moments,
-# and per residue its folded vectors, Z and the operator's product (or the
-# chunk's table entries).  The moments and the operator are held for the
-# whole call, outside it.  A chunk holds at least one band, so the real bound
-# is max(_CHUNK_BYTES, one band): at n=2, L=128 a band of 100 cells and 10
-# fields takes about 16 MB.
+# Bytes of one chunk of latitude bands: a band's polar rows and monomial
+# actions, per coefficient its harmonics, fold targets and one field's
+# weighted moments, and per residue and field of a batch its folded vectors,
+# Z and the operator's product (or the chunk's table entries).  The moments
+# and the operator are held for the whole call, outside it.  A chunk holds at
+# least one band and a batch at least one field, so the real bound is
+# max(_CHUNK_BYTES, one band at one field): at n=2, L=256, delta=0.1 the
+# largest band, 209 cells, counts 17.5 MB at one field (11.3 MB traced).
 _CHUNK_BYTES = 8 * 2**20
 
 # Largest distance of a band's azimuths from phi_0 + 2 pi c / C: rounding of
@@ -309,7 +310,7 @@ def _scan(
 ):
     """Frame energies of a batch of fields over the factored rotation grid,
     each latitude band of outer cells summed in closed form; or, with
-    collect, the first field's transform table.
+    collect, the transform table of a batch of one field.
 
     W f(rho, R) = sum over the wavelet terms y2^j G_j(y1) of the pairing of
     G_j(U . x) with (V . x)^j f(x), U = R e_1 and V = R e_2.  Expanding
@@ -352,8 +353,9 @@ def _scan(
     order of their residue counts, in chunks of at most _CHUNK_BYTES or one
     band, which bounds memory independently of the inner grid and of the
     thread count; a chunk gives each band as many residues as its last,
-    with zeros past the band's own.  The table has one column per rotation,
-    in the grid's row order.
+    with zeros past the band's own, and takes the fields in batches, all at
+    once unless the band of most residues would then pass the budget.  The
+    table has one column per rotation, in the grid's row order.
     """
     if collect:
         rotations.check_flat()
@@ -418,9 +420,15 @@ def _scan(
 
     # a band's bytes, as _CHUNK_BYTES counts them, at its chunk's residue count
     widest = max(len(combos) for combos, _ in monomials.values())
-    fixed = 16 * degree.size * (1 + 2 * widest) + 8 * (n - 1) * (field_L + 1) ** 2
+    fixed = 16 * (degree.size * (1 + widest) + sum(place[j].size for j in filters))
+    fixed += 8 * (n - 1) * (field_L + 1) ** 2
     fixed += 16 * sum(len(combos) ** 2 for combos, _ in monomials.values())
-    per_slot = 16 * n_fields * (widest * (field_L + 1) + n_rows + op.shape[0])
+    per_field = 16 * (widest * (field_L + 1) + n_rows + op.shape[0])
+    # fields per batch: all of them, or as many as keep the band of most
+    # residues within budget, at least one, spread evenly over the batches
+    group = int(np.clip((_CHUNK_BYTES - fixed) // (per_field * slots.max()), 1, n_fields))
+    group = -(-n_fields // -(-n_fields // group))
+    per_slot = per_field * group
     chunks = [[]]
     for b in np.lexsort((starts, slots)).tolist():
         grown = (len(chunks[-1]) + 1) * (fixed + per_slot * slots[b])
@@ -442,55 +450,69 @@ def _scan(
         euler = np.zeros((len(bands), m))
         euler[:, : n - 1] = polar
         QT = v_charge @ rotation_matrix(n, euler)
-        # Z[band, (col, l), (r, t)]: each band's folded and turned vectors,
-        # made once the first power's fold arrays are freed
-        Z = None
+        # per power the action of Q T(theta, 0), and the targets of the fold:
+        # coefficient (l, k) of moment mu goes to the residue of its
+        # frequency mod C at degree l, folded[band, mu, l, r], with the real
+        # and imaginary parts of a target side by side
+        turned, folds = {}, {}
         for j in filters:
-            width, count = place[j].shape
-            # coefficient (l, k) of moment mu folds onto the residue of its
-            # frequency mod C at degree l: folded[band, mu, l, r, t], with
-            # the real and imaginary parts of a target side by side
-            block = width * (field_L - j + 1) * cycle
-            pair = np.empty((len(bands), width, count, 2), dtype=np.intp)
+            turned[j] = _monomial_action(QT, *monomials[j]) * np.exp(
+                1j * np.outer(phi, charges[j])
+            )[:, :, None]
+            block = place[j].shape[0] * (field_L - j + 1) * cycle
+            pair = np.empty((len(bands),) + place[j].shape + (2,), dtype=np.intp)
             target = pair[..., 0]
             np.add(place[j] * cycle, block * np.arange(len(bands))[:, None, None], out=target)
             target += frequency[j] % cycles[:, None, None]
             target *= 2
             np.add(target, 1, out=pair[..., 1])
-            folded = np.empty((len(bands) * block, n_fields), dtype=complex)
-            values = np.empty((len(bands), width, count), dtype=complex)
-            for t, moment in enumerate(moments[j]):
-                np.multiply(moment, harmonic[:, None, :count], out=values)
-                folded[:, t] = np.bincount(
-                    pair.ravel(), values.view(np.float64).ravel(), 2 * folded.shape[0]
-                ).view(complex)
-            del pair, target, values
-            if Z is None:
-                Z = np.empty((len(bands), n_rows, cycle * n_fields), dtype=complex)
-            turned = _monomial_action(QT, *monomials[j]) * np.exp(
-                1j * np.outer(phi, charges[j])
-            )[:, :, None]
-            np.matmul(
-                turned.transpose(0, 2, 1),
-                folded.reshape(len(bands), width, -1),
-                out=Z[:, rows[j]].reshape(len(bands), width, -1),
-            )
-        Y = np.matmul(op, Z.view(np.float64))
-        if collect:
-            W = Y.view(complex).reshape(len(bands), n_scales, len(p), cycle)
-            for b, g in zip(bands, W):
-                # the inverse DFT over the band's C cells: slot s holds residue
-                # s, or nu mod C for nu = s - slots[b] when C > slots[b] and
-                # s > field_L; the residues no frequency reaches are zero
-                C, slot = counts[b], np.arange(slots[b])
-                residue = slot + (C - slots[b]) * (slot > field_L)
-                dft = np.exp(2j * math.pi / C * (np.outer(residue, np.arange(C)) % C))
-                cells = g[..., : slots[b]] @ dft
-                table[:, starts[b] : starts[b] + C] = cells.transpose(0, 2, 1)[..., None]
-            return None
-        Y *= Y
-        energy = Y.sum(axis=1).reshape(len(bands), cycle, n_fields, 2).sum(axis=(1, 3))
-        return band_weights[bands] @ energy
+            folds[j] = pair.ravel(), len(bands) * block
+        energy = []
+        for first in range(0, n_fields, group):
+            batch = range(first, min(first + group, n_fields))
+            # Z[band, (col, l), (r, t)]: each band's folded and turned vectors
+            # of the batch's fields t, made once the first power's fold is done
+            Z = None
+            for j in filters:
+                width, count = place[j].shape
+                pair, size = folds[j]
+                folded = np.empty((size, len(batch)), dtype=complex)
+                values = np.empty((len(bands), width, count), dtype=complex)
+                for i, t in enumerate(batch):
+                    np.multiply(moments[j][t], harmonic[:, None, :count], out=values)
+                    folded[:, i] = np.bincount(
+                        pair, values.view(np.float64).ravel(), 2 * size
+                    ).view(complex)
+                del values
+                if Z is None:
+                    Z = np.empty((len(bands), n_rows, cycle * len(batch)), dtype=complex)
+                np.matmul(
+                    turned[j].transpose(0, 2, 1),
+                    folded.reshape(len(bands), width, -1),
+                    out=Z[:, rows[j]].reshape(len(bands), width, -1),
+                )
+                del folded
+            Y = np.matmul(op, Z.view(np.float64))
+            del Z
+            if collect:
+                W = Y.view(complex).reshape(len(bands), n_scales, len(p), cycle)
+                for b, g in zip(bands, W):
+                    # the band's C cells are an unscaled inverse FFT of its
+                    # residues: slot s holds residue s, or s + C - slots[b]
+                    # when C > slots[b] and s > field_L; the residues no
+                    # frequency reaches are zero
+                    C, g = counts[b], g[..., : slots[b]]
+                    if C > slots[b]:
+                        gap = np.zeros(g.shape[:-1] + (C - slots[b],))
+                        g = np.concatenate(
+                            [g[..., : field_L + 1], gap, g[..., field_L + 1 :]], axis=-1
+                        )
+                    cells = np.fft.ifft(g, axis=-1, norm="forward")
+                    table[:, starts[b] : starts[b] + C] = cells.transpose(0, 2, 1)[..., None]
+                return None
+            Y *= Y
+            energy.append(Y.sum(axis=1).reshape(len(bands), cycle, len(batch), 2).sum(axis=(1, 3)))
+        return band_weights[bands] @ np.concatenate(energy, axis=1)
 
     if threads and threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:

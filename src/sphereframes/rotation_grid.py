@@ -240,15 +240,19 @@ class RotationGrid:
         }
 
     def to_csv(self) -> str:
+        from ._csvtext import csv_text  # on first use: its tables take 1.7 ms and 1.2 MB
+
         names = []
         for J in range(self.n, 0, -1):
             names.extend(f"theta{J}_{i}" for i in range(1, J))
             names.append(f"phi{J}")
-        lines = ["# " + json.dumps(self.header())]
-        lines.append(",".join(names) + ",weight")
-        for row, w in zip(self.angles, self.weights):
-            lines.append(",".join(f"{v:.17g}" for v in row) + f",{w:.17g}")
-        return "\n".join(lines) + "\n"
+        header = "# " + json.dumps(self.header()) + "\n" + ",".join(names) + ",weight\n"
+        angles, weights = self.angles, self.weights
+
+        def columns(lo, hi):
+            return [*angles[lo:hi].T, weights[lo:hi]]
+
+        return csv_text(header, len(self), columns)
 
 
 def build_rotation_grid(

@@ -125,15 +125,17 @@ class TransformTable:
             )
 
     def to_csv(self) -> str:
-        """One "j,g,re,im" line per entry, scale-major, parts in %.17g: each
-        scale row is one %-format, its j,g prefixes written into the template."""
-        n_scales, n_rotations = self.values.shape
-        lines = [f"{g},%.17g,%.17g\n" for g in range(n_rotations)]
-        rows = np.stack([self.values.real, self.values.imag], axis=-1)
-        return "j,g,re,im\n" + "".join(
-            (f"{j}," + f"{j},".join(lines)) % tuple(row)
-            for j, row in enumerate(rows.reshape(n_scales, -1).tolist())
-        )
+        """One "j,g,re,im" line per entry, scale-major, parts in %.17g."""
+        from ._csvtext import csv_text  # on first use: its tables take 1.7 ms and 1.2 MB
+
+        n_rotations = self.values.shape[1]
+        flat = self.values.reshape(-1)
+
+        def columns(lo, hi):
+            j, g = np.divmod(np.arange(lo, hi), n_rotations)
+            return [j, g, flat[lo:hi].real, flat[lo:hi].imag]
+
+        return csv_text("j,g,re,im\n", flat.size, columns)
 
 
 # Bytes of one chunk of latitude bands: a band's polar rows and monomial

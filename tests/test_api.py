@@ -166,6 +166,11 @@ def test_import_loads_no_numpy_polynomial():
     assert out == [], f"importing sphereframes loads numpy.polynomial modules: {out[:5]}"
 
 
+def test_import_leaves_the_csv_writer_to_its_first_use():
+    # its tables cost runs that write no transform or rotation-grid CSV
+    assert "sphereframes._csvtext" not in _modules_imported_under("sphereframes")
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names an import binds that the module never reads and __all__ does not list."""
     tree = ast.parse(source)

@@ -12,7 +12,7 @@ from oracles import (
     table_csv,
 )
 
-from sphereframes import transform, wavelet_spectra
+from sphereframes import _csvtext, transform, wavelet_spectra
 from sphereframes.harmonics import HarmonicCoefficients, build_sphere_grid, coefficient_count
 from sphereframes.rotation_grid import RotationGrid, build_rotation_grid, rotation_matrix
 from sphereframes.scale_grid import build_scale_grid, scale_grid_for_profile
@@ -587,3 +587,19 @@ def test_table_csv_matches_per_entry_formatter():
     assert {"0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324"} <= set(
         text.replace("\n", ",").split(",")
     )
+
+
+def test_mixed_magnitude_table_matches_per_entry_formatter():
+    # both notations, both signs, round numbers, exact ties and the values
+    # formatted one at a time, over 3 x 880 entries: more than one block
+    rng = np.random.default_rng(24)
+    scales = build_scale_grid(1.0, 1.5, 2)
+    rot = build_rotation_grid(2, (0.8, 0.8))
+    shape = (len(scales), len(rot))
+    values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 18, shape)
+    values = values + 1j * rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 1, shape)
+    special = [1.0, -1000.0, 0.5, 1e-5, 1e16, 1e17, 1000000000000000.25, 0.0, -np.inf, 3e-310]
+    values.real.flat[: 17 * len(special) : 17] = special
+    table = TransformTable(values, scales, rot)
+    assert values.size > _csvtext._BLOCK_BYTES // (4 * _csvtext._COLUMN_BYTES)
+    assert table.to_csv() == table_csv(values)

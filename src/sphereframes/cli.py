@@ -196,17 +196,23 @@ def load_config(args) -> RunConfig:
     return cfg
 
 
-def _write(cfg: RunConfig, name: str, text: str) -> str:
+# Characters per write: texts go out in slices, never encoded whole at once.
+_WRITE_SLICE = 2**20
+
+
+def _write(cfg: RunConfig, name: str, *texts: str) -> str:
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, name)
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        for text in texts:
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start : start + _WRITE_SLICE])
     log.info("wrote %s", path)
     return path
 
 
 def _config_comment(cfg: RunConfig) -> str:
-    return "# config " + json.dumps(cfg.resolved(), separators=(",", ":"))
+    return "# config " + json.dumps(cfg.resolved(), separators=(",", ":")) + "\n"
 
 
 def _scale_grid_from(cfg: RunConfig) -> scale_grid.ScaleGrid:
@@ -219,7 +225,7 @@ def _scale_grid_from(cfg: RunConfig) -> scale_grid.ScaleGrid:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     table = wavelet_spectra.build_beta_table(cfg.n, cfg.profile, cfg.band_limit)
-    _write(cfg, "beta.csv", _config_comment(cfg) + "\n" + table.to_csv())
+    _write(cfg, "beta.csv", _config_comment(cfg), table.to_csv())
     doc = {
         "A": table.A,
         "B": table.B,
@@ -234,7 +240,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 def cmd_scale_grid(cfg: RunConfig) -> int:
     grid = _scale_grid_from(cfg)
     report = scale_grid.epsilon_report(cfg.n, cfg.profile, grid, cfg.band_limit)
-    _write(cfg, "scale_report.csv", _config_comment(cfg) + "\n" + report.to_csv())
+    _write(cfg, "scale_report.csv", _config_comment(cfg), report.to_csv())
     doc = report.summary()
     doc["config"] = cfg.resolved()
     _write(cfg, "scale_report.json", json.dumps(doc, indent=2) + "\n")
@@ -246,7 +252,7 @@ def cmd_rot_grid(cfg: RunConfig) -> int:
     if cfg.delta is None:
         raise ValueError("rot-grid needs --delta (or [rotations] delta in the config)")
     grid = rotation_grid.build_rotation_grid(cfg.n, cfg.delta, cfg.max_elements)
-    _write(cfg, "rotation_grid.csv", _config_comment(cfg) + "\n" + grid.to_csv())
+    _write(cfg, "rotation_grid.csv", _config_comment(cfg), grid.to_csv())
     doc = grid.header()
     doc["total_weight"] = grid.total_weight
     doc["config"] = cfg.resolved()
@@ -264,7 +270,7 @@ def cmd_transform(cfg: RunConfig) -> int:
     table = transform.wavelet_analysis(
         cfg.n, cfg.profile, field, scales, rotations, threads=cfg.worker_threads()
     )
-    _write(cfg, "transform.csv", _config_comment(cfg) + "\n" + table.to_csv())
+    _write(cfg, "transform.csv", _config_comment(cfg), table.to_csv())
     beta = wavelet_spectra.build_beta_table(cfg.n, cfg.profile, cfg.band_limit)
     doc = {
         "energy": transform.frame_energy(table),
@@ -299,7 +305,7 @@ def cmd_certify(cfg: RunConfig) -> int:
         "frame_report.json",
         report.to_json(extra={"config": cfg.resolved()}) + "\n",
     )
-    _write(cfg, "trial_ratios.csv", _config_comment(cfg) + "\n" + report.ratios_csv())
+    _write(cfg, "trial_ratios.csv", _config_comment(cfg), report.ratios_csv())
     log.info(
         "verdict %s (eps=%.3g, delta=%.3g)",
         "pass" if report.verdict else "fail",

@@ -146,12 +146,16 @@ def certify_frame(
     verification (the discrete transform over the rotation grid, computed in
     coefficient space) computes E for n = 2 by default and for any n when
     ``spatial=True``.  Otherwise the check stays on the spectral side, where
-    E is S and delta_hat = 0.
+    E is S and delta_hat = 0.  Missing or wrong caps raise before any work.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if spatial is None:
         spatial = n == 2
+    if spatial:
+        if delta_list is None:
+            raise ValueError("spatial certification needs the rotation caps delta_list")
+        rot = build_rotation_grid(n, delta_list, max_elements)
 
     beta = build_beta_table(n, profile, L)
     A, B = wavelet_bounds(beta)
@@ -178,12 +182,10 @@ def certify_frame(
         "mode": "spatial" if spatial else "spectral",
     }
     if spatial:
-        deltas = tuple(float(x) for x in delta_list)
-        rot = build_rotation_grid(n, deltas, max_elements)
         # the kernel of transform_energies, without the sphere_grid argument
         # that it ignores and perfbench's tracer reads
         energies = _scan(n, profile, fields, L, scales, rot, threads)
-        grid_info.update({"delta": list(deltas), "rotation_sizes": list(rot.sizes)})
+        grid_info.update({"delta": list(rot.delta_list), "rotation_sizes": list(rot.sizes)})
     else:
         energies = semi
         grid_info["delta"] = list(delta_list) if delta_list is not None else []
@@ -234,20 +236,21 @@ def find_refinement(
 ) -> FrameReport:
     """Halve one global refinement knob until certify_frame passes.
 
-    Each round halves every rotation cap and the log of the scale ratio, and
-    passes the other keywords on to ``certify_frame``, whose defaults they
-    keep.  Returns the first passing report; raises if max_rounds is
-    exhausted.
+    Each round halves every rotation cap, if any, and the log of the scale
+    ratio, and passes the other keywords on to ``certify_frame``, whose
+    defaults they keep.  Returns the first passing report; raises if
+    max_rounds is exhausted.
     """
     if max_rounds < 1:
         raise ValueError(f"need at least one round, got max_rounds={max_rounds}")
-    deltas = tuple(float(x) for x in delta_list)
+    deltas = None if delta_list is None else tuple(float(x) for x in delta_list)
     for _ in range(max_rounds):
         report = certify_frame(n, profile, L, ratio, deltas, trials, seed, **certify)
         if report.verdict:
             return report
         ratio = math.sqrt(ratio)
-        deltas = tuple(x / 2 for x in deltas)
+        if deltas is not None:
+            deltas = tuple(x / 2 for x in deltas)
     raise RuntimeError(
         f"no passing refinement within {max_rounds} rounds; "
         f"last deviations eps={report.epsilon_hat:.3g}, delta={report.delta_hat:.3g}"

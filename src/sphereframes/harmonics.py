@@ -20,11 +20,11 @@ the grid's take a slice of them; besides the rows, their working memory is
 a few arrays the size of the grid.  _polar_values evaluates every harmonic
 at points of azimuth 0 from rows of the same recurrence at those points;
 at any other azimuth a harmonic only gains its factor e^(i k phi).
-multiply_coordinates multiplies a coefficient table by each ambient
-coordinate without any grid: on each polar axis, cos and sin move the chain
-index by +-1 with closed-form coefficients of the normalized rows (the
-three-term recurrence and the order-raising identity), and e^(+-i phi)
-moves the signed last index.
+multiply_coordinates multiplies a coefficient table by each charge
+coordinate, x_0, ..., x_(n-2), z = x_(n-1) + i x_n and conj(z), without any
+grid: on each polar axis, cos and sin move the chain index by +-1 with
+closed-form coefficients of the normalized rows (the three-term recurrence
+and the order-raising identity), and e^(+-i phi) moves the signed last index.
 harmonic_basis keeps the dense matrix of every harmonic on the grid as the
 reference the tests compare against.
 """
@@ -369,17 +369,18 @@ def _ladder(base: float, a: np.ndarray, b: np.ndarray, da, db) -> np.ndarray:
 
 
 def multiply_coordinates(coeffs: "HarmonicCoefficients", L: int) -> "HarmonicCoefficients":
-    """Coefficients of x_c times the expanded function for every ambient
-    coordinate c = 0..n, to degree L; values[:, c] holds x_c's product, and
-    the trailing axes of coeffs.values follow it.
+    """Coefficients of x'_c times the expanded function, to degree L, for the
+    charge coordinates x' = (x_0, ..., x_(n-2), z, conj(z)), z = x_(n-1) +
+    i x_n; values[:, c] holds x'_c's product, and the trailing axes of
+    coeffs.values follow it.
 
     Exact, without a grid.  x_c, c <= n - 2, is cos(theta) on polar axis c
-    times sin(theta) on the axes before it; x_(n-1) and x_n are sin(theta)
-    on every polar axis times cos(phi) and sin(phi), so they share one pass
-    that moves the signed last index by e^(+-i phi).  Each factor moves its
-    axis's chain index by +-1 with the closed-form _ladder coefficients, so
-    each output coefficient gathers one input coefficient per choice of
-    those moves, 2^(affected axes) of them, scales and adds them.
+    times sin(theta) on the axes before it; z and conj(z) are sin(theta) on
+    every polar axis times e^(i phi) and e^(-i phi), so they share one pass
+    that moves the signed last index by +-1.  Each factor moves its axis's
+    chain index by +-1 with the closed-form _ladder coefficients, so each
+    output coefficient gathers one input coefficient per choice of those
+    moves, 2^(affected axes) of them, scales and adds them.
     """
     n = coeffs.n
     if L < 0:
@@ -417,16 +418,11 @@ def multiply_coordinates(coeffs: "HarmonicCoefficients", L: int) -> "HarmonicCoe
         scale = np.where(live, factor, 0.0)
         source = old[-2] + old_k + sum(offsets[p].take(old[p], mode="clip") for p in range(n - 1))
         source = np.where(live, source, 0)
-        if not moves_phi:
-            out[:, axis] = _gathered_sum(values, scale, source)
-            continue
-        # cos(phi) = (e^(i phi) + e^(-i phi)) / 2, sin(phi) = -i (e^(i phi) - e^(-i phi)) / 2;
-        # the first half of the rows raise k, the second half lower it
-        half = len(shifts) // 2
-        raised = _gathered_sum(values, scale[:half], source[:half])
-        lowered = _gathered_sum(values, scale[half:], source[half:])
-        out[:, n - 1] = 0.5 * (raised + lowered)
-        out[:, n] = -0.5j * (raised - lowered)
+        # one column per part of the rows: all of them, or when phi moves
+        # the first half, which raise k (z), and the second (conj(z))
+        parts = zip(np.split(scale, 1 + moves_phi), np.split(source, 1 + moves_phi))
+        for column, (part_scale, part_source) in enumerate(parts, start=axis):
+            out[:, column] = _gathered_sum(values, part_scale, part_source)
     return HarmonicCoefficients(n, L, out.reshape((k.size, n + 1) + columns))
 
 

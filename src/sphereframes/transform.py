@@ -11,20 +11,21 @@ a sum of zonal kernels in y1 paired with x^mu f.  A zonal kernel acts
 diagonally in degree (Funk-Hecke): closed-form Gegenbauer connection
 coefficients turn each one into a per-degree filter, and the pairing is
 that filter applied to the degree components of x^mu f at U = R e_1.  The
-coefficients of x^mu f come from the fields' coefficients through the
-exact ladder recurrences of multiply_coordinates, once per call, so the
-transform reads no sphere grid.  The rotation grid is a product of sphere
-partitions.  U depends only on a rotation's outer S^n cell, and R e_2 is
-the image under the cell's T_n of a point fixed by the S^(n-1) cell, so the
-scale weights, the filters and the quadratic form of those points fold into
-one matrix, reduced once per call to a triangular factor by QR.  The outer
-cells lie on latitude bands of C equal arcs, and T_n is the rotation by the
-cell's azimuth after one fixed per band: in the charge basis of the last
-plane the azimuth only shifts frequencies, so a band's C cells are a
-length-C DFT of at most 2L + 1 folded vectors.  Each band folds its
-coefficients once, and by Parseval its energy is the squared norm of the
-triangular factor times those vectors; no cell and no rotation is visited.
-Only the table of wavelet_analysis has one column per rotation.
+coefficients of x^mu f, x in the charge coordinates of multiply_coordinates,
+come from the fields' coefficients through its exact ladder recurrences,
+once per call, so the transform reads no sphere grid.  The rotation grid is
+a product of sphere partitions.  U depends only on a rotation's outer S^n
+cell, and R e_2 is the image under the cell's T_n of a point fixed by the
+S^(n-1) cell, so the scale weights, the filters and the quadratic form of
+those points fold into one matrix, reduced once per call to a triangular
+factor by QR.  The outer cells lie on latitude bands of C equal arcs, and
+T_n is the rotation by the cell's azimuth after one fixed per band: in the
+charge basis of the last plane the azimuth only shifts frequencies, so a
+band's C cells are a length-C DFT of at most 2L + 1 folded vectors.  Each
+band scatter-adds its coefficients onto their residues once, and by
+Parseval its energy is the squared norm of the triangular factor times
+those vectors; no cell and no rotation is visited.  Only the table of
+wavelet_analysis has one column per rotation.
 
 The energy identity sums beta(l) against the per-degree field energies and is
 the rotation-quadrature-free reference value for frame checks.
@@ -197,7 +198,7 @@ def _monomial_action(T: np.ndarray, combos, weights) -> np.ndarray:
 def _monomial_moments(n: int, values: np.ndarray, field_L: int, degrees) -> dict:
     """moments[j]: coefficients of x'^mu f to degree field_L - j for the
     degree-j monomials mu of _monomials in the charge coordinates x' =
-    (x_0, ..., x_(n-2), z, conj(z)), z = x_(n-1) + i x_n (_charge_basis),
+    (x_0, ..., x_(n-2), z, conj(z)), z = x_(n-1) + i x_n (multiply_coordinates),
     one column per (mu, field), for each j <= field_L in degrees.  values
     holds the fields' coefficients to field_L, one column each.
 
@@ -214,8 +215,6 @@ def _monomial_moments(n: int, values: np.ndarray, field_L: int, degrees) -> dict
             moved = multiply_coordinates(
                 HarmonicCoefficients(n, field_L - j + 1, level), field_L - j
             ).values
-            x, y = moved[:, n - 1], moved[:, n] * 1j
-            moved[:, n - 1], moved[:, n] = x + y, x - y
             # take, unlike a two-array index, leaves the rows C-contiguous
             picks = [mu[-1] * len(parents) + parents[mu[:-1]] for mu in combos]
             level = moved.reshape(moved.shape[0], -1, values.shape[1]).take(picks, axis=1)
@@ -288,16 +287,14 @@ def _latitude_bands(centres: np.ndarray, measures: np.ndarray):
     return starts, np.diff(np.append(starts, n_cells))
 
 
-def _charge_basis(n: int):
-    """(X, V): x' = X x replaces the last plane's (x_(n-1), x_n) by the
-    charges z = x_(n-1) + i x_n and conj(z), and V = X^(-T), so that
-    v . x = (V v) . x' for every v.  A rotation by phi in that plane
-    multiplies z by e^(i phi), and the last two entries of V v by e^(-i phi)
-    and e^(i phi)."""
-    X, V = np.eye(n + 1, dtype=complex), np.eye(n + 1, dtype=complex)
-    X[n - 1 :, n - 1 :] = [[1, 1j], [1, -1j]]
+def _charge_basis(n: int) -> np.ndarray:
+    """V with v . x = (V v) . x' for every v, where the charge coordinates x'
+    replace the last plane's (x_(n-1), x_n) by z = x_(n-1) + i x_n and
+    conj(z).  A rotation by phi in that plane multiplies z by e^(i phi), and
+    the last two entries of V v by e^(-i phi) and e^(i phi)."""
+    V = np.eye(n + 1, dtype=complex)
     V[n - 1 :, n - 1 :] = [[0.5, -0.5j], [0.5, 0.5j]]
-    return X, V
+    return V
 
 
 def _scan(
@@ -346,9 +343,9 @@ def _scan(
     |nu| <= field_L, and Z_c = sum_r e^(2 pi i r c / C) g_r with g_r =
     sum_(nu = r mod C) e^(i nu phi_0) z_nu over min(C, 2 field_L + 1)
     residues r.  A band weights its moments' coefficients by the harmonics
-    at its polar angles and by e^(i nu phi_0), adds them onto their (l, r)
-    and applies the action of Q T(theta, 0) on the charge monomials, Q the
-    charge coordinates of V: once per band.  By Parseval the band's energy
+    at its polar angles and by e^(i nu phi_0), scatter-adds them onto their
+    (l, r) and applies the action of Q T(theta, 0) on the charge monomials,
+    Q the charge coordinates of V: once per band.  By Parseval the band's energy
     is C w sum_r |R g_r|^2, w the common weight of its cells, and its table
     entries are a length-C inverse DFT of M g_r, zero at the residues that
     no frequency reaches.  Any other cell is a band of one.  Bands run in
@@ -359,6 +356,8 @@ def _scan(
     once unless the band of most residues would then pass the budget.  The
     table has one column per rotation, in the grid's row order.
     """
+    if rotations.n != n:
+        raise ValueError(f"rotation grid is on SO({rotations.n + 1}), not SO({n + 1}) for n={n}")
     if collect:
         rotations.check_flat()
     n_fields = len(fields)
@@ -370,7 +369,7 @@ def _scan(
         values[: f.coeffs.values.size, i] = f.coeffs.values
     moments = _monomial_moments(n, values, field_L, filters)
     del values  # the chunks read only the moments
-    v_charge = _charge_basis(n)[1]
+    v_charge = _charge_basis(n)
     # columns[j]: power j's monomials among all; rows[j]: its (col, l) rows of Z;
     # charges[j]: b - a of each charge monomial
     monomials, columns, rows, charges = {}, {}, {}, {}
@@ -422,7 +421,7 @@ def _scan(
 
     # a band's bytes, as _CHUNK_BYTES counts them, at its chunk's residue count
     widest = max(len(combos) for combos, _ in monomials.values())
-    fixed = 16 * (degree.size * (1 + widest) + sum(place[j].size for j in filters))
+    fixed = 16 * degree.size * (1 + widest) + 8 * sum(place[j].size for j in filters)
     fixed += 8 * (n - 1) * (field_L + 1) ** 2
     fixed += 16 * sum(len(combos) ** 2 for combos, _ in monomials.values())
     per_field = 16 * (widest * (field_L + 1) + n_rows + op.shape[0])
@@ -454,21 +453,16 @@ def _scan(
         QT = v_charge @ rotation_matrix(n, euler)
         # per power the action of Q T(theta, 0), and the targets of the fold:
         # coefficient (l, k) of moment mu goes to the residue of its
-        # frequency mod C at degree l, folded[band, mu, l, r], with the real
-        # and imaginary parts of a target side by side
+        # frequency mod C at degree l, folded[band, mu, l, r]
         turned, folds = {}, {}
         for j in filters:
             turned[j] = _monomial_action(QT, *monomials[j]) * np.exp(
                 1j * np.outer(phi, charges[j])
             )[:, :, None]
             block = place[j].shape[0] * (field_L - j + 1) * cycle
-            pair = np.empty((len(bands),) + place[j].shape + (2,), dtype=np.intp)
-            target = pair[..., 0]
-            np.add(place[j] * cycle, block * np.arange(len(bands))[:, None, None], out=target)
+            target = place[j] * cycle + block * np.arange(len(bands))[:, None, None]
             target += frequency[j] % cycles[:, None, None]
-            target *= 2
-            np.add(target, 1, out=pair[..., 1])
-            folds[j] = pair.ravel(), len(bands) * block
+            folds[j] = target.ravel(), len(bands) * block
         energy = []
         for first in range(0, n_fields, group):
             batch = range(first, min(first + group, n_fields))
@@ -477,14 +471,14 @@ def _scan(
             Z = None
             for j in filters:
                 width, count = place[j].shape
-                pair, size = folds[j]
+                target, size = folds[j]
+                # filled, not np.zeros: its fresh pages would fault in on every call
                 folded = np.empty((size, len(batch)), dtype=complex)
+                folded.fill(0)
                 values = np.empty((len(bands), width, count), dtype=complex)
                 for i, t in enumerate(batch):
                     np.multiply(moments[j][t], harmonic[:, None, :count], out=values)
-                    folded[:, i] = np.bincount(
-                        pair, values.view(np.float64).ravel(), 2 * size
-                    ).view(complex)
+                    np.add.at(folded[:, i], target, values.ravel())
                 del values
                 if Z is None:
                     Z = np.empty((len(bands), n_rows, cycle * len(batch)), dtype=complex)

@@ -15,8 +15,9 @@ paths against them:
 - ``direct_transform`` evaluates the rotated wavelet on the sphere grid for
   every rotation and scale and pairs it with the weighted field;
 - ``grid_monomial_moments`` multiplies fields by the monomials x^mu on the
-  sphere grid and analyses the products, the reference for
-  ``multiply_coordinates`` and, in the charge coordinates, for the
+  sphere grid and analyses the products; in the charge coordinates
+  (x_0, ..., x_(n-2), z, conj(z)), z = x_(n-1) + i x_n, which it builds
+  itself, it is the reference for ``multiply_coordinates`` and for the
   coefficient-space products of ``transform._monomial_moments``;
 - ``per_scale_energies`` sums the frame energies one scale at a time: each
   outer cell's per-scale sums B, their product with the inner-point form's
@@ -309,7 +310,9 @@ def grid_monomial_moments(
     samples = np.stack([synthesize(f, sphere) for f in fields], axis=1)
     points = angles_to_vector(n, sphere.angles)
     if charged:
-        points = points @ _charge_basis(n)[0].T
+        X = np.eye(n + 1, dtype=complex)
+        X[n - 1 :, n - 1 :] = [[1, 1j], [1, -1j]]
+        points = points @ X.T
     moments = {}
     for j in degrees:
         combos, _ = _monomials(n, j)
@@ -357,7 +360,7 @@ def per_scale_energies(n: int, profile, fields, scales, rotations) -> np.ndarray
     euler = np.zeros((n_cells, m))
     euler[:, :n] = centres
     # the moments are of the charge monomials, x' = X x with V = X^(-T)
-    T = _charge_basis(n)[1] @ rotation_matrix(n, euler)
+    T = _charge_basis(n) @ rotation_matrix(n, euler)
     blocks = []
     for j, filt in filters.items():
         comps = eval_degree_components(moments[j], centres)  # (l, c, mu, t)
@@ -389,7 +392,7 @@ def per_cell_table(n: int, profile, field, scales, rotations) -> np.ndarray:
     centres = rotations.centres[0]
     euler = np.zeros((centres.shape[0], m))
     euler[:, :n] = centres
-    T = _charge_basis(n)[1] @ rotation_matrix(n, euler)  # for the charge monomials
+    T = _charge_basis(n) @ rotation_matrix(n, euler)  # for the charge monomials
     W = np.zeros((len(scales), centres.shape[0], len(p)), dtype=complex)
     for j, filt in filters.items():
         combos, w = _monomials(n, j)

@@ -1,9 +1,12 @@
 import json
+import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sphereframes import cli
 from sphereframes.cli import main
 from sphereframes.scale_grid import ScaleCoverageWarning
 
@@ -297,3 +300,19 @@ def test_control_after_a_pass_writes_the_bytes_it_writes_first(tmp_path):
     assert main(control + [str(second)]) == 2
     for name in ("frame_report.json", "trial_ratios.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_write_holds_one_slice_of_the_text(tmp_path):
+    # a 32 MB text goes out in slices, so writing it raises the traced peak
+    # by a few MB, not by the text's size, and the file holds the texts one
+    # after another
+    head = "# config {}\n"
+    text = "0,1,0.5,-0.25\n" * (32 * 2**20 // 14)
+    tracemalloc.start()
+    try:
+        path = cli._write(types.SimpleNamespace(out=str(tmp_path)), "big.csv", head, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert Path(path).read_bytes() == (head + text).encode()

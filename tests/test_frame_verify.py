@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sphereframes import scale_grid, wavelet_spectra
+from sphereframes import frame_verify, scale_grid, wavelet_spectra
 from sphereframes.frame_verify import certify_frame, find_refinement
 from sphereframes.rotation_grid import build_rotation_grid
 from sphereframes.scale_grid import discrete_beta, epsilon_report, scale_grid_for_profile
@@ -224,6 +224,10 @@ def test_find_refinement_certifies_in_the_mode_asked_for():
     spectral = find_refinement(*args, max_rounds=1)
     assert spectral.verdict and spectral.grid_info["mode"] == "spectral"
     assert spectral.delta_hat == 0.0
+    # spectral rounds need no caps: ratio 4 fails the margin (eps_hat 0.17)
+    # and the next round, ratio 2, passes
+    refined = find_refinement(3, prof, 6, 4.0, None, 2, 1, margin=0.9)
+    assert refined.grid_info["ratio"] == 2.0 and refined.grid_info["delta"] == []
 
 
 def test_certify_reads_beta_from_its_table_only(monkeypatch):
@@ -243,6 +247,22 @@ def test_certify_reads_beta_from_its_table_only(monkeypatch):
             assert len(calls) == L - profile_order(prof)  # one per table row
             grid = scale_grid_for_profile(n, prof, 1.5, L)
             assert rep.epsilon_hat == epsilon_report(n, prof, grid, L).epsilon_hat
+
+
+def test_missing_or_wrong_caps_fail_before_any_work(monkeypatch):
+    # a spatial check builds its rotation grid first: no caps, or caps for
+    # another dimension, raise before the beta table is built
+    def refused(*args, **kwargs):
+        raise AssertionError("build_beta_table called before the caps were checked")
+
+    monkeypatch.setattr(frame_verify, "build_beta_table", refused)
+    with pytest.raises(ValueError, match="delta_list"):
+        certify_frame(2, AP1, 6, 1.5, None, 2, 1)
+    with pytest.raises(ValueError, match="delta_list"):
+        find_refinement(2, AP1, 6, 1.5, None, 2, 1)
+    prof = make_preset("abel-poisson", 3, d=1)
+    with pytest.raises(ValueError, match="need 3 diameter caps, got 2"):
+        certify_frame(3, prof, 6, 1.5, (0.9, 0.9), 2, 1, spatial=True)
 
 
 def test_find_refinement_exhaustion():

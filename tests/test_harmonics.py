@@ -413,29 +413,31 @@ def _random_tables(n, L, count, seed):
     "n, L", [(n, L) for n in (2, 3) for L in (0, 1, 2, 8, 33)] + [(4, 5)]
 )
 def test_multiply_coordinates_match_grid_products(n, L):
-    # x_c f for every ambient coordinate, at output bands from 0 to L + 1,
-    # against the product analysed on a grid that integrates it exactly
+    # x'_c f for every charge coordinate, x_0, ..., x_(n-2), z and conj(z),
+    # at output bands from 0 to L + 1, against the product analysed on a
+    # grid that integrates it exactly
     fields = _random_tables(n, L, 2, 10 * n + L)
     table = HarmonicCoefficients(n, L, np.stack([f.values for f in fields], axis=1))
     scale = np.linalg.norm(table.values)
     sphere = build_sphere_grid(n, L + 1)
     for band in sorted({0, L // 2, max(L - 1, 0), L, L + 1}):
-        want = grid_monomial_moments(fields, band + 1, [1], sphere)[1].values
+        want = grid_monomial_moments(fields, band + 1, [1], sphere, charged=True)[1].values
         got = multiply_coordinates(table, band)
         assert got.L == band and got.values.shape == want.shape
         assert np.max(np.abs(got.values - want)) <= 1e-14 * scale
 
 
 def test_multiply_coordinates_of_a_constant():
-    # 1 times x_c lands in degree 1 only, with the mean of x_c^2 on S^3, 1/4,
-    # and the columns of a table stay apart
+    # 1 times x'_c lands in degree 1 only, with the mean of |x'_c|^2 on S^3:
+    # 1/4 for x_0 and x_1, 1/2 for z and conj(z); the columns of a table
+    # stay apart
     one = HarmonicCoefficients.zeros(3, 0)
     one.values[0] = 1.0
     moved = multiply_coordinates(one, 2)
     assert moved.values.shape == (coefficient_count(3, 2), 4)
-    for c in range(4):
+    for c, mean in enumerate([0.25, 0.25, 0.5, 0.5]):
         column = HarmonicCoefficients(3, 2, moved.values[:, c])
-        np.testing.assert_allclose(column.degree_energies(), [0.0, 0.25, 0.0], atol=1e-16)
+        np.testing.assert_allclose(column.degree_energies(), [0.0, mean, 0.0], atol=1e-16)
     table = HarmonicCoefficients(3, 0, np.array([[1.0, 2.0j]]))
     np.testing.assert_array_equal(
         multiply_coordinates(table, 2).values, np.stack([moved.values, 2j * moved.values], axis=2)

@@ -536,6 +536,22 @@ def test_band_limit_mismatch_rejected():
         wavelet_analysis(3, prof, f, scales, rot, build_sphere_grid(n, 8))
 
 
+def test_rotation_grid_of_another_dimension_rejected():
+    # fields on S^2 need a grid on SO(3); one on SO(4) or SO(2) is refused
+    # up front, naming both groups
+    n, L = 2, 6
+    prof = make_preset("abel-poisson", n, d=1)
+    f = random_bandlimited(n, L, 0, 1)
+    scales = build_scale_grid(1.0, 1.5, 2)
+    for other, deltas in ((3, (1.6,) * 3), (1, (1.0,))):
+        rot = build_rotation_grid(other, deltas)
+        message = rf"SO\({other + 1}\), not SO\(3\)"
+        with pytest.raises(ValueError, match=message):
+            transform_energies(n, prof, [f, f], scales, rot)
+        with pytest.raises(ValueError, match=message):
+            wavelet_analysis(n, prof, f, scales, rot)
+
+
 def test_table_csv_and_alignment():
     n, L = 2, 4
     prof = make_preset("abel-poisson", n)

@@ -274,7 +274,7 @@ def cmd_transform(cfg: RunConfig) -> int:
     beta = wavelet_spectra.build_beta_table(cfg.n, cfg.profile, cfg.band_limit)
     doc = {
         "energy": transform.frame_energy(table),
-        "oracle": transform.energy_identity_oracle(cfg.n, field, beta),
+        "oracle": transform.energy_identity_oracle(field, beta),
         "field_order": m,
         "scale_count": len(scales),
         "rotation_count": len(rotations),

@@ -170,7 +170,7 @@ def certify_frame(
 
     children = np.random.SeedSequence(seed).spawn(trials)
     fields = [random_bandlimited(n, L, m, s) for s in children]
-    oracles = np.array([energy_identity_oracle(n, f, beta) for f in fields])
+    oracles = np.array([energy_identity_oracle(f, beta) for f in fields])
     power = np.array([f.coeffs.degree_energies() for f in fields])
     semi = power @ disc
 
@@ -184,7 +184,7 @@ def certify_frame(
     if spatial:
         # the kernel of transform_energies, without the sphere_grid argument
         # that it ignores and perfbench's tracer reads
-        energies = _scan(n, profile, fields, L, scales, rot, threads)
+        energies = _scan(profile, fields, scales, rot, threads)
         grid_info.update({"delta": list(rot.delta_list), "rotation_sizes": list(rot.sizes)})
     else:
         energies = semi

@@ -14,8 +14,9 @@ adjoint of the same steps and takes a trailing column axis, so several
 sample sets share one pass.  The rows depend only on the grid, so
 build_sphere_grid computes them once, for every order, and the grid holds
 them: (n - 1)(L + 1)^3 * 8 bytes, 2.1 MiB at n=2, L=64 and 16 MiB at
-L=128.  It refuses a grid whose rows would pass _MAX_ARRAY_BYTES (1 GiB;
-at n=2 the largest grid is L=511).  synthesize and analyze at a band below
+L=128.  It refuses a grid whose rows, or whose M nodes' angles and weights
+((n + 1) M * 8 bytes), would pass _MAX_ARRAY_BYTES: 1 GiB, so L <= 511 at
+n=2, 255 at n=3 and 59 at n=4.  synthesize and analyze at a band below
 the grid's take a slice of them; besides the rows, their working memory is
 a few arrays the size of the grid.  _polar_values evaluates every harmonic
 at points of azimuth 0 from rows of the same recurrence at those points;
@@ -172,18 +173,22 @@ def build_sphere_grid(n: int, L: int) -> SphereGrid:
     """Gauss rule per polar angle (weight-matched) and uniform azimuth, exact at 2L.
 
     Also computes each polar axis's normalized rows for every order kk <= L,
-    which synthesize and analyze share.  Raises before holding more than _MAX_ARRAY_BYTES of rows.
+    which synthesize and analyze share.  Raises before building anything if
+    the rows, or the nodes' angles and weights, would pass _MAX_ARRAY_BYTES.
     """
     if n < 2:
         raise ValueError(f"sphere dimension must be >= 2, got {n}")
     if L < 0:
         raise ValueError(f"band limit must be >= 0, got {L}")
-    nbytes = (n - 1) * (L + 1) ** 3 * np.dtype(float).itemsize
-    if nbytes > _MAX_ARRAY_BYTES:
-        raise ValueError(
-            f"axis rows of the sphere grid for n={n}, L={L} need {nbytes} bytes, "
-            f"over the {_MAX_ARRAY_BYTES}-byte limit"
-        )
+    # the axis rows, and the nodes' angles and weights: (n + 1) floats per node
+    nodes = (L + 1) ** (n - 1) * (2 * L + 1)
+    for what, count in (("axis rows", (n - 1) * (L + 1) ** 3), ("nodes", (n + 1) * nodes)):
+        nbytes = count * np.dtype(float).itemsize
+        if nbytes > _MAX_ARRAY_BYTES:
+            raise ValueError(
+                f"{what} of the sphere grid for n={n}, L={L} need {nbytes} bytes, "
+                f"over the {_MAX_ARRAY_BYTES}-byte limit"
+            )
     axis_nodes, axis_weights, axis_rows = [], [], []
     for tau in range(1, n):
         t, w = zonal_gauss_rule((n - tau) / 2, L + 1)

@@ -58,7 +58,6 @@ class SpherePartition:
     and measures and diameters its exact measure and diameter bound.  The
     arrays are read-only."""
 
-    dimension: int
     centres: np.ndarray
     measures: np.ndarray
     diameters: np.ndarray
@@ -99,16 +98,14 @@ def partition_sphere(J: int, delta: float) -> SpherePartition:
 def _partition(J: int, delta: float) -> SpherePartition:
     """partition_sphere without its checks, for callers that counted the cells."""
     if delta >= math.pi:
-        centre = (math.pi / 2,) * (J - 1) + (math.pi,)
-        return SpherePartition(
-            J, np.array([centre]), np.array([surface_area(J)]), np.array([math.pi])
-        )
+        centre = np.array([(math.pi / 2,) * (J - 1) + (math.pi,)])
+        return SpherePartition(centre, np.array([surface_area(J)]), np.array([math.pi]))
 
     if J == 1:
         count = _arc_count(delta)
         arc = 2.0 * math.pi / count
         arcs = np.full(count, arc)
-        return SpherePartition(J, (np.arange(count) + 0.5)[:, None] * arc, arcs, arcs)
+        return SpherePartition((np.arange(count) + 0.5)[:, None] * arc, arcs, arcs)
 
     centres, measures, diameters = [], [], []
     for a, b, h, sin_max in _bands(delta):
@@ -117,9 +114,7 @@ def _partition(J: int, delta: float) -> SpherePartition:
         centres.append(np.hstack([theta_mid, sub.centres]))
         measures.append(sin_power_integral(J - 1, a, b) * sub.measures)
         diameters.append(h + sin_max * sub.diameters)
-    return SpherePartition(
-        J, np.concatenate(centres), np.concatenate(measures), np.concatenate(diameters)
-    )
+    return SpherePartition(*map(np.concatenate, (centres, measures, diameters)))
 
 
 def _arc_count(delta: float) -> int:
@@ -185,7 +180,6 @@ class RotationGrid:
     grid of more than max_elements rotations.
     """
 
-    n: int
     delta_list: tuple
     centres: tuple
     measures: tuple
@@ -193,14 +187,19 @@ class RotationGrid:
     weights: np.ndarray = field(default=_FlatWeights(), repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.centres) != self.n or len(self.measures) != self.n:
-            raise ValueError(f"expected {self.n} factor partitions")
+        if len(self.delta_list) != self.n or len(self.measures) != self.n:
+            raise ValueError(f"need a cap and a measure array for each of the {self.n} factors")
         for J, c, m in zip(range(self.n, 0, -1), self.centres, self.measures):
             if c.shape != (m.size, J) or m.shape != (m.size,):
                 raise ValueError(f"centres of S^{J} must be rows of {J} angles, one per measure")
         w = self.__dict__["weights"]
         if w is not None and np.shape(w) != (len(self),):
             raise ValueError("weights must align with rotations")
+
+    @property
+    def n(self) -> int:
+        """The sphere dimension: SO(n+1) has n factor partitions."""
+        return len(self.centres)
 
     @property
     def sizes(self) -> tuple:
@@ -281,11 +280,7 @@ def build_rotation_grid(
             )
     parts = [_partition(J, deltas[n - J]) for J in range(n, 0, -1)]
     return RotationGrid(
-        n,
-        deltas,
-        tuple(p.centres for p in parts),
-        tuple(p.measures for p in parts),
-        max_elements,
+        deltas, tuple(p.centres for p in parts), tuple(p.measures for p in parts), max_elements
     )
 
 

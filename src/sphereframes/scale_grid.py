@@ -132,7 +132,7 @@ def _riemann_means(grid: ScaleGrid, part: _DegreePart) -> np.ndarray:
     """``discrete_beta`` of the degrees of a ``_DegreePart`` on the grid: the
     Riemann sums of their energies over N(n, l), with its coverage warning.
     Only the scale part of the spectrum is evaluated."""
-    energies = _scale_energies(part.n, part.profile, grid.scales[:, None], part)
+    energies = _scale_energies(grid.scales[:, None], part)
     peak = energies.max(axis=0)
     ends = np.maximum(energies[0], energies[-1])
     for i in np.flatnonzero((peak > 0) & (ends > 1e-12 * peak)):
@@ -175,11 +175,14 @@ class EpsilonReport:
     degrees: np.ndarray
     beta_continuous: np.ndarray
     beta_discrete: np.ndarray
-    rel_dev: np.ndarray
     ratio: float
     count: int
     rho_min: float
     rho_max: float
+
+    @property
+    def rel_dev(self) -> np.ndarray:
+        return np.abs(self.beta_discrete - self.beta_continuous) / self.beta_continuous
 
     @property
     def epsilon_hat(self) -> float:
@@ -223,16 +226,8 @@ def _epsilon_report(
     """The report of the grid's Riemann sums against the continuous beta
     ``cont`` of the degrees, which the caller has computed."""
     disc = discrete_beta(n, profile, grid, degrees)
-    rel = np.abs(disc - cont) / cont
     return EpsilonReport(
-        degrees,
-        cont,
-        disc,
-        rel,
-        grid.ratio,
-        len(grid) - 1,
-        grid.rho_min,
-        grid.rho_max,
+        degrees, cont, disc, grid.ratio, len(grid) - 1, grid.rho_min, grid.rho_max
     )
 
 

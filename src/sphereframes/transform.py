@@ -53,6 +53,7 @@ from .special_functions import _pochhammer, gegenbauer_connection, surface_area
 from .wavelet_spectra import (
     BetaTable,
     SpectralProfile,
+    _DegreePart,
     _directional_hat,
     _theta_derivative_tableau,
 )
@@ -238,7 +239,8 @@ def _filters(n: int, profile: SpectralProfile, field_L: int, scales: ScaleGrid) 
     tables = {0: np.ones((1, 1))} if d == 0 else dict(
         enumerate(_theta_derivative_tableau(d), start=1)
     )
-    hats = _directional_hat(profile, scales.scales[:, None], np.arange(field_L + 1), n)
+    part = _DegreePart(profile, n, np.arange(field_L + 1))
+    hats = _directional_hat(scales.scales[:, None], part)
     filters = {}
     for k, tab in tables.items():
         if k > field_L:
@@ -298,10 +300,8 @@ def _charge_basis(n: int) -> np.ndarray:
 
 
 def _scan(
-    n: int,
     profile: SpectralProfile,
     fields,
-    field_L: int,
     scales: ScaleGrid,
     rotations: RotationGrid,
     threads=None,
@@ -309,7 +309,8 @@ def _scan(
 ):
     """Frame energies of a batch of fields over the factored rotation grid,
     each latitude band of outer cells summed in closed form; or, with
-    collect, the transform table of a batch of one field.
+    collect, the transform table of a batch of one field.  The fields lie on
+    the grid's sphere S^n, and field_L is the largest of their band limits.
 
     W f(rho, R) = sum over the wavelet terms y2^j G_j(y1) of the pairing of
     G_j(U . x) with (V . x)^j f(x), U = R e_1 and V = R e_2.  Expanding
@@ -356,8 +357,11 @@ def _scan(
     once unless the band of most residues would then pass the budget.  The
     table has one column per rotation, in the grid's row order.
     """
-    if rotations.n != n:
-        raise ValueError(f"rotation grid is on SO({rotations.n + 1}), not SO({n + 1}) for n={n}")
+    n = rotations.n
+    for f in fields:
+        if f.n != n:
+            raise ValueError(f"rotation grid is on SO({n + 1}), not SO({f.n + 1}) for n={f.n}")
+    field_L = max(f.L for f in fields)
     if collect:
         rotations.check_flat()
     n_fields = len(fields)
@@ -534,7 +538,7 @@ def wavelet_analysis(
     rotation's cell centre."""
     if f.n != n:
         raise ValueError("field and transform dimension must agree")
-    table = _scan(n, profile, [f], f.L, scales, rotations, threads, collect=True)
+    table = _scan(profile, [f], scales, rotations, threads, collect=True)
     return TransformTable(table, scales, rotations)
 
 
@@ -550,11 +554,10 @@ def transform_energies(
     """Discrete frame energies of several fields, sharing the wavelet rows."""
     if not fields:
         return np.zeros(0)
-    field_L = max(f.L for f in fields)
     for f in fields:
         if f.n != n:
             raise ValueError("field dimension mismatch")
-    return _scan(n, profile, fields, field_L, scales, rotations, threads)
+    return _scan(profile, fields, scales, rotations, threads)
 
 
 def frame_energy(table: TransformTable) -> float:
@@ -566,10 +569,10 @@ def frame_energy(table: TransformTable) -> float:
     return float(np.dot(table.scales.weights, per_scale))
 
 
-def energy_identity_oracle(n: int, f: TestField, beta: BetaTable) -> float:
+def energy_identity_oracle(f: TestField, beta: BetaTable) -> float:
     """Continuous-transform energy sum_l beta(l) * ||f_l||^2, no rotation grid."""
-    if beta.n != n:
-        raise ValueError(f"beta table is for n={beta.n}, not {n}")
+    if beta.n != f.n:
+        raise ValueError(f"beta table is for n={beta.n}, not the field's n={f.n}")
     if beta.L < f.L:
         raise ValueError(f"beta table to degree {beta.L} cannot cover a field at {f.L}")
     return math.fsum(beta.values[: f.L + 1] * f.coeffs.degree_energies())

@@ -110,25 +110,29 @@ def zonal_hat(profile: SpectralProfile, rho: float | np.ndarray, l, n: int):
     may be arrays that broadcast together.  A float when both are scalars.
 
     l may also be the ``_DegreePart`` of the profile at such degrees, which a
-    caller builds once to evaluate the spectrum at many scales.
+    library caller builds once to evaluate the spectrum at many of its own
+    scales, already positive; only caller degrees have their scales checked.
     """
     rho = np.asarray(rho, dtype=float)
-    if (rho <= 0).any():
-        bad = rho[rho <= 0].flat[0]
-        raise ValueError(f"scale must be positive, got {bad}")
+    if isinstance(l, _DegreePart):
+        part = l
+    else:
+        if (rho <= 0).any():
+            raise ValueError(f"scale must be positive, got {rho[rho <= 0].flat[0]}")
+        part = _DegreePart(profile, n, l)
     lam = (n - 1) / 2
-    part = _degree_part(profile, n, l)
     s = rho**profile.a * part.q_power
     val = np.where(part.positive, np.power(s, profile.c) * np.exp(-s), 0.0)
     out = profile.amplitude * val * part.shifted / lam
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _directional_hat(profile: SpectralProfile, rho, l, n: int):
+def _directional_hat(rho, part: _DegreePart):
     """rho^(ed) hat Psi_rho(l), e = a/(gamma b): the spectrum of the scale-rho
-    member with its directional scaling; rho an array that broadcasts with l,
-    integer degrees or their ``_DegreePart``."""
-    return zonal_hat(profile, rho, l, n) * rho ** (profile.tilde_exponent * profile.d)
+    member with its directional scaling, at the degrees of the part; rho an
+    array of positive scales that broadcasts with them."""
+    profile = part.profile
+    return zonal_hat(profile, rho, part, part.n) * rho ** (profile.tilde_exponent * profile.d)
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +256,6 @@ class _DegreePart:
         return one
 
 
-def _degree_part(profile: SpectralProfile, n: int, l) -> _DegreePart:
-    """l itself when it is a ``_DegreePart``, else the part of the degrees l."""
-    return l if isinstance(l, _DegreePart) else _DegreePart(profile, n, l)
-
-
 def _brent_root(f, xa: float, xb: float) -> float:
     """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
 
@@ -343,12 +342,10 @@ def _scale_log_range(
     )
 
 
-def _scale_energies(n: int, profile: SpectralProfile, rho, l) -> np.ndarray:
+def _scale_energies(rho, part: _DegreePart) -> np.ndarray:
     """E_l(rho) = sum_kappa |a_l^kappa(Psi_rho)|^2 = (rho^(ed) hat_rho(l))^2 R(l),
-    the scales rho broadcast against the integer degree array l or its
-    ``_DegreePart``."""
-    part = _degree_part(profile, n, l)
-    hat = _directional_hat(profile, rho, part, n)
+    the positive scales rho broadcast against the degrees of the part."""
+    hat = _directional_hat(rho, part)
     return hat * hat * part.response_norms
 
 
@@ -387,7 +384,7 @@ def beta_numeric(n: int, profile: SpectralProfile, l) -> float | np.ndarray:
         rho = part.q ** (-profile.b / profile.a)  # the scales with s = 1
         cprime = _cprime(profile)
         shape = math.e**2 * math.gamma(2.0 * cprime) / (profile.a * 4.0**cprime)
-        return shape * _scale_energies(n, profile, rho, part) / part.dimensions
+        return shape * _scale_energies(rho, part) / part.dimensions
 
     return _degree_means(n, profile, l, integrals)
 
@@ -404,16 +401,20 @@ class BetaTable:
     """Per-degree admissibility values with their extremal bounds."""
 
     n: int
-    L: int
     m: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.L + 1,):
-            raise ValueError(f"expected {self.L + 1} values, got {self.values.shape}")
+        if self.values.ndim != 1:
+            raise ValueError(f"expected one value per degree, got shape {self.values.shape}")
         if (self.values[: self.m + 1] != 0.0).any():
             raise ValueError(f"values at degrees <= order m={self.m} must be zero")
+
+    @property
+    def L(self) -> int:
+        """The band limit: the table holds degrees 0..L."""
+        return self.values.size - 1
 
     @property
     def A(self) -> float:
@@ -453,7 +454,7 @@ def build_beta_table(n: int, profile: SpectralProfile, L: int) -> BetaTable:
     vals = np.zeros(L + 1)
     for k, l in enumerate(range(m + 1, L + 1)):
         vals[l : l + 1] = beta_numeric(n, profile, part.at(k))
-    return BetaTable(n, L, m, vals)
+    return BetaTable(n, m, vals)
 
 
 def wavelet_bounds(table: BetaTable) -> tuple[float, float]:

@@ -28,6 +28,10 @@ paths against them:
   (``eval_degree_components``), turned by the action of the cell's rotation
   on the monomials and filtered, the reference for the latitude bands of
   ``transform._scan``;
+- ``gram_matrix`` is the frame energy as a Hermitian form on the
+  coefficients of degrees m+1..L: the transform tables of every unit
+  coefficient field, weighted as ``frame_energy`` weights them, so its
+  extreme eigenvalues are the discrete frame bounds on that space;
 - ``table_csv`` formats a transform table one entry at a time;
 - ``flat_rotation_rows`` builds a rotation grid's angle rows and weights one
   row per rotation, as the grid was once stored;
@@ -104,6 +108,7 @@ from sphereframes.special_functions import (
     zonal_gauss_rule,
 )
 from sphereframes.transform import (
+    TestField,
     _charge_basis,
     _eval_monomials,
     _filters,
@@ -111,6 +116,7 @@ from sphereframes.transform import (
     _monomial_action,
     _monomial_moments,
     _monomials,
+    wavelet_analysis,
 )
 from sphereframes.wavelet_spectra import (
     BetaTable,
@@ -403,6 +409,24 @@ def per_cell_table(n: int, profile, field, scales, rotations) -> np.ndarray:
     return np.repeat(W[..., None], inner, axis=-1).reshape(len(scales), -1)
 
 
+def gram_matrix(n: int, profile, L: int, m: int, scales, rotations) -> np.ndarray:
+    """G with c^H G c the frame energy of the field whose coefficients of
+    degrees m+1..L are c: G = W^H diag(w_s lambda_g / prod Sigma_J) W, the
+    column k of W the flattened ``wavelet_analysis`` table of the k-th unit
+    coefficient field.  The transform is linear in the coefficients, so W c
+    is the table of the field c."""
+    low, total = coefficient_count(n, m), coefficient_count(n, L)
+    columns = []
+    for k in range(low, total):
+        unit = np.zeros(total, dtype=complex)
+        unit[k] = 1.0
+        field = TestField(HarmonicCoefficients(n, L, unit), m)
+        columns.append(wavelet_analysis(n, profile, field, scales, rotations).values.ravel())
+    W = np.stack(columns, axis=1)
+    weights = scales.weights[:, None] * rotations.weights / _haar_normalization(n)
+    return W.conj().T @ (weights.reshape(-1, 1) * W)
+
+
 def table_csv(values: np.ndarray) -> str:
     """The "j,g,re,im" text of a (scales x rotations) table, one f-string per entry."""
     lines = ["j,g,re,im"]
@@ -423,7 +447,7 @@ def flat_rotation_rows(n: int, delta_list) -> tuple[np.ndarray, np.ndarray]:
     stride = total
     offset = 0
     for p in parts:
-        J = p.dimension
+        J = p.centres.shape[1]
         stride //= len(p)
         reps = total // (stride * len(p))
         idx = np.tile(np.repeat(np.arange(len(p)), stride), reps)

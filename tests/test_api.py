@@ -116,13 +116,26 @@ def test_unread_inputs_stay_deleted():
         (wavelet_spectra.BetaTable, "profile"),
         (transform.TestField, "seed"),
         (rotation_grid.SpherePartition, "delta"),
+        # restated another input: the values' length, the factor count,
+        # the centres' width and the two beta columns
+        (wavelet_spectra.BetaTable, "L"),
+        (rotation_grid.RotationGrid, "n"),
+        (rotation_grid.SpherePartition, "dimension"),
+        (scale_grid.EpsilonReport, "rel_dev"),
     ):
         assert name not in cls.__dataclass_fields__, f"{cls.__name__}.{name}"
+    assert not hasattr(rotation_grid.SpherePartition, "dimension")
+    assert not hasattr(wavelet_spectra, "_degree_part")
     for name in ("get", "indices", "to_csv", "from_csv"):
         assert not hasattr(harmonics.HarmonicCoefficients, name), name
     for fn, names in (
         (transform.frame_energy, ("scales", "rotations")),
-        (transform.energy_identity_oracle, ("profile",)),
+        (transform.energy_identity_oracle, ("n", "profile")),
+        # the grid fixes the dimension and the fields their band limit
+        (transform._scan, ("n", "field_L")),
+        # the degree part carries its profile and dimension
+        (wavelet_spectra._directional_hat, ("profile", "n")),
+        (wavelet_spectra._scale_energies, ("profile", "n")),
         (scale_grid.find_ratio, ("lo", "hi")),
         # passed on to certify_frame, which keeps their one default
         (

@@ -249,6 +249,19 @@ def test_sphere_grid_refuses_oversized_axis_rows():
     assert peak < 2**20
 
 
+def test_sphere_grid_refuses_oversized_nodes():
+    # n=4, L=100: 24.7 MB of rows pass, but the 101^3 * 201 nodes' angles and
+    # weights, (n + 1) * 8 bytes each, need 7.7 GiB; refused before any exist
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="nodes of the sphere grid .* 8283620040 bytes"):
+            build_sphere_grid(4, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("kk", [0, 200, 400])
 def test_normalized_axis_rows_stay_finite_at_band_800(kk):
     # unnormalized C_m^(kk + 1/2) at these nodes overflow to inf by L = 768

@@ -293,12 +293,16 @@ def test_haar_mean_converges():
 
 def test_manual_grid_validation():
     centres, measures = (np.zeros((4, 2)), np.zeros((2, 1))), (np.ones(4), np.ones(2))
-    assert len(RotationGrid(2, (1.0, 1.0), centres, measures)) == 8
+    grid = RotationGrid((1.0, 1.0), centres, measures)
+    assert (grid.n, len(grid)) == (2, 8)
     with pytest.raises(ValueError):
-        RotationGrid(2, (1.0, 1.0), centres[:1], measures[:1])  # one factor for n=2
+        RotationGrid((1.0, 1.0), centres[:1], measures)  # one centre block for two factors
     with pytest.raises(ValueError):
-        RotationGrid(2, (1.0, 1.0), (np.zeros((4, 3)), centres[1]), measures)  # S^2 rows of 3
+        RotationGrid((1.0, 1.0), (np.zeros((4, 3)), centres[1]), measures)  # S^2 rows of 3
     with pytest.raises(ValueError):
-        RotationGrid(2, (1.0, 1.0), centres, (np.ones(3), measures[1]))  # 4 centres, 3 measures
+        RotationGrid((1.0, 1.0), centres, (np.ones(3), measures[1]))  # 4 centres, 3 measures
     with pytest.raises(ValueError):
-        RotationGrid(2, (1.0, 1.0), centres, measures, weights=np.ones(7))
+        RotationGrid((1.0, 1.0), centres, measures, weights=np.ones(7))
+    for caps in ((1.0,), (1.0, 1.0, 1.0)):  # the factor count fixes n
+        with pytest.raises(ValueError, match="a cap and a measure array for each of the 2 factors"):
+            RotationGrid(caps, centres, measures)

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     direct_transform,
     directional_coeffs,
+    gram_matrix,
     grid_monomial_moments,
     per_cell_table,
     per_scale_energies,
@@ -61,7 +62,7 @@ def test_field_validation():
 def _identity_grid(n):
     """One rotation, the identity: a single cell at zero angles per factor."""
     zeros = tuple(np.zeros((1, J)) for J in range(n, 0, -1))
-    return RotationGrid(n, (math.pi,) * n, zeros, (np.ones(1),) * n)
+    return RotationGrid((math.pi,) * n, zeros, (np.ones(1),) * n)
 
 
 def test_identity_rotation_matches_spectral_inner_product():
@@ -115,12 +116,48 @@ def test_energy_identity_oracle_additivity():
     expect = sum(
         beta.values[l] * f.coeffs.degree_energy(l) for l in range(L + 1)
     )
-    assert energy_identity_oracle(n, f, beta) == pytest.approx(expect, rel=1e-14)
-    with pytest.raises(ValueError):
-        energy_identity_oracle(3, f, beta)
+    assert energy_identity_oracle(f, beta) == pytest.approx(expect, rel=1e-14)
+    # a table of another dimension is refused, not summed
+    other = build_beta_table(3, make_preset("abel-poisson", 3, d=1), L)
+    with pytest.raises(ValueError, match="beta table is for n=3, not the field's n=2"):
+        energy_identity_oracle(f, other)
     short = build_beta_table(n, prof, 4)
     with pytest.raises(ValueError):
-        energy_identity_oracle(n, f, short)
+        energy_identity_oracle(f, short)
+
+
+def test_gram_form_gives_the_frame_energies_and_bounds():
+    # on the quickstart grid the frame energy is the Hermitian form c^H G c
+    # of the 80 coefficients of degrees 1..8, and the extreme eigenvalues of
+    # G are the discrete frame bounds on them, which seeded trials only sample
+    n, L = 2, 8
+    prof = make_preset("abel-poisson", n, d=1)
+    scales = scale_grid_for_profile(n, prof, 1.5, L)
+    rot = build_rotation_grid(n, (0.6, 0.6))
+    G = gram_matrix(n, prof, L, 0, scales, rot)
+    assert G.shape == (80, 80)
+    assert np.max(np.abs(G - G.conj().T)) <= 1e-15 * np.max(np.abs(G))
+    fields = [random_bandlimited(n, L, 0, s) for s in np.random.SeedSequence(26).spawn(5)]
+    c = np.stack([f.coeffs.values[coefficient_count(n, 0) :] for f in fields], axis=1)
+    forms = np.einsum("kt,kl,lt->t", c.conj(), G, c).real
+    np.testing.assert_allclose(forms, transform_energies(n, prof, fields, scales, rot), rtol=1e-12)
+    bounds = np.linalg.eigvalsh(G)[[0, -1]]
+    np.testing.assert_allclose(bounds, [0.022738, 0.419481], rtol=0, atol=5e-7)
+
+
+def test_gram_eigenvector_energy_matches_the_sphere_grid_transform():
+    # the field of G's least eigenvalue, transformed rotation by rotation on
+    # the sphere grid, has that eigenvalue as its frame energy
+    n, L = 2, 4
+    prof = make_preset("abel-poisson", n, d=1)
+    scales = scale_grid_for_profile(n, prof, 1.5, L)
+    rot = build_rotation_grid(n, (1.0, 1.0))
+    lam, vec = np.linalg.eigh(gram_matrix(n, prof, L, 0, scales, rot))
+    values = np.zeros(coefficient_count(n, L), dtype=complex)
+    values[coefficient_count(n, 0) :] = vec[:, 0]
+    field = TestField(HarmonicCoefficients(n, L, values), 0)
+    table = direct_transform(n, prof, field, scales, rot, build_sphere_grid(n, L))
+    assert frame_energy(TransformTable(table, scales, rot)) == pytest.approx(lam[0], rel=1e-12)
 
 
 def test_shared_rows_match_single_field_runs():
@@ -178,7 +215,6 @@ def _cell_sample(grid, *cells):
     factor first, in the given order; the factors after them stay whole."""
     cut = [list(c) for c in cells] + [slice(None)] * (grid.n - len(cells))
     return RotationGrid(
-        grid.n,
         grid.delta_list,
         tuple(c[k] for c, k in zip(grid.centres, cut)),
         tuple(m[k] for m, k in zip(grid.measures, cut)),

@@ -213,7 +213,8 @@ def test_beta_numeric_quadrature_consistency():
     prof = make_preset("gauss-weierstrass", 2, d=1)
     l = 3
     rhos, wts = scale_quadrature(prof, l, panels=64)
-    total = float(np.dot(wts, _scale_energies(2, prof, rhos[:, None], np.array([l]))[:, 0]))
+    energies = _scale_energies(rhos[:, None], _DegreePart(prof, 2, np.array([l])))
+    total = float(np.dot(wts, energies[:, 0]))
     assert total / dim_harmonic(2, l) == pytest.approx(
         beta_numeric(2, prof, l), rel=1e-12
     )

@@ -26,7 +26,7 @@ import numpy as np
 
 from .rotation_grid import _MAX_CELLS, build_rotation_grid
 from .scale_grid import _epsilon_report, scale_grid_for_profile
-from .transform import _scan, energy_identity_oracle, random_bandlimited
+from .transform import _energy_sum, _scan, random_bandlimited
 from .wavelet_spectra import SpectralProfile, build_beta_table, profile_order, wavelet_bounds
 
 __all__ = [
@@ -170,8 +170,8 @@ def certify_frame(
 
     children = np.random.SeedSequence(seed).spawn(trials)
     fields = [random_bandlimited(n, L, m, s) for s in children]
-    oracles = np.array([energy_identity_oracle(f, beta) for f in fields])
     power = np.array([f.coeffs.degree_energies() for f in fields])
+    oracles = np.array([_energy_sum(beta, p) for p in power])
     semi = power @ disc
 
     grid_info = {

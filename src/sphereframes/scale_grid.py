@@ -111,10 +111,15 @@ def build_scale_grid(rho_max: float, ratio: float, count: int) -> ScaleGrid:
         raise ValueError(f"ratio must exceed 1, got {ratio}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    return ScaleGrid(*_geometric_scales(rho_max, ratio, count), ratio)
+
+
+def _geometric_scales(rho_max: float, ratio: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scales rho_max * ratio^-j, j = 0..count, and their weights ln ratio."""
     j = np.arange(count + 1)
     scales = rho_max * ratio ** (-j.astype(float))
     weights = np.full(count + 1, math.log(ratio))
-    return ScaleGrid(scales, weights, ratio)
+    return scales, weights
 
 
 def discrete_beta(n: int, profile: SpectralProfile, grid: ScaleGrid, l) -> float | np.ndarray:
@@ -125,24 +130,27 @@ def discrete_beta(n: int, profile: SpectralProfile, grid: ScaleGrid, l) -> float
     Warns, once per degree, when the integrand at either end of the grid
     exceeds 1e-12 of its peak, i.e. when the grid truncates its integral.
     """
-    return _degree_means(n, profile, l, lambda part: _riemann_means(grid, part))
+    return _degree_means(
+        n, profile, l, lambda part: _riemann_means(grid.scales, grid.weights, part)
+    )
 
 
-def _riemann_means(grid: ScaleGrid, part: _DegreePart) -> np.ndarray:
-    """``discrete_beta`` of the degrees of a ``_DegreePart`` on the grid: the
-    Riemann sums of their energies over N(n, l), with its coverage warning.
-    Only the scale part of the spectrum is evaluated."""
-    energies = _scale_energies(grid.scales[:, None], part)
+def _riemann_means(scales: np.ndarray, weights: np.ndarray, part: _DegreePart) -> np.ndarray:
+    """``discrete_beta`` of the degrees of a ``_DegreePart`` on the decreasing
+    scales with their weights: the Riemann sums of the energies over N(n, l),
+    with the coverage warning.  Only the scale part of the spectrum is
+    evaluated, and no ``ScaleGrid`` is built or checked."""
+    energies = _scale_energies(scales[:, None], part)
     peak = energies.max(axis=0)
     ends = np.maximum(energies[0], energies[-1])
     for i in np.flatnonzero((peak > 0) & (ends > 1e-12 * peak)):
         warnings.warn(
-            f"scale grid [{grid.rho_min:.3g}, {grid.rho_max:.3g}] truncates the "
+            f"scale grid [{scales[-1]:.3g}, {scales[0]:.3g}] truncates the "
             f"degree-{part.degrees[i]} integrand (endpoint/peak = {ends[i] / peak[i]:.2e})",
             ScaleCoverageWarning,
             stacklevel=_user_stacklevel(),
         )
-    return grid.weights @ energies / part.dimensions
+    return weights @ energies / part.dimensions
 
 
 def scale_grid_for_profile(n: int, profile: SpectralProfile, ratio: float, L: int) -> ScaleGrid:
@@ -150,22 +158,27 @@ def scale_grid_for_profile(n: int, profile: SpectralProfile, ratio: float, L: in
 
     m is the profile order, so degree 0 counts for zonal profiles with
     q(0) > 0.  The range is the union of the per-degree supports at
-    ``_scale_log_range``'s default level, so the truncation error stays
-    negligible against the discretization error.
+    ``_scale_log_range``'s default level, where every integrand has fallen
+    to 1e-15 of its peak, so the truncation error stays negligible against
+    the discretization error.  The grid runs down from the top of that
+    range in steps of the ratio until it passes the bottom.
     """
     if L < 1:
         raise ValueError(f"band limit must be >= 1, got {L}")
+    if not ratio > 1.0:
+        raise ValueError(f"ratio must exceed 1, got {ratio}")
     log_range = _scale_log_range(profile, profile_order(profile) + 1, L)
-    return _grid_from_range(log_range, ratio)
+    return ScaleGrid(*_range_scales(log_range, ratio), ratio)
 
 
-def _grid_from_range(log_range: tuple[float, float], ratio: float) -> ScaleGrid:
-    """The geometric grid of the given ratio from the top of a log-rho range
-    down past its bottom: the only part of a profile's grid that depends on
-    the ratio."""
+def _range_scales(log_range: tuple[float, float], ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scales and weights of the geometric grid of the given ratio from
+    the top of a log-rho range down past its bottom: the only part of a
+    profile's grid that depends on the ratio, and all that a ``find_ratio``
+    step builds."""
     u_lo, u_hi = log_range
     count = max(1, math.ceil((u_hi - u_lo) / math.log(ratio)))
-    return build_scale_grid(math.exp(u_hi), ratio, count)
+    return _geometric_scales(math.exp(u_hi), ratio, count)
 
 
 @dataclass(frozen=True)
@@ -241,12 +254,14 @@ def find_ratio(
     a positive finite number, or its midpoint rounds onto one of its ends;
     relies on eps_hat decreasing as X0 approaches 1.  Once per call it
     computes what no ratio changes: the profile order, the log-rho range of
-    ``scale_grid_for_profile``, the degree part of the spectrum at the
-    degrees m+1..L (``_DegreePart``: q(l)^b, R(l), N(n, l)) and their
-    continuous beta.  Each step then builds only the grid of its ratio over
-    that range, the same grid as ``scale_grid_for_profile(n, profile, ratio,
-    L)``, and evaluates the scale part of the spectrum on it for the Riemann
-    sums.  Feasibility is checked last: eps_hat at _FINEST_RATIO, the finest
+    ``scale_grid_for_profile`` (two closed-form roots), the degree part of
+    the spectrum at the degrees m+1..L (``_DegreePart``: q(l)^b, R(l),
+    N(n, l)) and their continuous beta.  Each step then makes only the
+    scales and weights of its ratio over that range, those of
+    ``scale_grid_for_profile(n, profile, ratio, L)``, with no ``ScaleGrid``
+    built or checked, and evaluates the scale part of the spectrum on them
+    for the Riemann sums, the bits of ``discrete_beta`` on that grid.
+    Feasibility is checked last: eps_hat at _FINEST_RATIO, the finest
     grid, is evaluated only when no step met the target, and a ValueError
     says so when it exceeds the target there too.  target, like rel_tol,
     is a positive finite number.
@@ -263,7 +278,7 @@ def find_ratio(
     cont = beta_numeric(n, profile, part)
 
     def eps(ratio: float) -> float:
-        disc = _riemann_means(_grid_from_range(log_range, ratio), part)
+        disc = _riemann_means(*_range_scales(log_range, ratio), part)
         return float((np.abs(disc - cont) / cont).max())
 
     lo, hi = _FINEST_RATIO, _COARSEST_RATIO

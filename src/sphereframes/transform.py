@@ -575,4 +575,10 @@ def energy_identity_oracle(f: TestField, beta: BetaTable) -> float:
         raise ValueError(f"beta table is for n={beta.n}, not the field's n={f.n}")
     if beta.L < f.L:
         raise ValueError(f"beta table to degree {beta.L} cannot cover a field at {f.L}")
-    return math.fsum(beta.values[: f.L + 1] * f.coeffs.degree_energies())
+    return _energy_sum(beta, f.coeffs.degree_energies())
+
+
+def _energy_sum(beta: BetaTable, power: np.ndarray) -> float:
+    """sum_l beta(l) ||f_l||^2 of a field's degree energies ||f_l||^2, l <= f.L,
+    compensated (math.fsum): the energy identity's oracle."""
+    return math.fsum(beta.values[: power.size] * power)

@@ -256,54 +256,6 @@ class _DegreePart:
         return one
 
 
-def _brent_root(f, xa: float, xb: float) -> float:
-    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
-
-    A step-for-step port of the reference C routine brentq with its default
-    tolerances (xtol 2e-12, rtol 4 eps, 100 iterations), so it returns the
-    same root to the last bit.  Raises ValueError if f(xa) and f(xb) have
-    the same sign.
-    """
-    xtol, rtol = 2e-12, 4.0 * np.finfo(float).eps
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"Brent's method did not converge in 100 iterations, value is {xcur}")
-
-
 def _cprime(profile: SpectralProfile) -> float:
     """c' = c + d/(gamma b): E_l(rho) is a multiple of s^(2c') e^(-2s)."""
     return profile.c + profile.d / (profile.gamma * profile.b)
@@ -318,28 +270,82 @@ def _scale_log_range(
     threshold, so truncation stays negligible against discretization.
 
     Each integrand is the envelope s^(2c') e^(-2s) of s = rho^a q(l)^b: its
-    range in s is solved once, then shifted by -b log q(l) / a to the lower
-    end of the degree with the largest q and the upper end of the one with
-    the least q.
+    range in s, s = c' u for the roots u of ``_envelope_roots``, is solved
+    once, then shifted by -b log q(l) / a to the lower end of the degree
+    with the largest q and the upper end of the one with the least q.
     """
-    cprime, target = _cprime(profile), math.log(tol)
-
-    def g(s: float) -> float:
-        return 2.0 * cprime * math.log(s / cprime) - 2.0 * (s - cprime) - target
-
-    hi_guess = cprime - target
-    while g(hi_guess) > 0:
-        hi_guess *= 2.0
-    s_lo, s_hi = _brent_root(g, cprime * 1e-30, cprime), _brent_root(g, cprime, hi_guess)
+    cprime = _cprime(profile)
+    log_u_lo, u_hi = _envelope_roots(cprime, tol)
     degrees = np.arange(first, last + 1)
     q = profile.q_eval(degrees)
     if (q <= 0.0).any():
         l = int(degrees[q <= 0.0][0])
         raise ValueError(f"q({l}) <= 0: degree {l} has no scale range")
+    log_c = math.log(cprime)
     return tuple(
-        (math.log(s) - profile.b * math.log(float(q_end))) / profile.a
-        for s, q_end in ((s_lo, q.max()), (s_hi, q.min()))
+        (log_c + log_u - profile.b * math.log(float(q_end))) / profile.a
+        for log_u, q_end in ((log_u_lo, q.max()), (math.log(u_hi), q.min()))
     )
+
+
+def _envelope_roots(cprime: float, tol: float) -> tuple[float, float]:
+    """(ln u_lo, u_hi) for the two roots u = s/c' of ln u - u = kappa,
+    kappa = ln(tol)/(2c') - 1: where the envelope s^(2c') e^(-2s) falls to
+    tol times its peak at s = c'.  They are the Lambert-W values
+    -W_0(-e^kappa) < 1 < -W_{-1}(-e^kappa).
+
+    With delta = -1 - kappa > 0 both solve e^v - 1 - v = delta in v = ln u,
+    and delta is kept apart from the 1 that kappa would round it into near
+    the branch point (small delta, large c').  Newton runs on ln u for the
+    lower root from max(kappa, ln(1 - sqrt(2 delta))) and on u for the upper
+    from max(1 + sqrt(2 delta), -kappa + ln(-kappa)).  Every start lies below
+    its root: the lower's convex, decreasing residual then converges
+    monotonically, and the upper's overshoots once.
+    """
+    delta = -math.log(tol) / (2.0 * cprime)
+    p = math.sqrt(2.0 * delta)
+    log_u_lo = _newton(
+        lambda v: (_exp_excess(v) - delta) / math.expm1(v),
+        max(-1.0 - delta, math.log1p(-p) if p < 1.0 else -math.inf),
+    )
+    u_hi = _newton(
+        lambda u: u * (u - 1.0 - math.log(u) - delta) / (u - 1.0),
+        max(1.0 + p, 1.0 + delta + math.log1p(delta)),
+    )
+    return log_u_lo, u_hi
+
+
+# 1/k! for k = 14 down to 2: the Taylor series of e^v - 1 - v, whose terms
+# past k = 14 stay below 1e-18 of the sum for |v| <= 1/4
+_EXCESS_SERIES = tuple(1.0 / math.factorial(k) for k in range(14, 1, -1))
+
+
+def _exp_excess(v: float) -> float:
+    """e^v - 1 - v to a few ulps.  For |v| <= 1/4, where expm1(v) - v would
+    cancel its leading digits and leave the lower root of
+    ``_envelope_roots`` short of 1e-14 relative accuracy, by its series."""
+    if abs(v) > 0.25:
+        return math.expm1(v) - v
+    out = 0.0
+    for coeff in _EXCESS_SERIES:
+        out = coeff + out * v
+    return out * v * v
+
+
+# Newton's step cap; from the starts of _envelope_roots both roots take at
+# most 6 steps for c' in [1e-3, 1e6] and tol in [1e-18, 1e-12]
+_NEWTON_STEPS = 32
+
+
+def _newton(step, x: float) -> float:
+    """Root of f by Newton's method from x, step(x) = f(x)/f'(x), done once
+    a step moves the iterate by at most 4 ulps."""
+    for _ in range(_NEWTON_STEPS):
+        dx = step(x)
+        x -= dx
+        if abs(dx) <= 4.0 * math.ulp(x):
+            return x
+    raise RuntimeError(f"Newton's method did not converge in {_NEWTON_STEPS} steps, at {x}")
 
 
 def _scale_energies(rho, part: _DegreePart) -> np.ndarray:

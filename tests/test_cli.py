@@ -192,6 +192,16 @@ def test_scale_grid_command(tmp_path):
     assert len(lines) == 10
 
 
+def test_scale_grid_command_for_small_c(tmp_path):
+    # c = 0.2 once made the scale-range solve fail and the command exit 1
+    conf = tmp_path / "p.conf"
+    conf.write_text("[profile]\na = 1.0\nb = 1.0\nc = 0.2\nq = 0 1\n")
+    out = tmp_path / "o"
+    args = ["scale-grid", "--config", str(conf), "--band-limit", "8", "--ratio", "1.5"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert json.loads(read(out / "scale_report.json"))["epsilon_hat"] < 1e-9
+
+
 def test_partial_or_unused_scale_grid_is_refused(tmp_path, capsys):
     conf = tmp_path / "s.conf"
     conf.write_text("[scales]\nrho_max = 4.0\n")

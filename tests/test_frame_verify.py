@@ -8,10 +8,16 @@ import pytest
 
 from sphereframes import frame_verify, scale_grid, wavelet_spectra
 from sphereframes.frame_verify import certify_frame, find_refinement
+from sphereframes.harmonics import HarmonicCoefficients
 from sphereframes.rotation_grid import build_rotation_grid
 from sphereframes.scale_grid import discrete_beta, epsilon_report, scale_grid_for_profile
-from sphereframes.transform import random_bandlimited, wavelet_analysis
-from sphereframes.wavelet_spectra import SpectralProfile, make_preset, profile_order
+from sphereframes.transform import energy_identity_oracle, random_bandlimited, wavelet_analysis
+from sphereframes.wavelet_spectra import (
+    SpectralProfile,
+    build_beta_table,
+    make_preset,
+    profile_order,
+)
 
 AP1 = make_preset("abel-poisson", 2, d=1)
 Q0 = SpectralProfile(a=1, b=1, c=1, q=(1, 1))  # zonal with q(0) > 0: beta(0) > 0
@@ -247,6 +253,29 @@ def test_certify_reads_beta_from_its_table_only(monkeypatch):
             assert len(calls) == L - profile_order(prof)  # one per table row
             grid = scale_grid_for_profile(n, prof, 1.5, L)
             assert rep.epsilon_hat == epsilon_report(n, prof, grid, L).epsilon_hat
+
+
+def test_certify_takes_each_trial_energies_once(monkeypatch):
+    # one degree_energies call per trial feeds both the oracle and the
+    # semi-discrete energy, and the oracles are energy_identity_oracle's bits
+    calls = []
+    energies = HarmonicCoefficients.degree_energies
+
+    def counted(self):
+        calls.append(self)
+        return energies(self)
+
+    monkeypatch.setattr(HarmonicCoefficients, "degree_energies", counted)
+    for n, L, deltas in ((2, 6, (2.0, 2.0)), (3, 8, None)):
+        for prof in (make_preset("abel-poisson", n, d=1), Q0):
+            calls.clear()
+            rep = certify_frame(n, prof, L, 1.5, deltas, 3, 5)
+            assert len(calls) == 3
+            beta = build_beta_table(n, prof, L)
+            m = profile_order(prof)
+            fields = [random_bandlimited(n, L, m, s) for s in np.random.SeedSequence(5).spawn(3)]
+            want = np.array([energy_identity_oracle(f, beta) for f in fields])
+            assert rep.oracles.tobytes() == want.tobytes()
 
 
 def test_missing_or_wrong_caps_fail_before_any_work(monkeypatch):

@@ -181,17 +181,17 @@ def test_find_ratio_computes_range_and_beta_once(monkeypatch):
 
 
 def _spy_grids(monkeypatch, limit=None):
-    """The ratios of the grids find_ratio builds, in order; with a limit, a
-    search that builds more grids than that fails instead of running on."""
+    """The ratios of the grids find_ratio makes, in order; with a limit, a
+    search that makes more grids than that fails instead of running on."""
     ratios = []
-    build = scale_grid._grid_from_range
+    make = scale_grid._range_scales
 
     def counted(log_range, ratio):
         ratios.append(ratio)
         assert limit is None or len(ratios) <= limit, "the bisection does not stop"
-        return build(log_range, ratio)
+        return make(log_range, ratio)
 
-    monkeypatch.setattr(scale_grid, "_grid_from_range", counted)
+    monkeypatch.setattr(scale_grid, "_range_scales", counted)
     return ratios
 
 
@@ -227,27 +227,35 @@ def test_find_ratio_builds_the_degree_part_once(monkeypatch):
 
 
 def test_find_ratio_steps_equal_discrete_beta(monkeypatch):
-    # each step's Riemann sums over the once-built degree part are the bits
-    # of discrete_beta on the same grid
-    steps = []
-    means = scale_grid._riemann_means
+    # each step's Riemann sums over the once-built degree part, on the scales
+    # and weights of its ratio, are the bits of discrete_beta on the grid of
+    # those arrays
+    made, steps = [], []
+    make, means = scale_grid._range_scales, scale_grid._riemann_means
 
-    def recorded(grid, part):
-        steps.append((grid, part.degrees, means(grid, part)))
-        return steps[-1][2]
+    def made_arrays(log_range, ratio):
+        made.append((ratio, *make(log_range, ratio)))
+        return made[-1][1:]
+
+    def recorded(scales, weights, part):
+        steps.append((scales, weights, part.degrees, means(scales, weights, part)))
+        return steps[-1][3]
 
     for name in PRESET_NAMES:
         for n in (2, 3):
             for d in (0, 1):
                 prof = make_preset(name, n, d=d)
+                made.clear()
                 steps.clear()
                 with monkeypatch.context() as m:
+                    m.setattr(scale_grid, "_range_scales", made_arrays)
                     m.setattr(scale_grid, "_riemann_means", recorded)
                     find_ratio(n, prof, 8, target=1e-6, rel_tol=1e-3)
-                assert len(steps) > 2, (name, n, d)
-                for grid, degrees, sums in steps:
-                    whole = discrete_beta(n, prof, grid, degrees)
-                    assert whole.tobytes() == sums.tobytes(), (name, n, d, grid.ratio)
+                assert len(steps) > 2 and len(steps) == len(made), (name, n, d)
+                for (ratio, scales, weights), (s, w, degrees, sums) in zip(made, steps):
+                    assert s is scales and w is weights  # the arrays the step made
+                    whole = discrete_beta(n, prof, ScaleGrid(scales, weights, ratio), degrees)
+                    assert whole.tobytes() == sums.tobytes(), (name, n, d, ratio)
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
@@ -298,7 +306,7 @@ def test_signed_deviation_matches_the_aliasing_series(prof):
     log_range = _scale_log_range(prof, m + 1, L)
     cont = beta_numeric(2, prof, degrees)
     for X0 in (1.5, 2.0, 3.0):
-        grid = scale_grid._grid_from_range(log_range, X0)
+        grid = ScaleGrid(*scale_grid._range_scales(log_range, X0), X0)
         rep = scale_grid._epsilon_report(2, prof, grid, degrees, cont)
         signed = (rep.beta_discrete - rep.beta_continuous) / rep.beta_continuous
         np.testing.assert_array_equal(np.abs(signed), rep.rel_dev)
@@ -343,6 +351,58 @@ def test_profile_range_is_the_union_of_degree_ranges():
         assert epsilon_report(2, dipping, grid, 8).epsilon_hat < 1e-12
     with pytest.raises(ValueError, match=r"q\(2\) <= 0"):
         _scale_log_range(SpectralProfile(a=1, b=1, c=1, q=(3, -2.5, 0.5)), 1, 8)
+
+
+@pytest.mark.parametrize("c", [0.1, 0.2, 0.25, 0.3, 0.5])
+def test_profile_grid_for_small_c_prime(c):
+    # a bracketing solver once found no sign change for c' <= 1/4, and at
+    # c = 0.5 ended the grid near 1e-13, where the degree 2-8 integrands had
+    # not yet fallen to 1e-12 of their peaks
+    prof = SpectralProfile(a=1, b=1, c=c, q=(0, 1))
+    grid = scale_grid_for_profile(2, prof, 1.5, 8)
+    u_lo, u_hi = _scale_log_range(prof, 1, 8)
+    assert grid.rho_max == math.exp(u_hi)
+    assert math.log(grid.rho_min) <= u_lo < math.log(grid.rho_min * 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert epsilon_report(2, prof, grid, 8).epsilon_hat < 1e-9
+        ratio = find_ratio(2, prof, 8, target=1e-12)
+        found = scale_grid_for_profile(2, prof, ratio, 8)
+        assert epsilon_report(2, prof, found, 8).epsilon_hat <= 1e-12
+
+
+@pytest.mark.parametrize("c", [0.1, 0.3, 0.5, 0.7, 1.0, 5.0])
+def test_scale_range_ends_where_the_envelope_is_tol_of_its_peak(c):
+    # q(1) = 1 and a = b = 1, so the degree-1 range is the envelope's s-range:
+    # ln[(s/c')^(2c') e^(-2(s - c'))] = ln tol at both ends
+    prof = SpectralProfile(a=1, b=1, c=c, q=(0, 1))
+    for tol in (1e-12, 1e-15, 1e-18):
+        for log_s in _scale_log_range(prof, 1, 1, tol):
+            s = math.exp(log_s)
+            level = 2 * c * (log_s - math.log(c)) - 2 * (s - c)
+            assert level == pytest.approx(math.log(tol), rel=1e-12), (c, tol)
+
+
+def test_find_ratio_builds_no_scale_grid(monkeypatch):
+    # its steps take scales and weights alone, unchecked, for their sums
+    grids = []
+    init = ScaleGrid.__post_init__
+
+    def counted(self):
+        grids.append(self)
+        init(self)
+
+    monkeypatch.setattr(ScaleGrid, "__post_init__", counted)
+    find_ratio(2, AP1, 8, target=1e-6, rel_tol=1e-3)
+    with pytest.raises(ValueError, match="already exceeds"):
+        find_ratio(2, AP1, 8, target=1e-30)
+    assert grids == []
+
+
+def test_profile_grid_refuses_a_ratio_not_above_one():
+    for ratio in (1.0, 0.5, -2.0, math.nan):
+        with pytest.raises(ValueError, match="ratio must exceed 1"):
+            scale_grid_for_profile(2, AP1, ratio, 8)
 
 
 def test_degree_zero_is_covered_when_q0_positive():

@@ -1,10 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from oracles import (
     SpectralTruncationWarning,
@@ -24,8 +24,8 @@ from sphereframes.scale_grid import build_scale_grid, discrete_beta, scale_grid_
 from sphereframes.wavelet_spectra import (
     PRESET_NAMES,
     SpectralProfile,
-    _brent_root,
     _DegreePart,
+    _envelope_roots,
     _scale_energies,
     beta_numeric,
     build_beta_table,
@@ -360,45 +360,19 @@ def test_hat_positive_above_order(rho, l, c):
     assert zonal_hat(prof, rho, 0, 2) == 0.0
 
 
-def _root_or_error(solve, f, a, b):
-    try:
-        return solve(f, a, b)
-    except ValueError:  # f(a), f(b) of one sign: below c' = 0.25 at tol 1e-15
-        return "same signs"
-
-
-@pytest.mark.parametrize("tol", [1e-15, 1e-18])
-def test_brent_root_matches_scipy_brentq_bit_for_bit(tol):
-    # both brackets that _scale_log_range solves, over a sweep of c'
-    target = math.log(tol)
-    for cprime in np.linspace(0.01, 50.0, 501):
-
-        def g(s, cprime=float(cprime)):
-            return 2.0 * cprime * math.log(s / cprime) - 2.0 * (s - cprime) - target
-
-        hi = cprime - target
-        while g(hi) > 0:
-            hi *= 2.0
-        for a, b in ((cprime * 1e-30, cprime), (cprime, hi)):
-            assert _root_or_error(_brent_root, g, a, b) == _root_or_error(brentq, g, a, b)
-
-
-def test_brent_root_steps_and_errors_match_scipy_brentq():
-    cases = [
-        (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),  # interpolation steps
-        (lambda x: math.cos(x) - x, 0.0, 1.0),
-        (lambda x: math.expm1(60.0 * (x - 0.3)), 0.0, 1.0),  # bisection steps
-        (lambda x: math.atan(x - 0.7) - 1e-3, -3.0, 1.0),
-        (lambda x: x - 1.0, 1.0, 2.0),  # root at an end point
-    ]
-    for f, a, b in cases:
-        assert _brent_root(f, a, b) == brentq(f, a, b)
-    with pytest.raises(ValueError, match="different signs"):
-        _brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
-    # the cube underflows near its root, and neither finds it in 100 steps
-    for solve in (_brent_root, brentq):
-        with pytest.raises(RuntimeError):
-            solve(lambda x: (x - 0.25) ** 3, -1.0, 2.0)
+@pytest.mark.parametrize("tol", [1e-12, 1e-15, 1e-18])
+def test_envelope_roots_match_lambert_w(tol):
+    # u = -W_0(-e^kappa) and -W_{-1}(-e^kappa), kappa = ln(tol)/(2c') - 1,
+    # in 50 digits from the float c' and tol; a case that reaches Newton's
+    # step cap raises RuntimeError
+    with mpmath.workdps(50):
+        for cprime in np.geomspace(1e-3, 1e6, 400).tolist():
+            log_u_lo, u_hi = _envelope_roots(cprime, tol)
+            z = -mpmath.exp(mpmath.log(tol) / (2 * mpmath.mpf(cprime)) - 1)
+            want_lo = mpmath.log(-mpmath.lambertw(z, 0))
+            want_hi = -mpmath.lambertw(z, -1)
+            assert abs(log_u_lo - want_lo) <= 1e-14 * abs(want_lo), cprime
+            assert abs(u_hi - want_hi) <= 1e-14 * want_hi, cprime
 
 
 def test_beta_table_equals_one_array_call():

@@ -167,8 +167,12 @@ def scale_grid_for_profile(n: int, profile: SpectralProfile, ratio: float, L: in
         raise ValueError(f"band limit must be >= 1, got {L}")
     if not ratio > 1.0:
         raise ValueError(f"ratio must exceed 1, got {ratio}")
-    log_range = _scale_log_range(profile, profile_order(profile) + 1, L)
-    return ScaleGrid(*_range_scales(log_range, ratio), ratio)
+    degrees = np.arange(profile_order(profile) + 1, L + 1)
+    q = profile.q_eval(degrees)
+    if (q <= 0.0).any():
+        l = int(degrees[q <= 0.0][0])
+        raise ValueError(f"q({l}) <= 0: degree {l} has no scale range")
+    return ScaleGrid(*_range_scales(_scale_log_range(profile, q), ratio), ratio)
 
 
 def _range_scales(log_range: tuple[float, float], ratio: float) -> tuple[np.ndarray, np.ndarray]:
@@ -253,10 +257,11 @@ def find_ratio(
     Bisection on ln X0 until the bracket's relative width is at most rel_tol,
     a positive finite number, or its midpoint rounds onto one of its ends;
     relies on eps_hat decreasing as X0 approaches 1.  Once per call it
-    computes what no ratio changes: the profile order, the log-rho range of
-    ``scale_grid_for_profile`` (two closed-form roots), the degree part of
-    the spectrum at the degrees m+1..L (``_DegreePart``: q(l)^b, R(l),
-    N(n, l)) and their continuous beta.  Each step then makes only the
+    computes what no ratio changes: the profile order, the degree part of
+    the spectrum at the degrees m+1..L (``_DegreePart``: q(l), evaluated and
+    checked once, q(l)^b, R(l), N(n, l)), the log-rho range of
+    ``scale_grid_for_profile`` from the part's q (two closed-form roots)
+    and the degrees' continuous beta.  Each step then makes only the
     scales and weights of its ratio over that range, those of
     ``scale_grid_for_profile(n, profile, ratio, L)``, with no ``ScaleGrid``
     built or checked, and evaluates the scale part of the spectrum on them
@@ -272,9 +277,8 @@ def find_ratio(
         raise ValueError(f"rel_tol must be a positive finite number, got {rel_tol}")
     if not (math.isfinite(target) and target > 0):
         raise ValueError(f"target must be a positive finite number, got {target}")
-    m = profile_order(profile)
-    log_range = _scale_log_range(profile, m + 1, L)
-    part = _DegreePart(profile, n, np.arange(m + 1, L + 1))
+    part = _DegreePart(profile, n, np.arange(profile_order(profile) + 1, L + 1))
+    log_range = _scale_log_range(profile, part.q)
     cont = beta_numeric(n, profile, part)
 
     def eps(ratio: float) -> float:

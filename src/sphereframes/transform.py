@@ -17,15 +17,16 @@ once per call, so the transform reads no sphere grid.  The rotation grid is
 a product of sphere partitions.  U depends only on a rotation's outer S^n
 cell, and R e_2 is the image under the cell's T_n of a point fixed by the
 S^(n-1) cell, so the scale weights, the filters and the quadratic form of
-those points fold into one matrix, reduced once per call to a triangular
-factor by QR.  The outer cells lie on latitude bands of C equal arcs, and
-T_n is the rotation by the cell's azimuth after one fixed per band: in the
-charge basis of the last plane the azimuth only shifts frequencies, so a
-band's C cells are a length-C DFT of at most 2L + 1 folded vectors.  Each
-band scatter-adds its coefficients onto their residues once, and by
-Parseval its energy is the squared norm of the triangular factor times
-those vectors; no cell and no rotation is visited.  Only the table of
-wavelet_analysis has one column per rotation.
+those points make one matrix on one axis of the monomials of every power,
+each padded with zeros to a common top degree, reduced once per call to a
+triangular factor by QR.  The outer cells lie on latitude bands of C equal
+arcs, and T_n is the rotation by the cell's azimuth after one fixed per
+band: in the charge basis of the last plane the azimuth only shifts
+frequencies, so a band's C cells are a length-C DFT of at most 2L + 1
+folded vectors.  Each band scatter-adds its coefficients onto their
+residues once, and by Parseval its energy is the squared norm of the
+triangular factor times those vectors; no cell and no rotation is visited.
+Only the table of wavelet_analysis has one column per rotation.
 
 The energy identity sums beta(l) against the per-degree field energies and is
 the rotation-quadrature-free reference value for frame checks.
@@ -141,13 +142,15 @@ class TransformTable:
 
 
 # Bytes of one chunk of latitude bands: a band's polar rows and monomial
-# actions, per coefficient its harmonics, fold targets and one field's
-# weighted moments, and per residue and field of a batch its folded vectors,
-# Z and the operator's product (or the chunk's table entries).  The moments
-# and the operator are held for the whole call, outside it.  A chunk holds at
-# least one band and a batch at least one field, so the real bound is
-# max(_CHUNK_BYTES, one band at one field): at n=2, L=256, delta=0.1 the
-# largest band, 209 cells, counts 17.5 MB at one field (11.3 MB traced).
+# actions, per coefficient its harmonics and, for each monomial of the one
+# padded monomial axis, its fold targets and one field's weighted moments,
+# and per residue and field of a batch its folded vectors and Z, one row per
+# monomial and degree to the axis's top degree, and the operator's product
+# (or the chunk's table entries).  The moments and the operator are held for
+# the whole call, outside it.  A chunk holds at least one band and a batch at
+# least one field, so the real bound is max(_CHUNK_BYTES, one band at one
+# field): at n=2, L=256, delta=0.1 the largest band, 209 cells, counts 11.9 MB
+# at one field (7.3 MB traced).
 _CHUNK_BYTES = 8 * 2**20
 
 # Largest distance of a band's azimuths from phi_0 + 2 pi c / C: rounding of
@@ -236,9 +239,7 @@ def _filters(n: int, profile: SpectralProfile, field_L: int, scales: ScaleGrid) 
     """
     lam = (n - 1) / 2
     d = profile.d
-    tables = {0: np.ones((1, 1))} if d == 0 else dict(
-        enumerate(_theta_derivative_tableau(d), start=1)
-    )
+    tables = dict(enumerate(_theta_derivative_tableau(d), start=1)) or {0: np.ones((1, 1))}
     part = _DegreePart(profile, n, np.arange(field_L + 1))
     hats = _directional_hat(scales.scales[:, None], part)
     filters = {}
@@ -254,18 +255,6 @@ def _filters(n: int, profile: SpectralProfile, field_L: int, scales: ScaleGrid) 
     for j, filt in filters.items():
         filt *= lam / (np.arange(filt.shape[1]) + lam)
     return filters
-
-
-def _fold(left: np.ndarray, filters: dict, columns: dict) -> np.ndarray:
-    """F[(s, i), (col, l)] = filters[j][s, l] * left[i, col] for the columns
-    col of each power j, the blocks of every j side by side."""
-    blocks = [
-        (filt[:, None, None, :] * left[None, :, columns[j], None]).reshape(
-            filt.shape[0] * left.shape[0], -1
-        )
-        for j, filt in filters.items()
-    ]
-    return np.concatenate(blocks, axis=1)
 
 
 def _latitude_bands(centres: np.ndarray, measures: np.ndarray):
@@ -318,21 +307,24 @@ def _scan(
     weighted monomials of V, the coefficients of x^mu f to degree
     field_L - j come once from _monomial_moments, in coefficient space.  By
     the addition theorem G_j(U . x) pairs with x^mu f as sum_l
-    filters[j][s, l] times the degree-l component of x^mu f at U.  The inner
-    factors T_J, J < n, fix e_1, so U is the outer cell's centre.  T_J,
-    J < n - 1, also fix e_2, so V = T_n(x_c) p, with p = T_(n-1)(x^(n-1)) e_2
-    running over the S^(n-1) cells, and m(V) = A_c m(p) with A_c the action
-    of T_n(x_c) on the monomials.  So W at scale s is sum_(col, l)
-    filters[j][s, l] m(p)[col] Z[(col, l), c], where Z holds the components
-    after A_c^T: the table is one product M Z, M[(s, p), (col, l)] =
-    filters[j][s, l] m(p)[col].  Summed over a cell's inner rotations, with
-    omega_p the S^(n-1) cell measure times the total measure of the smaller
-    factors, and over the scales with weights w_s, |W|^2 is the quadratic
-    form Z^H K^T K Z of K[(s, i), (col, l)] = sqrt(w_s) filters[j][s, l]
-    H[i, col], with H^T H = sum_p omega_p m(p) m(p)^T.  K is the same for
-    every cell, and so is R with R^T R = K^T K: the triangular factor of one
-    QR of K when K has more rows than columns, else K itself, never the
-    Gram matrix.
+    filters[j][s, l] times the degree-l component of x^mu f at U.  The
+    monomials of every power j lie on one axis, each power a block of it,
+    and each monomial's moments and filters F[s, mu, l] = filters[j][s, l]
+    run to the common degree top = field_L - min j, with exact zeros past
+    field_L - j.  The inner factors T_J, J < n, fix e_1, so U is the outer
+    cell's centre.  T_J, J < n - 1, also fix e_2, so V = T_n(x_c) p, with
+    p = T_(n-1)(x^(n-1)) e_2 running over the S^(n-1) cells, and m(V) =
+    A_c m(p) with A_c the action of T_n(x_c) on the monomials, one block
+    per power.  So W at scale s is sum_(mu, l) F[s, mu, l] m(p)[mu]
+    Z[(mu, l), c], where Z holds the components after A_c^T: the table is
+    one product M Z, M[(s, p), (mu, l)] = F[s, mu, l] m(p)[mu].  Summed over
+    a cell's inner rotations, with omega_p the S^(n-1) cell measure times
+    the total measure of the smaller factors, and over the scales with
+    weights w_s, |W|^2 is the quadratic form Z^H K^T K Z of K[(s, i),
+    (mu, l)] = sqrt(w_s) F[s, mu, l] H[i, mu], with H^T H = sum_p omega_p
+    m(p) m(p)^T.  K is the same for every cell, and so is R with R^T R =
+    K^T K: the triangular factor of one QR of K when K has more rows than
+    columns, else K itself, never the Gram matrix.
 
     No cell is visited either.  A cell's rotation is T(theta, phi) =
     P_phi T(theta, 0), P_phi the rotation by phi in the last plane.  In the
@@ -345,17 +337,20 @@ def _scan(
     sum_(nu = r mod C) e^(i nu phi_0) z_nu over min(C, 2 field_L + 1)
     residues r.  A band weights its moments' coefficients by the harmonics
     at its polar angles and by e^(i nu phi_0), scatter-adds them onto their
-    (l, r) and applies the action of Q T(theta, 0) on the charge monomials,
-    Q the charge coordinates of V: once per band.  By Parseval the band's energy
-    is C w sum_r |R g_r|^2, w the common weight of its cells, and its table
-    entries are a length-C inverse DFT of M g_r, zero at the residues that
-    no frequency reaches.  Any other cell is a band of one.  Bands run in
-    order of their residue counts, in chunks of at most _CHUNK_BYTES or one
-    band, which bounds memory independently of the inner grid and of the
-    thread count; a chunk gives each band as many residues as its last,
-    with zeros past the band's own, and takes the fields in batches, all at
-    once unless the band of most residues would then pass the budget.  The
-    table has one column per rotation, in the grid's row order.
+    (mu, l, r), one scatter per field for the whole axis (the padding's
+    exact zeros may land on any of the residues, but there add nothing), and
+    applies each power's action of Q T(theta, 0) to its block of the charge
+    monomials, Q the charge coordinates of V: once per band.  By Parseval
+    the band's energy is C w sum_r |R g_r|^2, w the common weight of its
+    cells, and its table entries are a length-C inverse DFT of M g_r, zero
+    at the residues that no frequency reaches.  Any other cell is a band of
+    one.  Bands run in order of their residue counts, in chunks of at most
+    _CHUNK_BYTES or one band, which bounds memory independently of the
+    inner grid and of the thread count; a chunk gives each band as many
+    residues as its last, with zeros past the band's own, and takes the
+    fields in batches, all at once unless the band of most residues would
+    then pass the budget.  The table has one column per rotation, in the
+    grid's row order.
     """
     n = rotations.n
     for f in fields:
@@ -367,68 +362,61 @@ def _scan(
     n_fields = len(fields)
     n_scales = len(scales)
     filters = _filters(n, profile, field_L, scales)
+    powers = sorted(filters)
+    top = field_L - powers[0]
+    monomials = [_monomials(n, j) for j in powers]
+    # edges: each power's block of the monomial axis; charges: b - a of each
+    # charge monomial
+    edges = np.cumsum([0] + [len(combos) for combos, _ in monomials]).tolist()
+    charges = np.array([mu.count(n) - mu.count(n - 1) for combos, _ in monomials for mu in combos])
+    n_mono = len(charges)
 
     values = np.zeros((coefficient_count(n, field_L), n_fields), dtype=complex)
     for i, f in enumerate(fields):
         values[: f.coeffs.values.size, i] = f.coeffs.values
-    moments = _monomial_moments(n, values, field_L, filters)
+    by_power = _monomial_moments(n, values, field_L, powers)
     del values  # the chunks read only the moments
-    v_charge = _charge_basis(n)
-    # columns[j]: power j's monomials among all; rows[j]: its (col, l) rows of Z;
-    # charges[j]: b - a of each charge monomial
-    monomials, columns, rows, charges = {}, {}, {}, {}
-    start = n_rows = 0
-    for j in sorted(filters):
-        monomials[j] = _monomials(n, j)
-        combos = monomials[j][0]
-        count = len(combos)
-        columns[j] = slice(start, start + count)
-        rows[j] = slice(n_rows, n_rows + count * (field_L - j + 1))
-        start, n_rows = columns[j].stop, rows[j].stop
-        charges[j] = np.array([mu.count(n) - mu.count(n - 1) for mu in combos])
-        # moments[j][t, mu]: the moment of charge monomial mu and field t
-        moments[j] = np.ascontiguousarray(moments[j].values.transpose(2, 1, 0))
+    # stacked[s, mu, l] and moments[t, mu, (l, k)], zero past degree
+    # field_L - j for the monomials mu of power j
+    stacked = np.zeros((n_scales, n_mono, top + 1))
+    moments = np.zeros((n_fields, n_mono, coefficient_count(n, top)), dtype=complex)
+    for lo, hi, j in zip(edges, edges[1:], powers):
+        stacked[:, lo:hi, : field_L - j + 1] = filters[j][:, None]
+        moment = by_power.pop(j).values
+        moments[:, lo:hi, : moment.shape[0]] = moment.transpose(2, 1, 0)
+    del moment
 
     # p = T_(n-1)(x^(n-1)) e_2 over the S^(n-1) cells, and their weighted monomials
     m = n * (n + 1) // 2
     euler = np.zeros((rotations.sizes[1], m))
     euler[:, n : 2 * n - 1] = rotations.centres[1]
     p = rotation_matrix(n, euler)[:, :, 1]
-    p_mono = np.concatenate(
-        [w * _eval_monomials(p, combos) for combos, w in monomials.values()], axis=1
-    )
-    if collect:
-        op = _fold(p_mono, filters, columns)
-    else:
+    left = np.concatenate([w * _eval_monomials(p, combos) for combos, w in monomials], axis=1)
+    if not collect:
         omega = rotations.measures[1] * math.prod(w.sum() for w in rotations.measures[2:])
-        H = np.linalg.qr(np.sqrt(omega)[:, None] * p_mono, mode="r")
-        root_w = np.sqrt(scales.weights)[:, None]
-        op = _fold(H, {j: root_w * filt for j, filt in filters.items()}, columns)
-        if op.shape[0] > op.shape[1]:
-            op = np.linalg.qr(op, mode="r")
+        left = np.linalg.qr(np.sqrt(omega)[:, None] * left, mode="r")
+        stacked *= np.sqrt(scales.weights)[:, None, None]
+    op = (stacked[:, None] * left[None, :, :, None]).reshape(n_scales * len(left), -1)
+    if not collect and op.shape[0] > op.shape[1]:
+        op = np.linalg.qr(op, mode="r")
     centres = rotations.centres[0]
     n_cells = centres.shape[0]
     starts, counts = _latitude_bands(centres, rotations.measures[0])
     slots = np.minimum(counts, 2 * field_L + 1)
     band_weights = counts * rotations.measures[0][starts] / _haar_normalization(n)
-    # rows[j]'s (mu, l) row of each coefficient of moment mu, and its
+    # the (mu, l) row of Z of each coefficient of moment mu, and its
     # frequency nu = k + b - a
-    degree, *_, order = _chain_coords(n, field_L)  # l and k of every coefficient
-    place, frequency = {}, {}
-    for j in filters:
-        count = coefficient_count(n, field_L - j)
-        place[j] = np.arange(len(charges[j]))[:, None] * (field_L - j + 1) + degree[:count]
-        frequency[j] = order[:count] + charges[j][:, None]
+    degree, *_, order = _chain_coords(n, top)  # l and k of every coefficient
+    place = np.arange(n_mono)[:, None] * (top + 1) + degree
+    frequency = order + charges[:, None]
     # a cell's rotations run over the S^(n-1) cells, each over the smaller factors
     shape = (n_scales, n_cells, len(p), len(rotations) // (n_cells * len(p)))
     table = np.empty(shape, dtype=complex) if collect else None
 
     # a band's bytes, as _CHUNK_BYTES counts them, at its chunk's residue count
-    widest = max(len(combos) for combos, _ in monomials.values())
-    fixed = 16 * degree.size * (1 + widest) + 8 * sum(place[j].size for j in filters)
-    fixed += 8 * (n - 1) * (field_L + 1) ** 2
-    fixed += 16 * sum(len(combos) ** 2 for combos, _ in monomials.values())
-    per_field = 16 * (widest * (field_L + 1) + n_rows + op.shape[0])
+    n_rows = n_mono * (top + 1)
+    fixed = 8 * degree.size * (2 + 3 * n_mono) + 8 * (n - 1) * (top + 1) ** 2 + 16 * n_mono**2
+    per_field = 16 * (2 * n_rows + op.shape[0])
     # fields per batch: all of them, or as many as keep the band of most
     # residues within budget, at least one, spread evenly over the batches
     group = int(np.clip((_CHUNK_BYTES - fixed) // (per_field * slots.max()), 1, n_fields))
@@ -446,53 +434,45 @@ def _scan(
         cycles = slots[bands]
         cycle = cycles[-1]
         # each band's harmonics at azimuth 0 and its polar angles times
-        # e^(i k phi_0), and per power the action of Q T(theta, 0) on the
-        # charge monomials with e^(i (b - a) phi_0) on each, so that a
-        # coefficient of frequency nu carries e^(i nu phi_0)
+        # e^(i k phi_0), and each power's action of Q T(theta, 0) on its
+        # block of the charge monomials with e^(i (b - a) phi_0) on each, so
+        # that a coefficient of frequency nu carries e^(i nu phi_0)
         polar, phi = centres[starts[bands], :-1], centres[starts[bands], -1]
-        harmonic = np.exp(1j * np.outer(phi, np.arange(-field_L, field_L + 1)))
-        harmonic = harmonic.take(order + field_L, axis=1) * _polar_values(n, field_L, polar).T
+        harmonic = np.exp(1j * np.outer(phi, np.arange(-top, top + 1)))
+        harmonic = harmonic.take(order + top, axis=1) * _polar_values(n, top, polar).T
         euler = np.zeros((len(bands), m))
         euler[:, : n - 1] = polar
-        QT = v_charge @ rotation_matrix(n, euler)
-        # per power the action of Q T(theta, 0), and the targets of the fold:
-        # coefficient (l, k) of moment mu goes to the residue of its
-        # frequency mod C at degree l, folded[band, mu, l, r]
-        turned, folds = {}, {}
-        for j in filters:
-            turned[j] = _monomial_action(QT, *monomials[j]) * np.exp(
-                1j * np.outer(phi, charges[j])
-            )[:, :, None]
-            block = place[j].shape[0] * (field_L - j + 1) * cycle
-            target = place[j] * cycle + block * np.arange(len(bands))[:, None, None]
-            target += frequency[j] % cycles[:, None, None]
-            folds[j] = target.ravel(), len(bands) * block
+        QT = _charge_basis(n) @ rotation_matrix(n, euler)
+        phase = np.exp(1j * np.outer(phi, charges))
+        turned = [
+            (slice(lo, hi), _monomial_action(QT, *mono) * phase[:, lo:hi, None])
+            for lo, hi, mono in zip(edges, edges[1:], monomials)
+        ]
+        # the targets of the fold: coefficient (l, k) of moment mu goes to
+        # the residue of its frequency mod C at degree l, folded[band, mu, l, r]
+        block = n_rows * cycle
+        target = place * cycle + block * np.arange(len(bands))[:, None, None]
+        target += frequency % cycles[:, None, None]
+        target = target.ravel()
         energy = []
         for first in range(0, n_fields, group):
             batch = range(first, min(first + group, n_fields))
-            # Z[band, (col, l), (r, t)]: each band's folded and turned vectors
-            # of the batch's fields t, made once the first power's fold is done
-            Z = None
-            for j in filters:
-                width, count = place[j].shape
-                target, size = folds[j]
-                # filled, not np.zeros: its fresh pages would fault in on every call
-                folded = np.empty((size, len(batch)), dtype=complex)
-                folded.fill(0)
-                values = np.empty((len(bands), width, count), dtype=complex)
-                for i, t in enumerate(batch):
-                    np.multiply(moments[j][t], harmonic[:, None, :count], out=values)
-                    np.add.at(folded[:, i], target, values.ravel())
-                del values
-                if Z is None:
-                    Z = np.empty((len(bands), n_rows, cycle * len(batch)), dtype=complex)
-                np.matmul(
-                    turned[j].transpose(0, 2, 1),
-                    folded.reshape(len(bands), width, -1),
-                    out=Z[:, rows[j]].reshape(len(bands), width, -1),
-                )
-                del folded
-            Y = np.matmul(op, Z.view(np.float64))
+            # filled, not np.zeros: its fresh pages would fault in on every call
+            folded = np.empty((len(bands) * block, len(batch)), dtype=complex)
+            folded.fill(0)
+            values = np.empty((len(bands), n_mono, degree.size), dtype=complex)
+            for i, t in enumerate(batch):
+                np.multiply(moments[t], harmonic[:, None], out=values)
+                np.add.at(folded[:, i], target, values.ravel())
+            del values
+            # Z[band, (mu, l), (r, t)]: each band's folded vectors of the
+            # batch's fields t, turned block by block
+            folded = folded.reshape(len(bands), n_mono, -1)
+            Z = np.empty_like(folded)
+            for rows, action in turned:
+                np.matmul(action.transpose(0, 2, 1), folded[:, rows], out=Z[:, rows])
+            del folded
+            Y = np.matmul(op, Z.reshape(len(bands), n_rows, -1).view(np.float64))
             del Z
             if collect:
                 W = Y.view(complex).reshape(len(bands), n_scales, len(p), cycle)

@@ -141,28 +141,20 @@ def _directional_hat(rho, part: _DegreePart):
 
 def _theta_derivative_tableau(d: int) -> tuple[np.ndarray, ...]:
     """Coefficient arrays T[k][i, j] with d^d/dTheta^d psi(t(Theta))|_0 =
-    sum_k T[k](y1, y2) psi^(k)(y1), entries indexing y1^i y2^j."""
-    size = d + 1
-    tables = [np.zeros((size, size)) for _ in range(d + 1)]  # index k = 0..d
-    tables[1][0, 1] = 1.0  # first derivative: y2 * psi'
-    for step in range(1, d):
-        nxt = [np.zeros((size, size)) for _ in range(d + 1)]
-        for k in range(1, step + 1):
-            cur = tables[k]
-            for i in range(size):
-                for j in range(size):
-                    coef = cur[i, j]
-                    if coef == 0.0:
-                        continue
-                    # derivative through the arguments: u' = v, v' = -u
-                    if i >= 1:
-                        nxt[k][i - 1, j + 1] += coef * i
-                    if j >= 1:
-                        nxt[k][i + 1, j - 1] -= coef * j
-                    # chain factor raising the derivative order
-                    nxt[k + 1][i, j + 1] += coef
+    sum_k T[k](y1, y2) psi^(k)(y1), entries indexing y1^i y2^j; none for d = 0."""
+    powers = np.arange(d + 1)
+    tables = np.zeros((d + 1, d + 1, d + 1))  # tables[k, i, j], k = 0..d
+    if d:
+        tables[1, 0, 1] = 1.0  # first derivative: y2 * psi'
+    for _ in range(1, d):
+        nxt = np.zeros_like(tables)
+        # derivative through the arguments: u' = v, v' = -u
+        nxt[:, :-1, 1:] += powers[1:, None] * tables[:, 1:, :-1]
+        nxt[:, 1:, :-1] -= powers[1:] * tables[:, :-1, 1:]
+        # chain factor raising the derivative order
+        nxt[1:, :, 1:] += tables[:-1, :, :-1]
         tables = nxt
-    return tuple(tables[1:]) if d >= 1 else tuple()
+    return tuple(tables[1:])
 
 
 def ladder_beta(lam: float, l: int, iota: int) -> float:
@@ -261,11 +253,10 @@ def _cprime(profile: SpectralProfile) -> float:
     return profile.c + profile.d / (profile.gamma * profile.b)
 
 
-def _scale_log_range(
-    profile: SpectralProfile, first: int, last: int, tol: float = 1e-15
-) -> tuple[float, float]:
-    """log-rho interval outside which the scale integrands of the degrees
-    first..last stay below tol times their peak.  The default level is the
+def _scale_log_range(profile: SpectralProfile, q, tol: float = 1e-15) -> tuple[float, float]:
+    """log-rho interval outside which the scale integrands of some degrees
+    stay below tol times their peak, from the degrees' values q(l), which
+    the caller has evaluated and checked positive.  The default level is the
     profile grid's: comfortably under discrete_beta's 1e-12 coverage
     threshold, so truncation stays negligible against discretization.
 
@@ -276,15 +267,10 @@ def _scale_log_range(
     """
     cprime = _cprime(profile)
     log_u_lo, u_hi = _envelope_roots(cprime, tol)
-    degrees = np.arange(first, last + 1)
-    q = profile.q_eval(degrees)
-    if (q <= 0.0).any():
-        l = int(degrees[q <= 0.0][0])
-        raise ValueError(f"q({l}) <= 0: degree {l} has no scale range")
     log_c = math.log(cprime)
     return tuple(
         (log_c + log_u - profile.b * math.log(float(q_end))) / profile.a
-        for log_u, q_end in ((log_u_lo, q.max()), (math.log(u_hi), q.min()))
+        for log_u, q_end in ((log_u_lo, np.max(q)), (math.log(u_hi), np.min(q)))
     )
 
 

@@ -233,7 +233,7 @@ def grid_response_norms(n: int, d: int, L: int) -> np.ndarray:
 
 def scale_quadrature(profile, l: int, panels: int, order: int = 16):
     """Composite Gauss-Legendre scales/weights over the log-rho support of degree l >= 1."""
-    u_lo, u_hi = _scale_log_range(profile, l, l, 1e-18)
+    u_lo, u_hi = _scale_log_range(profile, profile.q_eval(l), 1e-18)
     x, w = roots_legendre(order)
     edges = np.linspace(u_lo, u_hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -263,7 +263,7 @@ def riemann_beta(n: int, profile, scales, l: int, response: float) -> float:
 def quadrature_beta(n: int, profile, l: int, response: float, rtol: float = 1e-9) -> float:
     """beta(l) = (1/N(n,l)) int rho^(2ed) hat_rho(l)^2 R(l) drho/rho, degree l >= 1,
     with R(l) = ``response``; the panel count is doubled once to confirm convergence."""
-    u_lo, u_hi = _scale_log_range(profile, l, l, 1e-18)
+    u_lo, u_hi = _scale_log_range(profile, profile.q_eval(l), 1e-18)
     panels = max(8, math.ceil(u_hi - u_lo))
 
     def integral(rhos, wts):

@@ -210,20 +210,29 @@ def test_find_ratio_builds_the_finest_grid_only_when_lo_never_moves(monkeypatch)
 
 
 def test_find_ratio_builds_the_degree_part_once(monkeypatch):
-    parts = []
-    init = wavelet_spectra._DegreePart.__init__
+    # one degree part, and q(l) evaluated once: the scale range takes the
+    # part's q
+    parts, q_evals = [], []
+    init, q_eval = wavelet_spectra._DegreePart.__init__, SpectralProfile.q_eval
 
     def counted(self, *args):
         parts.append(args)
         init(self, *args)
 
+    def counted_q_eval(self, l):
+        q_evals.append(l)
+        return q_eval(self, l)
+
     monkeypatch.setattr(wavelet_spectra._DegreePart, "__init__", counted)
+    monkeypatch.setattr(SpectralProfile, "q_eval", counted_q_eval)
     ratios = _spy_grids(monkeypatch)
     for name in PRESET_NAMES:
+        profile = make_preset(name, 2, d=1)
         parts.clear()
         ratios.clear()
-        find_ratio(2, make_preset(name, 2, d=1), 8, target=1e-6, rel_tol=1e-3)
-        assert len(ratios) > 2 and len(parts) == 1
+        q_evals.clear()
+        find_ratio(2, profile, 8, target=1e-6, rel_tol=1e-3)
+        assert len(ratios) > 2 and len(parts) == 1 and len(q_evals) == 1
 
 
 def test_find_ratio_steps_equal_discrete_beta(monkeypatch):
@@ -303,7 +312,7 @@ def test_signed_deviation_matches_the_aliasing_series(prof):
     L = 16
     m = profile_order(prof)
     degrees = np.arange(m + 1, L + 1)
-    log_range = _scale_log_range(prof, m + 1, L)
+    log_range = _scale_log_range(prof, prof.q_eval(degrees))
     cont = beta_numeric(2, prof, degrees)
     for X0 in (1.5, 2.0, 3.0):
         grid = ScaleGrid(*scale_grid._range_scales(log_range, X0), X0)
@@ -341,16 +350,17 @@ def test_profile_range_is_the_union_of_degree_ranges():
     for prof in profiles + [dipping]:
         first = profile_order(prof) + 1
         for L in (8, 64):
-            ranges = [_scale_log_range(prof, l, l, 1e-15) for l in range(first, L + 1)]
+            q = prof.q_eval(np.arange(first, L + 1))
+            ranges = [_scale_log_range(prof, q_l, 1e-15) for q_l in q]
             union = (min(r[0] for r in ranges), max(r[1] for r in ranges))
-            assert _scale_log_range(prof, first, L, 1e-15) == union
+            assert _scale_log_range(prof, q, 1e-15) == union
     # so the dipping profile's grid covers every degree
     grid = scale_grid_for_profile(2, dipping, 1.2, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ScaleCoverageWarning)
         assert epsilon_report(2, dipping, grid, 8).epsilon_hat < 1e-12
     with pytest.raises(ValueError, match=r"q\(2\) <= 0"):
-        _scale_log_range(SpectralProfile(a=1, b=1, c=1, q=(3, -2.5, 0.5)), 1, 8)
+        scale_grid_for_profile(2, SpectralProfile(a=1, b=1, c=1, q=(3, -2.5, 0.5)), 1.5, 8)
 
 
 @pytest.mark.parametrize("c", [0.1, 0.2, 0.25, 0.3, 0.5])
@@ -360,7 +370,7 @@ def test_profile_grid_for_small_c_prime(c):
     # not yet fallen to 1e-12 of their peaks
     prof = SpectralProfile(a=1, b=1, c=c, q=(0, 1))
     grid = scale_grid_for_profile(2, prof, 1.5, 8)
-    u_lo, u_hi = _scale_log_range(prof, 1, 8)
+    u_lo, u_hi = _scale_log_range(prof, prof.q_eval(np.arange(1, 9)))
     assert grid.rho_max == math.exp(u_hi)
     assert math.log(grid.rho_min) <= u_lo < math.log(grid.rho_min * 1.5)
     with warnings.catch_warnings():
@@ -377,7 +387,7 @@ def test_scale_range_ends_where_the_envelope_is_tol_of_its_peak(c):
     # ln[(s/c')^(2c') e^(-2(s - c'))] = ln tol at both ends
     prof = SpectralProfile(a=1, b=1, c=c, q=(0, 1))
     for tol in (1e-12, 1e-15, 1e-18):
-        for log_s in _scale_log_range(prof, 1, 1, tol):
+        for log_s in _scale_log_range(prof, prof.q_eval(1), tol):
             s = math.exp(log_s)
             level = 2 * c * (log_s - math.log(c)) - 2 * (s - c)
             assert level == pytest.approx(math.log(tol), rel=1e-12), (c, tol)

@@ -468,11 +468,20 @@ def test_table_energy_matches_energies(n, L, deltas):
 
 
 @pytest.mark.parametrize(
-    "n, L, delta, d", [(2, 8, 0.45, 1), (2, 16, 0.3, 2), (3, 8, 0.9, 1), (2, 64, 0.6, 1)]
+    "n, L, delta, d",
+    [
+        (2, 8, 0.45, 1),
+        (2, 16, 0.3, 2),
+        (3, 8, 0.9, 1),
+        (2, 64, 0.6, 1),
+        (2, 16, 0.3, 3),
+        (3, 8, 0.9, 3),
+    ],
 )
 def test_chunk_budget_bounds_memory(n, L, delta, d, monkeypatch):
     # the chunk's arrays stay within the budget, so the call's peak exceeds
-    # it by no more than the per-call moments and operator
+    # it by no more than the per-call moments and operator; at d = 3 the
+    # powers 1 and 3 share the monomial axis, the higher one padded
     budget = 4 * 2**20
     monkeypatch.setattr(transform, "_CHUNK_BYTES", budget)
     prof = make_preset("abel-poisson", n, d=d)

@@ -150,6 +150,36 @@ def test_response_norms_match_grid_oracle(n):
         )
 
 
+def test_theta_derivative_tableau_is_empty_when_zonal():
+    assert wavelet_spectra._theta_derivative_tableau(0) == ()
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_theta_derivative_tableau_differentiates_a_rotated_power(d):
+    # psi(t) = t^N along t(Theta) = y1 cos(Theta) + y2 sin(Theta): d! times
+    # the Theta^d Taylor coefficient of psi(t(Theta)) against
+    # sum_k T[k](y1, y2) psi^(k)(y1), psi^(k)(y1) = N!/(N - k)! y1^(N - k)
+    N = 8
+    tables = wavelet_spectra._theta_derivative_tableau(d)
+    assert len(tables) == d
+    powers = np.arange(d + 1)
+    factorials = np.array([math.factorial(k) for k in powers], dtype=float)
+    cos = np.where(powers % 2 == 0, (-1.0) ** (powers // 2), 0.0) / factorials
+    sin = np.where(powers % 2 == 1, (-1.0) ** (powers // 2), 0.0) / factorials
+    for y1, y2 in ((0.3, -0.7), (-0.8, 0.45), (0.6, 0.8)):
+        series = np.array([1.0])
+        for _ in range(N):
+            series = np.convolve(series, y1 * cos + y2 * sin)[: d + 1]
+        want = factorials[d] * series[d]
+        got = sum(
+            (tab * np.outer(y1**powers, y2**powers)).sum()
+            * math.perm(N, k)
+            * y1 ** (N - k)
+            for k, tab in enumerate(tables, start=1)
+        )
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_ladder_beta_values_and_guards():
     # lam = 1/2, iota = 0 is a removable singularity; the limit is
     # sqrt(l (l + 1) / 2)

@@ -23,7 +23,6 @@ from .scale_grid import (
     EpsilonReport,
     ScaleCoverageWarning,
     ScaleGrid,
-    build_scale_grid,
     discrete_beta,
     epsilon_report,
     find_ratio,
@@ -69,7 +68,6 @@ __all__ = [
     "beta_numeric",
     "build_beta_table",
     "build_rotation_grid",
-    "build_scale_grid",
     "build_sphere_grid",
     "certify_frame",
     "dim_harmonic",

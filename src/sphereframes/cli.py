@@ -217,7 +217,7 @@ def _config_comment(cfg: RunConfig) -> str:
 
 def _scale_grid_from(cfg: RunConfig) -> scale_grid.ScaleGrid:
     if cfg.rho_max is not None:
-        return scale_grid.build_scale_grid(cfg.rho_max, cfg.ratio, cfg.scale_count)
+        return scale_grid.ScaleGrid(cfg.rho_max, cfg.ratio, cfg.scale_count)
     return scale_grid.scale_grid_for_profile(
         cfg.n, cfg.profile, cfg.ratio, cfg.band_limit
     )

@@ -2,10 +2,15 @@
 
 The continuous admissibility value beta(l) integrates the per-degree wavelet
 energy over all scales with measure d(rho)/rho.  Here the integral is replaced
-by a log-uniform Riemann sum on a geometric sequence rho_j = rho_max * X0^-j
-with weights ln X0.  The maximal relative deviation eps_hat between the two
-quantifies the discretization: A(1 - eps_hat) and B(1 + eps_hat) bound the
-semi-discrete system whenever A, B bound the continuous one.
+by a log-uniform Riemann sum on a geometric sequence rho_j = rho_max * X0^-j,
+j = 0..count, with weights ln X0.  The maximal relative deviation eps_hat
+between the two quantifies the discretization: A(1 - eps_hat) and
+B(1 + eps_hat) bound the semi-discrete system whenever A, B bound the
+continuous one.
+
+A ``ScaleGrid`` is the sequence's three numbers (rho_max, X0, count): it
+makes its scales and weights once, at construction, and an
+``EpsilonReport`` holds the grid that its sums were taken on.
 
 Both sums read the energies of all their degrees from the one spectrum
 evaluator of ``wavelet_spectra``, over a (scales x degrees) array.
@@ -17,7 +22,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +30,7 @@ from .wavelet_spectra import (
     SpectralProfile,
     _degree_means,
     _DegreePart,
+    _natural,
     _scale_energies,
     _scale_log_range,
     beta_numeric,
@@ -34,7 +40,6 @@ from .wavelet_spectra import (
 __all__ = [
     "ScaleGrid",
     "ScaleCoverageWarning",
-    "build_scale_grid",
     "scale_grid_for_profile",
     "discrete_beta",
     "EpsilonReport",
@@ -63,55 +68,44 @@ def _user_stacklevel() -> int:
 
 @dataclass(frozen=True)
 class ScaleGrid:
-    """Strictly decreasing scales with log-quadrature weights."""
+    """The geometric grid rho_j = rho_max * ratio^-j for j = 0..count, with
+    log-quadrature weights ln ratio.
 
-    scales: np.ndarray
-    weights: np.ndarray
+    The grid is its three numbers, which it compares and hashes by.
+    ``count`` is the number of ratio steps, so the grid holds count + 1
+    scales, each at the midpoint of its log-cell; the ``scales`` and
+    ``weights`` arrays are made once, at construction.
+    """
+
+    rho_max: float
     ratio: float
+    count: int
+    scales: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        scales = np.asarray(self.scales, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        if not (math.isfinite(self.rho_max) and self.rho_max > 0):
+            raise ValueError(f"rho_max must be positive and finite, got {self.rho_max}")
+        _check_ratio(self.ratio)
+        object.__setattr__(self, "count", _natural(self.count, "count"))
+        scales, weights = _geometric_scales(self.rho_max, self.ratio, self.count)
+        if not scales[-1] > 0:
+            raise ValueError(f"rho_max {self.rho_max} / {self.ratio}^{self.count} underflows to 0")
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "weights", weights)
-        if scales.ndim != 1 or scales.size == 0:
-            raise ValueError("scales must be a nonempty 1-d sequence")
-        if scales.shape != weights.shape:
-            raise ValueError("scales and weights must have equal length")
-        if (scales <= 0).any() or (weights <= 0).any():
-            raise ValueError("scales and weights must be positive")
-        if self.ratio <= 1.0:
-            raise ValueError(f"ratio bound must exceed 1, got {self.ratio}")
-        if scales.size > 1:
-            step = scales[:-1] / scales[1:]
-            if (step <= 1.0).any() or (step > self.ratio * (1.0 + 1e-12)).any():
-                raise ValueError("consecutive scale ratios must lie in (1, ratio]")
 
     def __len__(self) -> int:
-        return int(self.scales.size)
-
-    @property
-    def rho_max(self) -> float:
-        return float(self.scales[0])
+        return self.count + 1
 
     @property
     def rho_min(self) -> float:
         return float(self.scales[-1])
 
 
-def build_scale_grid(rho_max: float, ratio: float, count: int) -> ScaleGrid:
-    """Geometric grid rho_j = rho_max * ratio^-j for j = 0..count, weights ln ratio.
-
-    ``count`` is the number of ratio steps, so the grid holds count + 1 scales,
-    each at the midpoint of its log-cell.
-    """
-    if rho_max <= 0:
-        raise ValueError(f"rho_max must be positive, got {rho_max}")
-    if ratio <= 1.0:
-        raise ValueError(f"ratio must exceed 1, got {ratio}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    return ScaleGrid(*_geometric_scales(rho_max, ratio, count), ratio)
+def _check_ratio(ratio: float) -> None:
+    """Refuse a grid ratio that is not finite and above 1."""
+    if not (math.isfinite(ratio) and ratio > 1.0):
+        raise ValueError(f"ratio must exceed 1 and be finite, got {ratio}")
 
 
 def _geometric_scales(rho_max: float, ratio: float, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -165,37 +159,28 @@ def scale_grid_for_profile(n: int, profile: SpectralProfile, ratio: float, L: in
     """
     if L < 1:
         raise ValueError(f"band limit must be >= 1, got {L}")
-    if not ratio > 1.0:
-        raise ValueError(f"ratio must exceed 1, got {ratio}")
-    degrees = np.arange(profile_order(profile) + 1, L + 1)
-    q = profile.q_eval(degrees)
-    if (q <= 0.0).any():
-        l = int(degrees[q <= 0.0][0])
-        raise ValueError(f"q({l}) <= 0: degree {l} has no scale range")
-    return ScaleGrid(*_range_scales(_scale_log_range(profile, q), ratio), ratio)
+    _check_ratio(ratio)
+    q = profile.positive_q(np.arange(profile_order(profile) + 1, L + 1))
+    return ScaleGrid(*_range_scales(_scale_log_range(profile, q), ratio))
 
 
-def _range_scales(log_range: tuple[float, float], ratio: float) -> tuple[np.ndarray, np.ndarray]:
-    """The scales and weights of the geometric grid of the given ratio from
-    the top of a log-rho range down past its bottom: the only part of a
-    profile's grid that depends on the ratio, and all that a ``find_ratio``
-    step builds."""
+def _range_scales(log_range: tuple[float, float], ratio: float) -> tuple[float, float, int]:
+    """The rho_max, ratio and count of the geometric grid of the given ratio
+    from the top of a log-rho range down past its bottom: the only part of a
+    profile's grid that depends on the ratio.  A ``find_ratio`` step makes
+    the grid's arrays from them and builds no ``ScaleGrid``."""
     u_lo, u_hi = log_range
-    count = max(1, math.ceil((u_hi - u_lo) / math.log(ratio)))
-    return _geometric_scales(math.exp(u_hi), ratio, count)
+    return math.exp(u_hi), ratio, max(1, math.ceil((u_hi - u_lo) / math.log(ratio)))
 
 
 @dataclass(frozen=True)
 class EpsilonReport:
-    """Per-degree comparison of discrete vs continuous admissibility."""
+    """Per-degree comparison of discrete vs continuous admissibility on a grid."""
 
     degrees: np.ndarray
     beta_continuous: np.ndarray
     beta_discrete: np.ndarray
-    ratio: float
-    count: int
-    rho_min: float
-    rho_max: float
+    grid: ScaleGrid
 
     @property
     def rel_dev(self) -> np.ndarray:
@@ -216,10 +201,10 @@ class EpsilonReport:
     def summary(self) -> dict:
         return {
             "epsilon_hat": self.epsilon_hat,
-            "ratio": self.ratio,
-            "count": self.count,
-            "rho_min": self.rho_min,
-            "rho_max": self.rho_max,
+            "ratio": self.grid.ratio,
+            "count": self.grid.count,
+            "rho_min": self.grid.rho_min,
+            "rho_max": self.grid.rho_max,
         }
 
 
@@ -242,10 +227,7 @@ def _epsilon_report(
 ) -> EpsilonReport:
     """The report of the grid's Riemann sums against the continuous beta
     ``cont`` of the degrees, which the caller has computed."""
-    disc = discrete_beta(n, profile, grid, degrees)
-    return EpsilonReport(
-        degrees, cont, disc, grid.ratio, len(grid) - 1, grid.rho_min, grid.rho_max
-    )
+    return EpsilonReport(degrees, cont, discrete_beta(n, profile, grid, degrees), grid)
 
 
 def find_ratio(
@@ -282,7 +264,7 @@ def find_ratio(
     cont = beta_numeric(n, profile, part)
 
     def eps(ratio: float) -> float:
-        disc = _riemann_means(*_range_scales(log_range, ratio), part)
+        disc = _riemann_means(*_geometric_scales(*_range_scales(log_range, ratio)), part)
         return float((np.abs(disc - cont) / cont).max())
 
     lo, hi = _FINEST_RATIO, _COARSEST_RATIO

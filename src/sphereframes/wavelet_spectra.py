@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,18 @@ __all__ = [
 ]
 
 
+def _natural(value, name: str) -> int:
+    """value as an int through ``operator.index``; a ValueError names it
+    unless it is an integer >= 0."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = -1
+    if index < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value}")
+    return index
+
+
 @dataclass(frozen=True)
 class SpectralProfile:
     """Parameters of an exponential-class wavelet spectrum; q ascending coefficients."""
@@ -51,8 +64,7 @@ class SpectralProfile:
     def __post_init__(self) -> None:
         if self.a <= 0 or self.b <= 0 or self.c <= 0:
             raise ValueError("a, b, c must be positive")
-        if self.d < 0:
-            raise ValueError(f"derivative order must be >= 0, got {self.d}")
+        object.__setattr__(self, "d", _natural(self.d, "derivative order"))
         q = tuple(float(x) for x in self.q)
         object.__setattr__(self, "q", q)
         if len(q) < 2 or q[-1] == 0.0:
@@ -75,12 +87,20 @@ class SpectralProfile:
             out = c + out * l
         return out
 
+    def positive_q(self, l) -> np.ndarray:
+        """q(l) at the integer degrees l, as a float array, checked > 0 at
+        every degree >= 1: a ValueError names the first degree where it is not."""
+        degrees = np.asarray(l)
+        q = np.asarray(self.q_eval(degrees), dtype=float)
+        bad = (q <= 0) & (degrees >= 1)
+        if bad.any():
+            first = degrees[bad].flat[0]
+            raise ValueError(f"q({first}) <= 0: the spectrum needs q(l) > 0 at every degree l >= 1")
+        return q
+
     def validate_positive(self, L: int) -> None:
         """Require q(l) > 0 for 1 <= l <= L."""
-        vals = self.q_eval(np.arange(1, L + 1))
-        if (vals <= 0).any():
-            bad = int(np.arange(1, L + 1)[vals <= 0][0])
-            raise ValueError(f"q({bad}) <= 0; profile invalid up to band limit {L}")
+        self.positive_q(np.arange(1, L + 1))
 
     @property
     def tilde_exponent(self) -> float:
@@ -220,11 +240,11 @@ class _DegreePart:
     _ARRAYS = ("degrees", "q", "positive", "q_power", "shifted", "response_norms", "dimensions")
 
     def __init__(self, profile: SpectralProfile, n: int, l):
+        if n < 2:
+            raise ValueError(f"sphere dimension must be >= 2, got n={n}")
         self.profile, self.n = profile, n
         self.degrees = np.asarray(l)
-        self.q = np.asarray(profile.q_eval(self.degrees), dtype=float)
-        if (self.q[self.degrees >= 1] <= 0).any():
-            raise ValueError("q(l) <= 0 inside the requested range")
+        self.q = profile.positive_q(self.degrees)
         self.positive = self.q > 0
         self.q_power = np.power(np.where(self.positive, self.q, 0.0), profile.b)
         self.shifted = self.degrees + (n - 1) / 2
@@ -436,11 +456,7 @@ def build_beta_table(n: int, profile: SpectralProfile, L: int) -> BetaTable:
     degrees gives the same bits.
     """
     m = profile_order(profile)
-    try:
-        part = _DegreePart(profile, n, np.arange(m + 1, L + 1))
-    except ValueError:
-        profile.validate_positive(L)  # names the first degree with q(l) <= 0
-        raise
+    part = _DegreePart(profile, n, np.arange(m + 1, L + 1))
     if L <= m:
         raise ValueError(f"band limit {L} leaves no degrees above the order m={m}")
     vals = np.zeros(L + 1)

@@ -3,10 +3,13 @@ the test oracles or were deleted stay out of the library, and the library
 imports only what it uses, without scipy."""
 
 import ast
+import contextlib
 import importlib
+import io
 import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -48,7 +51,7 @@ GONE = {
         "eval_degree_components",
     ),
     "rotation_grid": ("apply_rotation", "PartitionCell"),
-    "scale_grid": ("_degree_energies",),
+    "scale_grid": ("_degree_energies", "build_scale_grid"),
     "wavelet_spectra": (
         "_response_norm",
         "SpectralTruncationWarning",
@@ -98,7 +101,7 @@ def test_scale_grid_has_one_node_rule():
 
     for cls in (scale_grid.ScaleGrid, scale_grid.EpsilonReport):
         assert "convention" not in cls.__dataclass_fields__, cls.__name__
-    for fn in (scale_grid.build_scale_grid, scale_grid.scale_grid_for_profile, scale_grid.find_ratio):
+    for fn in (scale_grid.ScaleGrid, scale_grid.scale_grid_for_profile, scale_grid.find_ratio):
         assert "convention" not in inspect.signature(fn).parameters, fn.__name__
 
 
@@ -144,6 +147,21 @@ def test_unread_inputs_stay_deleted():
         ),
     ):
         assert set(names).isdisjoint(inspect.signature(fn).parameters), fn.__name__
+
+
+def test_readme_quickstart_runs():
+    # the public names the README uses still exist, and its printed
+    # eps_hat still reads as its comment says
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(block, "README.md", "exec"), namespace)
+    shown = float(re.search(r"print\(report\.epsilon_hat\)\s+# (\S+)", block).group(1))
+    eps = namespace["report"].epsilon_hat
+    assert float(f"{eps:.2g}") == shown
+    assert out.getvalue().splitlines()[0] == repr(eps)
+    assert namespace["frame"].verdict
 
 
 PACKAGE_DIR = pathlib.Path(sphereframes.__file__).parent

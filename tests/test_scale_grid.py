@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -13,7 +14,6 @@ from sphereframes.scale_grid import (
     EpsilonReport,
     ScaleCoverageWarning,
     ScaleGrid,
-    build_scale_grid,
     discrete_beta,
     epsilon_report,
     find_ratio,
@@ -33,24 +33,46 @@ AP1 = make_preset("abel-poisson", 2, d=1)
 
 
 def test_geometric_grid_construction():
-    grid = build_scale_grid(8.0, 2.0, 3)
+    grid = ScaleGrid(8.0, 2.0, 3)
     np.testing.assert_allclose(grid.scales, [8.0, 4.0, 2.0, 1.0], rtol=1e-15)
     np.testing.assert_allclose(grid.weights, math.log(2.0), rtol=1e-15)
     assert len(grid) == 4
     assert grid.rho_max == 8.0 and grid.rho_min == 1.0
 
 
+def test_grid_is_its_three_numbers():
+    init = [f.name for f in dataclasses.fields(ScaleGrid) if f.init]
+    assert init == ["rho_max", "ratio", "count"]
+    report = [f.name for f in dataclasses.fields(EpsilonReport) if f.init]
+    assert report == ["degrees", "beta_continuous", "beta_discrete", "grid"]
+    grid = ScaleGrid(1.0, 1.5, 3)
+    assert grid == ScaleGrid(1.0, 1.5, 3) and hash(grid) == hash(ScaleGrid(1.0, 1.5, 3))
+    assert grid != ScaleGrid(1.0, 1.5, 4) and len({grid, ScaleGrid(1.0, 1.5, 3)}) == 1
+    assert repr(grid) == "ScaleGrid(rho_max=1.0, ratio=1.5, count=3)"
+    # the arrays are made once, by the expression find_ratio's steps use
+    scales, weights = scale_grid._geometric_scales(1.0, 1.5, 3)
+    assert grid.scales.tobytes() == scales.tobytes()
+    assert grid.weights.tobytes() == weights.tobytes()
+    assert {"scales", "weights"} <= vars(grid).keys()  # held, not recomputed per read
+    assert type(ScaleGrid(1.0, 1.5, np.int64(3)).count) is int
+
+
 def test_construction_guards():
-    with pytest.raises(ValueError):
-        build_scale_grid(0.0, 2.0, 3)
-    with pytest.raises(ValueError):
-        build_scale_grid(1.0, 1.0, 3)
-    with pytest.raises(ValueError):
-        build_scale_grid(1.0, 2.0, -1)
-    with pytest.raises(ValueError):
-        ScaleGrid(np.array([1.0, 2.0]), np.array([0.7, 0.7]), 2.0)  # increasing
-    with pytest.raises(ValueError):
-        ScaleGrid(np.array([4.0, 1.0]), np.array([0.7, 0.7]), 2.0)  # step 4 > ratio 2
+    for rho_max in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^rho_max must be positive and finite, got {rho_max}$"):
+            ScaleGrid(rho_max, 2.0, 3)
+    for ratio in (1.0, 0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^ratio must exceed 1 and be finite, got {ratio}$"):
+            ScaleGrid(1.0, ratio, 3)
+    for count in (-1, 2.5, 3.0):
+        with pytest.raises(ValueError, match=f"^count must be an integer >= 0, got {count}$"):
+            ScaleGrid(1.0, 2.0, count)
+    with pytest.raises(ValueError, match="^ratio must exceed 1 and be finite, got inf$"):
+        scale_grid_for_profile(2, AP1, math.inf, 8)
+    # 2^-1100 rounds to 0: the smallest scale must stay positive
+    with pytest.raises(ValueError, match=r"^rho_max 1.0 / 2.0\^1100 underflows to 0$"):
+        ScaleGrid(1.0, 2.0, 1100)
+    assert ScaleGrid(1.0, 2.0, 1074).rho_min == 2.0**-1074
 
 
 @settings(max_examples=40, deadline=None)
@@ -60,7 +82,7 @@ def test_construction_guards():
     count=st.integers(min_value=0, max_value=30),
 )
 def test_grid_steps_property(rho_max, ratio, count):
-    grid = build_scale_grid(rho_max, ratio, count)
+    grid = ScaleGrid(rho_max, ratio, count)
     assert len(grid) == count + 1
     steps = grid.scales[:-1] / grid.scales[1:]
     np.testing.assert_allclose(steps, ratio, rtol=1e-12)
@@ -76,7 +98,7 @@ def test_discrete_matches_continuous_when_covered():
 
 
 def test_coverage_warning_for_off_peak_grid():
-    off = build_scale_grid(40.0, 1.1, 7)  # rho in [20.5, 40] misses the l=1 peak
+    off = ScaleGrid(40.0, 1.1, 7)  # rho in [20.5, 40] misses the l=1 peak
     with pytest.warns(ScaleCoverageWarning) as record:
         val = discrete_beta(2, AP, off, 1)
     assert val < 1e-10  # nearly all the energy lies outside the grid
@@ -84,7 +106,7 @@ def test_coverage_warning_for_off_peak_grid():
 
 
 def test_coverage_warning_names_each_truncated_degree():
-    off = build_scale_grid(40.0, 1.1, 7)
+    off = ScaleGrid(40.0, 1.1, 7)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         epsilon_report(2, AP1, off, 8)
@@ -106,7 +128,9 @@ def test_epsilon_report_contents():
     assert len(lines) == 9
     info = rep.summary()
     assert info["ratio"] == 1.5
-    assert info["count"] == len(grid) - 1  # ratio steps, as passed to the builder
+    assert info["count"] == grid.count == len(grid) - 1  # ratio steps
+    assert info["rho_min"] == grid.rho_min and info["rho_max"] == grid.rho_max
+    assert rep.grid is grid
     assert info["epsilon_hat"] == rep.epsilon_hat
 
 
@@ -238,13 +262,13 @@ def test_find_ratio_builds_the_degree_part_once(monkeypatch):
 def test_find_ratio_steps_equal_discrete_beta(monkeypatch):
     # each step's Riemann sums over the once-built degree part, on the scales
     # and weights of its ratio, are the bits of discrete_beta on the grid of
-    # those arrays
+    # the step's three numbers
     made, steps = [], []
     make, means = scale_grid._range_scales, scale_grid._riemann_means
 
-    def made_arrays(log_range, ratio):
-        made.append((ratio, *make(log_range, ratio)))
-        return made[-1][1:]
+    def made_numbers(log_range, ratio):
+        made.append(make(log_range, ratio))
+        return made[-1]
 
     def recorded(scales, weights, part):
         steps.append((scales, weights, part.degrees, means(scales, weights, part)))
@@ -257,14 +281,16 @@ def test_find_ratio_steps_equal_discrete_beta(monkeypatch):
                 made.clear()
                 steps.clear()
                 with monkeypatch.context() as m:
-                    m.setattr(scale_grid, "_range_scales", made_arrays)
+                    m.setattr(scale_grid, "_range_scales", made_numbers)
                     m.setattr(scale_grid, "_riemann_means", recorded)
                     find_ratio(n, prof, 8, target=1e-6, rel_tol=1e-3)
                 assert len(steps) > 2 and len(steps) == len(made), (name, n, d)
-                for (ratio, scales, weights), (s, w, degrees, sums) in zip(made, steps):
-                    assert s is scales and w is weights  # the arrays the step made
-                    whole = discrete_beta(n, prof, ScaleGrid(scales, weights, ratio), degrees)
-                    assert whole.tobytes() == sums.tobytes(), (name, n, d, ratio)
+                for numbers, (s, w, degrees, sums) in zip(made, steps):
+                    grid = ScaleGrid(*numbers)
+                    assert s.tobytes() == grid.scales.tobytes(), (name, n, d, numbers)
+                    assert w.tobytes() == grid.weights.tobytes(), (name, n, d, numbers)
+                    whole = discrete_beta(n, prof, grid, degrees)
+                    assert whole.tobytes() == sums.tobytes(), (name, n, d, numbers)
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
@@ -315,7 +341,7 @@ def test_signed_deviation_matches_the_aliasing_series(prof):
     log_range = _scale_log_range(prof, prof.q_eval(degrees))
     cont = beta_numeric(2, prof, degrees)
     for X0 in (1.5, 2.0, 3.0):
-        grid = ScaleGrid(*scale_grid._range_scales(log_range, X0), X0)
+        grid = ScaleGrid(*scale_grid._range_scales(log_range, X0))
         rep = scale_grid._epsilon_report(2, prof, grid, degrees, cont)
         signed = (rep.beta_discrete - rep.beta_continuous) / rep.beta_continuous
         np.testing.assert_array_equal(np.abs(signed), rep.rel_dev)
@@ -359,7 +385,7 @@ def test_profile_range_is_the_union_of_degree_ranges():
     with warnings.catch_warnings():
         warnings.simplefilter("error", ScaleCoverageWarning)
         assert epsilon_report(2, dipping, grid, 8).epsilon_hat < 1e-12
-    with pytest.raises(ValueError, match=r"q\(2\) <= 0"):
+    with pytest.raises(ValueError, match=r"^q\(2\) <= 0: the spectrum needs q\(l\) > 0 at every degree l >= 1$"):
         scale_grid_for_profile(2, SpectralProfile(a=1, b=1, c=1, q=(3, -2.5, 0.5)), 1.5, 8)
 
 

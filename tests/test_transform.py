@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from oracles import (
 from sphereframes import _csvtext, transform, wavelet_spectra
 from sphereframes.harmonics import HarmonicCoefficients, build_sphere_grid, coefficient_count
 from sphereframes.rotation_grid import RotationGrid, build_rotation_grid, rotation_matrix
-from sphereframes.scale_grid import build_scale_grid, scale_grid_for_profile
+from sphereframes.scale_grid import ScaleGrid, scale_grid_for_profile
 from sphereframes.transform import (
     TestField,
     TransformTable,
@@ -69,7 +70,7 @@ def test_identity_rotation_matches_spectral_inner_product():
     n, L = 2, 8
     prof = make_preset("abel-poisson", n, d=1)
     field = random_bandlimited(n, L, 0, 123)
-    scales = build_scale_grid(2.0, 1.5, 4)
+    scales = ScaleGrid(2.0, 1.5, 4)
     table = wavelet_analysis(
         n, prof, field, scales, _identity_grid(n), build_sphere_grid(n, L)
     )
@@ -83,7 +84,7 @@ def test_linearity_of_transform():
     n, L = 2, 6
     prof = make_preset("abel-poisson", n, d=1)
     sphere = build_sphere_grid(n, L)
-    scales = build_scale_grid(1.5, 1.5, 3)
+    scales = ScaleGrid(1.5, 1.5, 3)
     rot = build_rotation_grid(n, (1.5, 1.5))
     f = random_bandlimited(n, L, 0, 1)
     g = random_bandlimited(n, L, 0, 2)
@@ -164,7 +165,7 @@ def test_shared_rows_match_single_field_runs():
     n, L = 2, 6
     prof = make_preset("abel-poisson", n, d=1)
     sphere = build_sphere_grid(n, L)
-    scales = build_scale_grid(1.5, 1.5, 3)
+    scales = ScaleGrid(1.5, 1.5, 3)
     rot = build_rotation_grid(n, (1.2, 1.2))
     fields = [random_bandlimited(n, L, 0, s) for s in (1, 2, 3)]
     energies = transform_energies(n, prof, fields, scales, rot, sphere)
@@ -190,7 +191,7 @@ def test_thread_count_does_not_change_values(monkeypatch):
     n, L = 2, 6
     prof = make_preset("abel-poisson", n, d=2)
     sphere = build_sphere_grid(n, L)
-    scales = build_scale_grid(1.5, 1.5, 2)
+    scales = ScaleGrid(1.5, 1.5, 2)
     rot = build_rotation_grid(n, (1.0, 1.0))
     f = random_bandlimited(n, L, 0, 9)
     one = wavelet_analysis(n, prof, f, scales, rot, sphere, threads=1)
@@ -342,7 +343,7 @@ def test_monomial_moments_match_grid_oracle(n, L):
 def test_transform_reads_no_sphere_grid():
     n, L = 2, 8
     prof = make_preset("abel-poisson", n, d=2)
-    scales = build_scale_grid(1.5, 1.5, 3)
+    scales = ScaleGrid(1.5, 1.5, 3)
     rot = build_rotation_grid(n, (1.2, 1.2))
     fields = [random_bandlimited(n, L, 0, s) for s in (4, 5)]
     sphere = build_sphere_grid(n, L)
@@ -368,7 +369,7 @@ def test_transform_matches_direct_oracle(n, d):
     L = 4 if n == 2 else 3
     prof = make_preset("abel-poisson", n, d=d)
     sphere = build_sphere_grid(n, L)
-    scales = build_scale_grid(1.5, 1.5, 4)
+    scales = ScaleGrid(1.5, 1.5, 4)
     full = build_rotation_grid(n, (1.6,) * n if n == 2 else (2.5,) * n)
     outer, *inner = ORACLE_CELLS[n]
     grid = _cell_sample(full, outer, *inner)
@@ -394,7 +395,7 @@ def test_transform_matches_direct_oracle_at_band_32(d):
     n, L = 2, 32
     prof = make_preset("abel-poisson", n, d=d)
     sphere = build_sphere_grid(n, L)
-    scales = build_scale_grid(0.5, 1.5, 4)
+    scales = ScaleGrid(0.5, 1.5, 4)
     grid = _cell_sample(build_rotation_grid(n, (1.6, 1.6)), (5, 18))
     f = random_bandlimited(n, L, 0, 32 + d)
     expect = direct_transform(n, prof, f, scales, grid, sphere)
@@ -556,7 +557,7 @@ def test_cell_chunks_split_across_threads(monkeypatch):
     n, L = 2, 6
     prof = make_preset("abel-poisson", n, d=2)
     sphere = build_sphere_grid(n, L)
-    scales = build_scale_grid(1.5, 1.5, 2)
+    scales = ScaleGrid(1.5, 1.5, 2)
     rot = build_rotation_grid(n, (1.0, 1.0))
     f = random_bandlimited(n, L, 0, 9)
     whole = wavelet_analysis(n, prof, f, scales, rot, sphere).values
@@ -575,7 +576,7 @@ def test_band_limit_mismatch_rejected():
     n = 2
     prof = make_preset("abel-poisson", n)
     f = random_bandlimited(n, 8, 0, 1)
-    scales = build_scale_grid(1.0, 1.5, 2)
+    scales = ScaleGrid(1.0, 1.5, 2)
     rot = build_rotation_grid(n, (2.0, 2.0))
     with pytest.raises(ValueError):
         wavelet_analysis(3, prof, f, scales, rot, build_sphere_grid(n, 8))
@@ -587,7 +588,7 @@ def test_rotation_grid_of_another_dimension_rejected():
     n, L = 2, 6
     prof = make_preset("abel-poisson", n, d=1)
     f = random_bandlimited(n, L, 0, 1)
-    scales = build_scale_grid(1.0, 1.5, 2)
+    scales = ScaleGrid(1.0, 1.5, 2)
     for other, deltas in ((3, (1.6,) * 3), (1, (1.0,))):
         rot = build_rotation_grid(other, deltas)
         message = rf"SO\({other + 1}\), not SO\(3\)"
@@ -600,7 +601,7 @@ def test_rotation_grid_of_another_dimension_rejected():
 def test_table_csv_and_alignment():
     n, L = 2, 4
     prof = make_preset("abel-poisson", n)
-    scales = build_scale_grid(1.0, 1.5, 2)
+    scales = ScaleGrid(1.0, 1.5, 2)
     rot = build_rotation_grid(n, (2.0, 2.0))
     f = random_bandlimited(n, L, 0, 3)
     table = wavelet_analysis(n, prof, f, scales, rot, build_sphere_grid(n, L))
@@ -636,7 +637,7 @@ def test_filters_match_per_scale_spectra(n, monkeypatch):
 
 def test_table_csv_matches_per_entry_formatter():
     n = 2
-    scales = build_scale_grid(1.0, 1.5, 2)
+    scales = ScaleGrid(1.0, 1.5, 2)
     rot = build_rotation_grid(n, (2.0, 2.0))
     special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1 / 3, -2.5e-310, 1e300]
     values = np.empty((len(scales), len(rot)), dtype=complex)
@@ -654,7 +655,7 @@ def test_mixed_magnitude_table_matches_per_entry_formatter():
     # both notations, both signs, round numbers, exact ties and the values
     # formatted one at a time, over 3 x 880 entries: more than one block
     rng = np.random.default_rng(24)
-    scales = build_scale_grid(1.0, 1.5, 2)
+    scales = ScaleGrid(1.0, 1.5, 2)
     rot = build_rotation_grid(2, (0.8, 0.8))
     shape = (len(scales), len(rot))
     values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 18, shape)
@@ -664,3 +665,21 @@ def test_mixed_magnitude_table_matches_per_entry_formatter():
     table = TransformTable(values, scales, rot)
     assert values.size > _csvtext._BLOCK_BYTES // (4 * _csvtext._COLUMN_BYTES)
     assert table.to_csv() == table_csv(values)
+
+
+def test_circle_is_refused_before_any_spectral_work():
+    # lambda = (n - 1) / 2 is 0 at n = 1: the spectrum once divided by it,
+    # and the transforms ran under RuntimeWarnings into an IndexError
+    prof = make_preset("abel-poisson", 2, d=1)
+    field = random_bandlimited(1, 4, 0, 1)
+    scales = ScaleGrid(1.0, 1.5, 2)
+    rotations = build_rotation_grid(1, (0.5,))
+    message = "^sphere dimension must be >= 2, got n=1$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            wavelet_spectra.zonal_hat(prof, 1.0, 3, 1)
+        with pytest.raises(ValueError, match=message):
+            transform_energies(1, prof, [field], scales, rotations)
+        with pytest.raises(ValueError, match=message):
+            wavelet_analysis(1, prof, field, scales, rotations)

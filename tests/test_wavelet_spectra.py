@@ -20,7 +20,7 @@ from oracles import (
 )
 from sphereframes import wavelet_spectra
 from sphereframes.harmonics import all_indices, build_sphere_grid, dim_harmonic, synthesize
-from sphereframes.scale_grid import build_scale_grid, discrete_beta, scale_grid_for_profile
+from sphereframes.scale_grid import ScaleGrid, discrete_beta, scale_grid_for_profile
 from sphereframes.wavelet_spectra import (
     PRESET_NAMES,
     SpectralProfile,
@@ -75,8 +75,8 @@ def test_zonal_hat_broadcasts_scales_against_degrees():
     for bad in (0.0, -0.5):
         with pytest.raises(ValueError, match=f"scale must be positive, got {bad}"):
             zonal_hat(prof, np.array([0.5, bad, 1.0])[:, None], ls, 3)
-    negative = SpectralProfile(a=1.0, b=1.0, c=1.0, q=(1.0, 0.5, -0.5))
-    with pytest.raises(ValueError, match="q\\(l\\) <= 0"):
+    negative = SpectralProfile(a=1.0, b=1.0, c=1.0, q=(1.0, 0.5, -0.5))  # q(2) = 0
+    with pytest.raises(ValueError, match=r"^q\(2\) <= 0: the spectrum needs q\(l\) > 0 at every degree l >= 1$"):
         zonal_hat(negative, rhos[:, None], ls, 3)
 
 
@@ -100,8 +100,14 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         SpectralProfile(a=1.0, b=1.0, c=1.0, q=(0.0,))  # degree-0 q
     bad = SpectralProfile(a=1.0, b=1.0, c=1.0, q=(0.0, -1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^q\(1\) <= 0"):
         bad.validate_positive(4)
+    # an integral d only: a float d once failed deep inside every beta table
+    for d in (2.0, 2.5, -1, "2"):
+        with pytest.raises(ValueError, match=f"^derivative order must be an integer >= 0, got {d}$"):
+            SpectralProfile(a=1.0, b=1.0, c=1.0, q=(0.0, 1.0), d=d)
+    prof = SpectralProfile(a=1.0, b=1.0, c=1.0, q=(0.0, 1.0), d=np.int64(2))
+    assert type(prof.d) is int and prof.d == 2
     prof = SpectralProfile(a=2.0, b=3.0, c=1.0, q=(0.0, 0.0, 1.0))
     assert prof.gamma == 2
     assert prof.tilde_exponent == pytest.approx(2.0 / 6.0)
@@ -294,7 +300,7 @@ def test_beta_table_includes_degree_zero_when_q0_positive():
     assert table.m == -1
     np.testing.assert_allclose(table.values, 0.25, rtol=1e-14)
     assert table.A == pytest.approx(0.25) and table.B == pytest.approx(0.25)
-    fine = build_scale_grid(100.0, 1.05, 480)
+    fine = ScaleGrid(100.0, 1.05, 480)
     assert discrete_beta(2, prof, fine, 0) == pytest.approx(0.25, rel=1e-10)
 
 
@@ -442,10 +448,15 @@ def test_beta_numeric_evaluates_q_once(monkeypatch):
 
 def test_beta_table_refusals_name_the_degree_and_the_band():
     negative = SpectralProfile(a=1.0, b=1.0, c=1.0, q=(1.0, 0.5, -0.5))  # q(2) = 0
-    with pytest.raises(ValueError, match=r"^q\(2\) <= 0; profile invalid up to band limit 3$"):
-        build_beta_table(2, negative, 3)
-    with pytest.raises(ValueError, match=r"^q\(l\) <= 0 inside the requested range$"):
-        beta_numeric(2, negative, 2)
+    # one check, one message, naming the first degree >= 1 with q(l) <= 0
+    for refused in (
+        lambda: build_beta_table(2, negative, 3),
+        lambda: beta_numeric(2, negative, 2),
+        lambda: beta_numeric(2, negative, np.arange(5)),
+        lambda: negative.validate_positive(3),
+    ):
+        with pytest.raises(ValueError, match=r"^q\(2\) <= 0: the spectrum needs q\(l\) > 0 at every degree l >= 1$"):
+            refused()
     assert build_beta_table(2, negative, 1).values[1] == beta_numeric(2, negative, 1)
     with pytest.raises(ValueError, match=r"^band limit 0 leaves no degrees above the order m=0$"):
         build_beta_table(2, AP, 0)
